@@ -1,0 +1,54 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Each file under ``tests/golden/`` is the exact output of one command line.
+Refactors of the bound pipeline and the closed-form state must leave these
+bytes unchanged.  After a deliberate output change, regenerate them with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from covert_bosonic import cli
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_CRITERION_8 = ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+                "--n", "1e4:1e14:50", "--modes-per-sec", "1e8"]
+_EB = ["eb-report", "--eta", "0.5", "--nbar-b", "0.5", "--delta", "0.05",
+       "--n", "1e6", "--format", "json"]
+
+CASES = {
+    "bounds_criterion8.csv": _CRITERION_8 + ["--format", "csv"],
+    "bounds_criterion8.json": _CRITERION_8 + ["--format", "json"],
+    "willie_state_plus.csv": [
+        "willie-state", "--eta", "0.9", "--nbar-b", "0.12", "--source", "closed",
+        "--cutoff", "4", "--qubit", "plus", "--format", "csv"],
+    "willie_state_mixed.json": [
+        "willie-state", "--eta", "0.5", "--nbar-b", "0.5", "--source", "closed",
+        "--cutoff", "4", "--qubit", "0.3:0.7:0.1:0.2", "--format", "json"],
+    "eb_report_attenuate.json": _EB + ["--mechanism", "attenuate"],
+    "eb_report_amplify.json": _EB + ["--mechanism", "amplify"],
+    # Positive achievable count computed from distinct covert and rate params.
+    "eb_report_attenuate_eta09.json": [
+        "eb-report", "--eta", "0.9", "--nbar-b", "0.05", "--delta", "0.05",
+        "--n", "1e6", "--format", "json", "--mechanism", "attenuate"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert cli.main(CASES[name] + ["--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        code = cli.main(argv + ["--out", str(GOLDEN_DIR / name)])
+        if code != cli.EXIT_OK:
+            sys.exit(f"{name}: exit code {code}")
