@@ -19,30 +19,24 @@ from .closed_form import (
     p_fail,
     p_prime,
     p_total,
-    w1_coeff,
-    w2_coeff,
     willie_char_fn_closed,
     willie_state_closed,
 )
 from .covert_bounds import (
     BoundsPoint,
-    CovertBudget,
     GainDecompositionError,
-    PauliVector,
     assisted_lower_bound_qubits,
     assisted_rate,
     bounds_curve,
     c_cov,
     converse_capacity,
     converse_gain,
-    depolarizing_pauli_vector,
     g_func,
     hashing_rate,
     lower_bound_qubits,
     nbar_s_max,
     q_max,
     qre_bound,
-    shannon_entropy,
     upper_bound_qubits,
     upper_bound_srl_coefficient,
 )
@@ -76,14 +70,20 @@ from .fock_core import (
     trace_distance,
     two_mode_amplifier_unitary,
 )
-from .oracle import (
-    VerificationReport,
-    bob_state_numeric,
-    run_all_checks,
-    willie_state_numeric,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The oracle imports scipy; load it on first use of one of its names so
+    # that importing the package, and the CLI's bound sweeps, stay cheap.
+    if name in ("VerificationReport", "bob_state_numeric", "run_all_checks",
+                "willie_state_numeric"):
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",
@@ -110,8 +110,6 @@ __all__ = [
     "LogicalQubit",
     "TriDiagonalWillieState",
     "DivergenceUndefinedError",
-    "w1_coeff",
-    "w2_coeff",
     "willie_state_closed",
     "bob_state_closed",
     "willie_char_fn_closed",
@@ -122,15 +120,11 @@ __all__ = [
     "p_prime",
     "p_total",
     # covert_bounds
-    "CovertBudget",
     "BoundsPoint",
-    "PauliVector",
     "GainDecompositionError",
     "c_cov",
     "q_max",
     "qre_bound",
-    "shannon_entropy",
-    "depolarizing_pauli_vector",
     "hashing_rate",
     "lower_bound_qubits",
     "assisted_rate",

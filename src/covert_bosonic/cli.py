@@ -27,7 +27,6 @@ import numpy as np
 from . import closed_form as cf
 from . import covert_bounds as cb
 from . import eb_engineering as eb
-from . import oracle
 from .fock_core import DEFAULT_MAX_PHOTONS, ChannelParams, FockCutoff
 
 EXIT_OK = 0
@@ -115,6 +114,16 @@ def _load_config(path: Optional[str]) -> dict:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
+    # Values go through the same conversions as flags, so each must be a
+    # JSON scalar (null means unset); "qubit" and "out" are strings and
+    # "check" is a list of strings.
+    for key, val in cfg.items():
+        if key == "check":
+            ok = isinstance(val, list) and all(isinstance(c, str) for c in val)
+        else:
+            ok = isinstance(val, str if key in ("qubit", "out") else (str, int, float))
+        if not (ok or val is None):
+            raise UsageError(f"config value for {key!r} has the wrong type: {val!r}")
     return cfg
 
 
@@ -147,9 +156,12 @@ def _resolve_cutoff(args, cfg: dict) -> FockCutoff:
 def _write_out(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out!r}: {exc}") from None
 
 
 def _fmt(x) -> str:
@@ -238,6 +250,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     cfg = _load_config(args.config)
     out = _setting(args, cfg, "out")
     checks = args.check or cfg.get("check") or None
@@ -267,6 +281,8 @@ def cmd_willie_state(args) -> int:
         state = cf.willie_state_closed(qubit, params, cutoff)
         entries, leak = state.dense(), state.truncation_leak
     elif source == "numeric":
+        from . import oracle
+
         rho = oracle.willie_state_numeric(qubit, params, cutoff)
         entries, leak = rho.entries, rho.truncation_leak
     else:
@@ -358,8 +374,8 @@ def cmd_eb_report(args) -> int:
         n = _parse_n_range(str(n_spec))[-1]
         doc["n"] = n
         doc["delta"] = float(delta)
-        doc["lower_qubits_effective"] = (
-            cb.q_max(cov, float(delta), n) * n * cb.hashing_rate(rate)
+        doc["lower_qubits_effective"] = float(
+            cb.achievable_qubits(cov, float(delta), n, cb.hashing_rate(rate))
         )
         doc["upper_qubits_effective"] = cb.upper_bound_qubits(cov, float(delta), n)
     fmt = _setting(args, cfg, "format", "json")
@@ -390,6 +406,11 @@ def cmd_eb_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_io(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="output file (default: standard output)")
+    p.add_argument("--config", help="JSON config file; flags win over it")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, help="channel transmittance in [0, 1]")
     p.add_argument("--nbar-b", type=float,
@@ -397,8 +418,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cutoff", type=int,
                    help="Fock cutoff (max photons per mode)")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
-    p.add_argument("--out", help="output file (default: standard output)")
-    p.add_argument("--config", help="JSON config file; flags win over it")
+    _add_io(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,11 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="covertness budget in [0, 1/2)")
     p.add_argument("--n", help="round counts, geometric range start:stop:points")
     p.add_argument("--modes-per-sec", type=float,
-                   help="modulation rate; adds a seconds column (2n/rate)")
+                   help="modulation rate, finite and > 0; adds a seconds "
+                        "column (2n/rate)")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the brute-force verification suite")
-    _add_common(p)
+    _add_io(p)
     p.add_argument("--check", action="append",
                    help="check name (repeatable; default: all)")
     p.set_defaults(func=cmd_verify)

@@ -34,6 +34,7 @@ from .fock_core import (
     ChannelParams,
     DensityOperator,
     FockCutoff,
+    photon_exchange_indices,
     thermal_occupation,
 )
 
@@ -41,8 +42,6 @@ __all__ = [
     "LogicalQubit",
     "TriDiagonalWillieState",
     "DivergenceUndefinedError",
-    "w1_coeff",
-    "w2_coeff",
     "willie_state_closed",
     "bob_state_closed",
     "willie_char_fn_closed",
@@ -121,85 +120,53 @@ class TriDiagonalWillieState:
     def truncation_leak(self) -> float:
         return float(max(0.0, 1.0 - self.diag.sum()))
 
-    @property
-    def lower(self) -> np.ndarray:
-        """``lower[f, g]`` is <fg|rho|f-1,g+1>, the conjugate of the matching
-        upper coherence (Hermiticity), zero where f = 0 or g+1 exceeds the
-        cutoff."""
-        d = self.cutoff.dim
-        m = np.zeros((d, d), dtype=complex)
-        for f in range(1, d):
-            for g in range(d - 1):
-                m[f, g] = np.conj(self.upper[f - 1, g + 1])
-        return m
-
     def dense(self) -> np.ndarray:
         d = self.cutoff.dim
         m = np.zeros((d * d, d * d), dtype=complex)
-        for f in range(d):
-            for g in range(d):
-                m[f * d + g, f * d + g] = self.diag[f, g]
-                if g >= 1 and f + 1 < d:
-                    m[f * d + g, (f + 1) * d + (g - 1)] = self.upper[f, g]
-                    m[(f + 1) * d + (g - 1), f * d + g] = np.conj(self.upper[f, g])
+        np.fill_diagonal(m, self.diag.ravel())
+        rows, cols = photon_exchange_indices(self.cutoff)
+        upper = self.upper.ravel()[rows]
+        m[rows, cols] = upper
+        m[cols, rows] = np.conj(upper)
         return m
 
     def to_density_operator(self) -> DensityOperator:
         return DensityOperator(2, self.cutoff, self.dense(), self.truncation_leak)
 
 
-def _w1(f: int, g: int, reflect: float, occupancy: float) -> float:
-    """Population coefficient with reflectance ``reflect`` toward this port
-    and thermal occupancy ``occupancy`` at this port.
-
-    The (occupancy - g) * occupancy^(g-1) factor is evaluated in the
-    algebraically expanded form occupancy^g - g*occupancy^(g-1), so g = 0
-    never touches a negative power (removable singularity).
-    """
-    n = occupancy
-    corr = n**g - (g * n ** (g - 1) if g >= 1 else 0.0)
-    bracket = thermal_occupation(g, n) - reflect * corr / (1.0 + n) ** (g + 2)
-    return float(bracket * thermal_occupation(f, n))
-
-
-def _w2(f: int, g: int, reflect: float, occupancy: float) -> float:
-    """Coherence coefficient; zero at f = 0 via the sqrt(f) factor, so the
-    f+g-1 exponent never produces a pole."""
-    if f == 0 or reflect == 0.0:
-        return 0.0
-    n = occupancy
-    return float(
-        reflect * n ** (g + f - 1) / (1.0 + n) ** (g + f + 3) * np.sqrt(f * (g + 1))
-    )
-
-
-def w1_coeff(f: int, g: int, params: ChannelParams) -> float:
-    """Population coefficient of the warden-side output state."""
-    if f < 0 or g < 0:
-        raise ValueError("Fock indices must be non-negative")
-    return _w1(f, g, 1.0 - params.eta, params.eta * params.nbar_b)
-
-
-def w2_coeff(f: int, g: int, params: ChannelParams) -> float:
-    """Coherence coefficient of the warden-side output state."""
-    if f < 0 or g < 0:
-        raise ValueError("Fock indices must be non-negative")
-    return _w2(f, g, 1.0 - params.eta, params.eta * params.nbar_b)
-
-
 def _tridiagonal_state(
     qubit: LogicalQubit, reflect: float, occupancy: float, cutoff: FockCutoff
 ) -> TriDiagonalWillieState:
+    """Tri-diagonal output state of a thermal-noise beamsplitter port with
+    signal reflectance ``reflect`` and thermal occupancy ``occupancy``.
+
+    With n = occupancy and p_k = n^k / (1+n)^(k+1) the thermal weights,
+
+        w1(f, g) = [p_g - reflect (n^g - g n^(g-1)) / (1+n)^(g+2)] p_f
+        w2(f, g) = reflect n^(f+g-1) / (1+n)^(f+g+3) sqrt(f (g+1))
+
+    give diag[f, g] = alpha_sq w1(f, g) + beta_sq w1(g, f) and, on the
+    photon-exchange pairs (g >= 1), upper[f, g] = gamma w2(g, f).  The
+    (n - g) n^(g-1) factor is expanded to n^g - g n^(g-1), so g = 0 never
+    touches a negative power (removable singularity); w2(g, f) is needed
+    only for g >= 1, where its n^(f+g-1) has no pole.
+    """
     d = cutoff.dim
-    diag = np.zeros((d, d))
+    n = occupancy
+    # Python's scalar ** is libm pow; numpy.power on arrays rounds differently
+    # in a few percent of cells, so the powers come from these tables.
+    n_pow = np.array([n**k for k in range(2 * d)])
+    n1_pow = np.array([(1.0 + n) ** k for k in range(2 * d + 2)])
+    thermal = np.array([thermal_occupation(k, n) for k in range(d)])
+    g = np.arange(d)
+    corr = n_pow[g] - np.where(g >= 1, g * n_pow[np.maximum(g - 1, 0)], 0.0)
+    w1 = (thermal[g] - reflect * corr / n1_pow[g + 2])[None, :] * thermal[:, None]
+    diag = qubit.alpha_sq * w1 + qubit.beta_sq * w1.T
+    rows, _ = photon_exchange_indices(cutoff)
+    f, g = np.divmod(rows, d)
+    w2 = reflect * n_pow[f + g - 1] / n1_pow[f + g + 3] * np.sqrt(g * (f + 1))
     upper = np.zeros((d, d), dtype=complex)
-    for f in range(d):
-        for g in range(d):
-            diag[f, g] = qubit.alpha_sq * _w1(f, g, reflect, occupancy) + (
-                qubit.beta_sq * _w1(g, f, reflect, occupancy)
-            )
-            if g >= 1 and f + 1 < d:
-                upper[f, g] = qubit.gamma * _w2(g, f, reflect, occupancy)
+    upper.flat[rows] = qubit.gamma * w2
     return TriDiagonalWillieState(cutoff, diag, upper)
 
 

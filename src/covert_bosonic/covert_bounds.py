@@ -16,6 +16,7 @@ Every function here is pure, so curve sweeps may fan out freely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -26,16 +27,13 @@ from .closed_form import DivergenceUndefinedError, p_fail, p_prime, p_total
 from .fock_core import ChannelParams
 
 __all__ = [
-    "CovertBudget",
     "BoundsPoint",
-    "PauliVector",
     "GainDecompositionError",
     "c_cov",
     "q_max",
     "qre_bound",
-    "shannon_entropy",
-    "depolarizing_pauli_vector",
     "hashing_rate",
+    "achievable_qubits",
     "lower_bound_qubits",
     "assisted_rate",
     "assisted_lower_bound_qubits",
@@ -55,27 +53,6 @@ class GainDecompositionError(ValueError):
 
 
 @dataclass(frozen=True)
-class CovertBudget:
-    """Covertness parameter delta, block length n, transmission probability q."""
-
-    delta: float
-    n: int
-    q: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise ValueError(f"delta must be in (0, 1/2), got {self.delta}")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-
-    @classmethod
-    def at_q_max(cls, params: ChannelParams, delta: float, n: int) -> "CovertBudget":
-        return cls(delta, n, q_max(params, delta, n))
-
-
-@dataclass(frozen=True)
 class BoundsPoint:
     """One sweep sample: round count n with both bound ordinates (qubits),
     the per-round rates behind them, and the operating point (q, nbar_s)."""
@@ -91,26 +68,6 @@ class BoundsPoint:
     seconds: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class PauliVector:
-    """Probabilities [p_I, p_X, p_Y, p_Z] of a Pauli channel."""
-
-    probs: tuple
-
-    def __post_init__(self):
-        p = tuple(float(x) for x in self.probs)
-        if len(p) != 4:
-            raise ValueError("PauliVector needs exactly four probabilities")
-        if min(p) < 0.0 or abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must be >= 0 and sum to 1, got {p}")
-        object.__setattr__(self, "probs", p)
-
-
-def depolarizing_pauli_vector(p: float) -> PauliVector:
-    """Pauli vector [1 - 3p/4, p/4, p/4, p/4] of a depolarizing channel."""
-    return PauliVector((1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p))
-
-
 def c_cov(params: ChannelParams) -> float:
     """Covertness constant sqrt(2 eta nbar_b (1 + eta nbar_b)) / (1 - eta).
 
@@ -123,14 +80,76 @@ def c_cov(params: ChannelParams) -> float:
     return math.sqrt(2.0 * n * (1.0 + n)) / (1.0 - params.eta)
 
 
-def q_max(params: ChannelParams, delta: float, n: float) -> float:
-    """Largest covert per-round transmission probability,
-    min(1, 2 c_cov delta / sqrt(n))."""
-    if n < 1:
+# The array functions below evaluate a whole sweep for bounds_curve; the
+# scalar functions are 0-d views of them.  They follow scalar float
+# arithmetic: inf/NaN (c_cov is infinite at eta = 1) propagate silently, and
+# np.fmin/np.fmax match Python's min(1, x)/max(0, x), which return the
+# constant when x is NaN.
+
+
+def _nbar_s(params: ChannelParams, delta: float, n) -> np.ndarray:
+    """2 c_cov delta / sqrt(n): the covertness cap on the signal photon
+    number, and the transmission probability before clamping to 1."""
+    n = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(n)):
+        raise ValueError("n must be finite")
+    if np.any(n < 1):
         raise ValueError("n must be >= 1")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    return min(1.0, 2.0 * c_cov(params) * delta / math.sqrt(n))
+    return 2.0 * c_cov(params) * delta / np.sqrt(n)
+
+
+def _q(params: ChannelParams, delta: float, n) -> np.ndarray:
+    return np.fmin(1.0, _nbar_s(params, delta, n))
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    # libm log2 per element: numpy's vectorized log2 differs from it in the
+    # last bit on ~0.1% of inputs, and the converse subtracts two nearly
+    # equal g() terms, which would carry that bit into the output.
+    flat = np.fromiter(map(math.log2, x.ravel().tolist()), float, count=x.size)
+    return flat.reshape(x.shape)
+
+
+def _g(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise ValueError(f"g is defined for x >= 0, got {x[x < 0][0]}")
+    # At x = 0 both terms vanish exactly, which gives g(0) = 0.
+    with np.errstate(invalid="ignore"):
+        return (1.0 + x) * _log2(1.0 + x) - x * _log2(np.where(x > 0.0, x, 1.0))
+
+
+def _capacity(params: ChannelParams, nbar_s) -> np.ndarray:
+    nbar_s = np.asarray(nbar_s, dtype=float)
+    if np.any(nbar_s < 0):
+        raise ValueError("nbar_s must be >= 0")
+    g = converse_gain(params)
+    gbar = g - 1.0
+    with np.errstate(invalid="ignore"):
+        val = _g(((g + 1.0) * nbar_s + gbar) / 2.0) - _g(gbar * (1.0 + nbar_s) / 2.0)
+    return np.fmax(0.0, val)
+
+
+def _converse(params: ChannelParams, delta: float, n):
+    """(C(nbar_s_max), 2 n C(nbar_s_max)) over an array of n."""
+    cap = _capacity(params, _nbar_s(params, delta, n))
+    return cap, 2.0 * np.asarray(n, dtype=float) * cap
+
+
+def achievable_qubits(params: ChannelParams, delta: float, n, rate: float):
+    """Expected covert qubits q_max * n * rate over n rounds, elementwise on
+    an array of n.  ``params`` sets the covertness budget; the per-round
+    ``rate`` is separate because an engineered channel takes it from
+    different effective parameters."""
+    return _q(params, delta, n) * np.asarray(n, dtype=float) * rate
+
+
+def q_max(params: ChannelParams, delta: float, n: float) -> float:
+    """Largest covert per-round transmission probability,
+    min(1, 2 c_cov delta / sqrt(n))."""
+    return float(_q(params, delta, n))
 
 
 def qre_bound(params: ChannelParams, q: float, n: float) -> float:
@@ -145,16 +164,18 @@ def qre_bound(params: ChannelParams, q: float, n: float) -> float:
     )
 
 
-def shannon_entropy(p: PauliVector) -> float:
-    """Shannon entropy in bits, with 0 log 0 = 0."""
-    return float(-sum(x * math.log2(x) for x in p.probs if x > 0.0))
+def _depolarizing_hashing(p: float) -> float:
+    """[1 - H(1 - 3p/4, p/4, p/4, p/4)]+ for a depolarizing channel of
+    parameter p, with the Shannon entropy in bits and 0 log 0 = 0."""
+    probs = (1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)
+    h = float(-sum(x * math.log2(x) for x in probs if x > 0.0))
+    return max(0.0, 1.0 - h)
 
 
 def hashing_rate(params: ChannelParams) -> float:
     """Achievable qubit rate per round, [1 - H(p_vec)]+ for the depolarizing
     channel the projected receiver sees."""
-    h = shannon_entropy(depolarizing_pauli_vector(p_total(params)))
-    return max(0.0, 1.0 - h)
+    return _depolarizing_hashing(p_total(params))
 
 
 def lower_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
@@ -162,15 +183,14 @@ def lower_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
     i.e. 2 sqrt(n) c_cov R delta when q_max is unclamped."""
     if delta == 0.0:
         return 0.0
-    return q_max(params, delta, n) * n * hashing_rate(params)
+    return float(achievable_qubits(params, delta, n, hashing_rate(params)))
 
 
 def assisted_rate(params: ChannelParams) -> float:
     """Qubit rate with a two-way classical side channel: the receiver
     reports which projections succeeded and the parties distill
     entanglement on those rounds, giving (1 - p_fail)[1 - H(p'_vec)]+."""
-    h = shannon_entropy(depolarizing_pauli_vector(p_prime(params)))
-    return (1.0 - p_fail(params)) * max(0.0, 1.0 - h)
+    return (1.0 - p_fail(params)) * _depolarizing_hashing(p_prime(params))
 
 
 def assisted_lower_bound_qubits(
@@ -178,7 +198,7 @@ def assisted_lower_bound_qubits(
 ) -> float:
     if delta == 0.0:
         return 0.0
-    return q_max(params, delta, n) * n * assisted_rate(params)
+    return float(achievable_qubits(params, delta, n, assisted_rate(params)))
 
 
 def converse_gain(params: ChannelParams) -> float:
@@ -195,11 +215,7 @@ def converse_gain(params: ChannelParams) -> float:
 
 def g_func(x: float) -> float:
     """Bosonic entropy function g(x) = (1+x) log2(1+x) - x log2(x); g(0) = 0."""
-    if x < 0:
-        raise ValueError(f"g is defined for x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    return (1.0 + x) * math.log2(1.0 + x) - x * math.log2(x)
+    return float(_g(x))
 
 
 def converse_capacity(params: ChannelParams, nbar_s: float) -> float:
@@ -208,26 +224,19 @@ def converse_capacity(params: ChannelParams, nbar_s: float) -> float:
 
         [g(((G+1) nbar_s + Gbar) / 2) - g(Gbar (1 + nbar_s) / 2)]+
     """
-    if nbar_s < 0:
-        raise ValueError("nbar_s must be >= 0")
-    g = converse_gain(params)
-    gbar = g - 1.0
-    val = g_func(((g + 1.0) * nbar_s + gbar) / 2.0) - g_func(gbar * (1.0 + nbar_s) / 2.0)
-    return max(0.0, val)
+    return float(_capacity(params, nbar_s))
 
 
 def nbar_s_max(params: ChannelParams, delta: float, n: float) -> float:
     """Covertness cap on the signal mean photon number, 2 c_cov delta / sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2.0 * c_cov(params) * delta / math.sqrt(n)
+    return float(_nbar_s(params, delta, n))
 
 
 def upper_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
     """Converse: at most 2 n C(nbar_s_max) covert qubits over n rounds."""
     if delta == 0.0:
         return 0.0
-    return 2.0 * n * converse_capacity(params, nbar_s_max(params, delta, n))
+    return float(_converse(params, delta, n)[1])
 
 
 def upper_bound_srl_coefficient(params: ChannelParams, delta: float) -> float:
@@ -244,35 +253,34 @@ def bounds_curve(
     n_values: Sequence[float],
     modes_per_second: Optional[float] = None,
 ) -> list[BoundsPoint]:
-    """Evaluate both bounds over an ascending sweep of round counts.
+    """Evaluate both bounds over an ascending sweep of finite round counts.
 
-    Each round occupies two optical modes, so with a modulation rate the
-    abscissa in seconds is 2 n / modes_per_second.  Output order follows
-    input order and every quantity is deterministic.
+    Each round occupies two optical modes, so with a modulation rate (finite
+    and positive) the abscissa in seconds is 2 n / modes_per_second.  Output
+    order follows input order and every quantity is deterministic.
     """
-    n_arr = np.asarray(list(n_values), dtype=float)
-    if len(n_arr) == 0:
-        return []
-    if np.any(n_arr <= 0) or np.any(np.diff(n_arr) <= 0):
-        raise ValueError("n_values must be positive and strictly ascending")
-    rate = hashing_rate(params)
-    rate_assisted = assisted_rate(params)
-    points = []
-    for n in n_arr:
-        q = q_max(params, delta, n)
-        ns = nbar_s_max(params, delta, n)
-        cap = converse_capacity(params, ns)
-        points.append(
-            BoundsPoint(
-                n=float(n),
-                lower_qubits=q * n * rate,
-                upper_qubits=2.0 * n * cap,
-                assisted_lower_qubits=q * n * rate_assisted,
-                rate_R=rate,
-                capacity_C=cap,
-                q=q,
-                nbar_s=ns,
-                seconds=(2.0 * n / modes_per_second) if modes_per_second else None,
-            )
+    if modes_per_second is not None and not (
+        math.isfinite(modes_per_second) and modes_per_second > 0.0
+    ):
+        raise ValueError(
+            f"modes_per_second must be finite and > 0, got {modes_per_second!r}"
         )
-    return points
+    n = np.asarray(list(n_values), dtype=float)
+    if len(n) == 0:
+        return []
+    if np.any(n <= 0) or np.any(np.diff(n) <= 0):
+        raise ValueError("n_values must be positive and strictly ascending")
+    nbar_s = _nbar_s(params, delta, n)
+    q = _q(params, delta, n)
+    rate = hashing_rate(params)
+    lower = achievable_qubits(params, delta, n, rate)
+    assisted = achievable_qubits(params, delta, n, assisted_rate(params))
+    cap, upper = _converse(params, delta, n)
+    seconds = (
+        [None] * len(n) if modes_per_second is None
+        else (2.0 * n / modes_per_second).tolist()
+    )
+    columns = (n.tolist(), lower.tolist(), upper.tolist(), assisted.tolist(),
+               itertools.repeat(rate), cap.tolist(), q.tolist(), nbar_s.tolist(),
+               seconds)  # in BoundsPoint field order
+    return [BoundsPoint(*row) for row in zip(*columns)]

@@ -13,12 +13,12 @@ grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy.linalg import expm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .closed_form import LogicalQubit
@@ -35,6 +35,7 @@ __all__ = [
     "mode_annihilation_op",
     "thermal_occupation",
     "thermal_state",
+    "photon_exchange_indices",
     "dual_rail_density",
     "tensor",
     "partial_trace",
@@ -95,8 +96,8 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if self.nbar_b < 0.0:
-            raise ValueError(f"nbar_b must be >= 0, got {self.nbar_b}")
+        if not (math.isfinite(self.nbar_b) and self.nbar_b >= 0.0):
+            raise ValueError(f"nbar_b must be finite and >= 0, got {self.nbar_b}")
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,21 @@ def thermal_state(nbar: float, cutoff: FockCutoff) -> DensityOperator:
     return DensityOperator(1, cutoff, np.diag(diag).astype(complex), leak)
 
 
+def photon_exchange_indices(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """Flat two-mode indices (i, j) of every single-photon exchange
+    |f, g> -> |f+1, g-1> inside the cutoff: i = f d + g and j = (f+1) d + g-1
+    for g >= 1 and f < max_photons, in increasing i.
+
+    With the diagonal, these pairs and their transposes are the support of
+    a tri-diagonal two-mode state such as the warden's output; f + g is the
+    same at both ends of each pair.
+    """
+    d = cutoff.dim
+    f, g = np.divmod(np.arange(d * d), d)
+    i = np.flatnonzero((g >= 1) & (f + 1 < d))
+    return i, i + d - 1
+
+
 def dual_rail_density(qubit: "LogicalQubit", cutoff: FockCutoff) -> DensityOperator:
     """Two-mode state of a dual-rail qubit: logical |0> = |01>, |1> = |10>.
 
@@ -263,6 +279,8 @@ def beamsplitter_unitary(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
+    from scipy.linalg import expm
+
     theta = np.arccos(np.sqrt(eta))
     a = mode_annihilation_op(mode_a, num_modes, cutoff)
     b = mode_annihilation_op(mode_b, num_modes, cutoff)
@@ -284,6 +302,8 @@ def two_mode_amplifier_unitary(
     """
     if gain < 1.0:
         raise ValueError(f"gain must be >= 1, got {gain}")
+    from scipy.linalg import expm
+
     r = np.arccosh(np.sqrt(gain))
     a = mode_annihilation_op(mode_a, num_modes, cutoff)
     b = mode_annihilation_op(mode_b, num_modes, cutoff)
@@ -297,14 +317,12 @@ def apply_unitary(state: DensityOperator, u: np.ndarray) -> DensityOperator:
     return DensityOperator(state.num_modes, state.cutoff, out, state.truncation_leak)
 
 
-def _char_fn_ops(z: complex, cutoff: FockCutoff) -> np.ndarray:
-    """Single-mode factor exp(-z* a) exp(z a^dag) of the anti-normally
-    ordered characteristic function kernel."""
-    return _char_fn_ops_cached(complex(z), cutoff.max_photons)
-
-
 @lru_cache(maxsize=512)
 def _char_fn_ops_cached(z: complex, max_photons: int) -> np.ndarray:
+    """Single-mode factor exp(-z* a) exp(z a^dag) of the anti-normally
+    ordered characteristic function kernel."""
+    from scipy.linalg import expm
+
     a = annihilation_op(FockCutoff(max_photons))
     out = expm(-np.conj(z) * a) @ expm(z * a.conj().T)
     out.setflags(write=False)
@@ -348,8 +366,8 @@ def _char_fn_trace(entries, cutoff, zeta1, zeta2) -> complex:
     # tr[rho (K1 x K2)] contracted mode by mode; avoids materializing the
     # Kronecker-product kernel.
     d = cutoff.dim
-    k1 = _char_fn_ops(zeta1, cutoff)
-    k2 = _char_fn_ops(zeta2, cutoff)
+    k1 = _char_fn_ops_cached(complex(zeta1), cutoff.max_photons)
+    k2 = _char_fn_ops_cached(complex(zeta2), cutoff.max_photons)
     return complex(
         np.einsum("ijkl,ki,lj->", entries.reshape(d, d, d, d), k1, k2,
                   optimize=True)

@@ -48,8 +48,10 @@ from .fock_core import (
     anti_normal_char_fn,
     beamsplitter_unitary,
     chi2_numeric,
+    photon_exchange_indices,
     qre,
-    thermal_occupation,
+    tensor,
+    thermal_state,
     trace_distance,
     two_mode_amplifier_unitary,
 )
@@ -145,10 +147,6 @@ def _pair_unitary_tensor(eta: float, max_photons: int) -> np.ndarray:
     return t
 
 
-def _thermal_diag(nbar: float, cutoff: FockCutoff) -> np.ndarray:
-    return np.asarray(thermal_occupation(np.arange(cutoff.dim), nbar), dtype=float)
-
-
 def _pair_channel(
     x: np.ndarray, eta: float, env_diag: np.ndarray, keep: str, cutoff: FockCutoff
 ) -> np.ndarray:
@@ -202,8 +200,7 @@ def _rail_images(
 
     Qubit-independent, so sweeps over many inputs at fixed channel
     parameters reuse these."""
-    cutoff = FockCutoff(max_photons)
-    env = _thermal_diag(nbar_b, cutoff)
+    env = thermal_state(nbar_b, FockCutoff(max_photons)).entries.diagonal().real
     ut = _pair_unitary_tensor(eta, max_photons)
     out = {}
     for x in (0, 1):
@@ -285,7 +282,7 @@ def engineered_willie_state_numeric(
     """Warden's output through the full entanglement-breaking optical train:
     optional amplifier (vacuum idler), optional pure-loss stage (vacuum
     port), then the physical channel."""
-    env = _thermal_diag(params.nbar_b, cutoff)
+    env = thermal_state(params.nbar_b, cutoff).entries.diagonal().real
     vac = np.zeros(cutoff.dim)
     vac[0] = 1.0
     images = {}
@@ -316,13 +313,10 @@ def verify_willie_state(
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
     d = cutoff.dim
-    pattern_off = np.ones((d * d, d * d), dtype=bool)
-    for f in range(d):
-        for g in range(d):
-            pattern_off[f * d + g, f * d + g] = False
-            if g >= 1 and f + 1 < d:
-                pattern_off[f * d + g, (f + 1) * d + (g - 1)] = False
-                pattern_off[(f + 1) * d + (g - 1), f * d + g] = False
+    pattern_off = ~np.eye(d * d, dtype=bool)
+    rows, cols = photon_exchange_indices(cutoff)
+    pattern_off[rows, cols] = False
+    pattern_off[cols, rows] = False
     worst = (0.0, {})
     off_pattern_worst = 0.0
     count = 0
@@ -386,13 +380,7 @@ def verify_chi2(
             max(20, min(30, int(math.ceil(math.log(1e-11)
                                           / math.log(occ / (1.0 + occ))))))
         )
-        th = np.diag(_thermal_diag(occ, cut))
-        quiet = DensityOperator(
-            2,
-            cut,
-            np.kron(th, th).astype(complex),
-            1.0 - float(np.trace(np.kron(th, th)).real),
-        )
+        quiet = tensor(thermal_state(occ, cut), thermal_state(occ, cut))
         for qubit in qubits:
             count += 1
             num = chi2_numeric(willie_state_numeric(qubit, params, cut), quiet)
@@ -486,11 +474,8 @@ def verify_pinsker_and_detector(
     step (relative entropy bounded by chi-squared) holds in nats, and the
     standard Pinsker constant 1/8 is the nats form.
     """
-    th = np.diag(_thermal_diag(params.eta * params.nbar_b, cutoff))
-    quiet = DensityOperator(
-        2, cutoff, np.kron(th, th).astype(complex),
-        1.0 - float(np.trace(np.kron(th, th)).real),
-    )
+    occ = params.eta * params.nbar_b
+    quiet = tensor(thermal_state(occ, cutoff), thermal_state(occ, cutoff))
     rho_w = willie_state_numeric(qubit, params, cutoff)
     chi2 = cf.chi2_closed(qubit, params)
     worst = 0.0

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,52 @@ class TestExitCodes:
     def test_unknown_check_is_validation_error(self, capsys):
         code, _, _ = run_cli(["verify", "--check", "bogus"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--format", "csv"], ["--eta", "0.3"], ["--nbar-b", "0.1"], ["--cutoff", "5"],
+    ])
+    def test_verify_rejects_channel_flags(self, flag, capsys):
+        code, out, err = run_cli(["verify", "--check", "laguerre_diag"] + flag, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        ["willie-state", "--eta", "0.9", "--nbar-b", "inf", "--cutoff", "4"],
+        ["willie-state", "--eta", "0.9", "--nbar-b", "nan", "--cutoff", "4"],
+        ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+         "--n", "nan"],
+        ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+         "--n", "1e6", "--modes-per-sec", "-5"],
+        ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+         "--n", "1e6", "--modes-per-sec", "0"],
+        ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+         "--n", "1e6", "--modes-per-sec", "inf"],
+    ])
+    def test_non_finite_or_out_of_domain_input_is_validation_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        code, _, err = run_cli(BOUNDS_ARGS + ["--out", str(tmp_path / "no" / "x")],
+                               capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("cfg", [
+        {"eta": [1], "nbar_b": 0.1}, {"eta": 0.9, "nbar_b": {"x": 1}},
+        {"eta": 0.9, "nbar_b": 0.1, "qubit": 5}, {"eta": 0.9, "nbar_b": 0.1, "out": 3},
+    ])
+    def test_wrongly_typed_config_is_usage_error(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(["willie-state", "--cutoff", "4", "--config",
+                                  str(path)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
 
     def test_passing_check_exits_zero(self, capsys):
         code, out, _ = run_cli(["verify", "--check", "laguerre_diag"], capsys)
@@ -215,3 +265,24 @@ class TestEbReport:
             ["eb-report", "--eta", "0.5", "--nbar-b", "0",
              "--mechanism", "amplify"], capsys)
         assert code == 2
+
+
+def test_cli_import_loads_neither_scipy_nor_oracle():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, covert_bosonic.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'covert_bosonic.oracle'))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_package_serves_oracle_names_lazily():
+    import covert_bosonic
+    from covert_bosonic import oracle
+
+    assert covert_bosonic.willie_state_numeric is oracle.willie_state_numeric
+    with pytest.raises(AttributeError):
+        covert_bosonic.no_such_name

@@ -14,8 +14,6 @@ from covert_bosonic.closed_form import (
     p_fail,
     p_prime,
     p_total,
-    w1_coeff,
-    w2_coeff,
     willie_char_fn_closed,
     willie_state_closed,
 )
@@ -29,6 +27,41 @@ from covert_bosonic.fock_core import (
 
 FIG2 = ChannelParams(0.9, 0.12)
 CUT = FockCutoff(12)
+POLE = LogicalQubit(1.0, 0.0)  # diag is w1 itself
+PLUS = LogicalQubit(0.5, 0.5, 0.5)  # upper is w2 / 2
+
+
+def _w1_reference(f, g, reflect, n):
+    """Population coefficient, one entry at a time in scalar arithmetic."""
+    corr = n**g - (g * n ** (g - 1) if g >= 1 else 0.0)
+    bracket = thermal_occupation(g, n) - reflect * corr / (1.0 + n) ** (g + 2)
+    return float(bracket * thermal_occupation(f, n))
+
+
+def _w2_reference(f, g, reflect, n):
+    """Coherence coefficient, one entry at a time in scalar arithmetic."""
+    if f == 0 or reflect == 0.0:
+        return 0.0
+    return float(
+        reflect * n ** (g + f - 1) / (1.0 + n) ** (g + f + 3) * np.sqrt(f * (g + 1))
+    )
+
+
+def _state_reference(qubit, params, cutoff):
+    """Loop-by-entry warden state: (diag, upper) with
+    upper[f, g] = <fg|rho|f+1,g-1>."""
+    reflect, n = 1.0 - params.eta, params.eta * params.nbar_b
+    d = cutoff.dim
+    diag = np.zeros((d, d))
+    upper = np.zeros((d, d), dtype=complex)
+    for f in range(d):
+        for g in range(d):
+            diag[f, g] = qubit.alpha_sq * _w1_reference(f, g, reflect, n) + (
+                qubit.beta_sq * _w1_reference(g, f, reflect, n)
+            )
+            if g >= 1 and f + 1 < d:
+                upper[f, g] = qubit.gamma * _w2_reference(g, f, reflect, n)
+    return diag, upper
 
 
 def valid_qubits():
@@ -72,32 +105,42 @@ class TestLogicalQubit:
 class TestCoefficients:
     def test_w1_at_eta_one_is_thermal_product(self):
         params = ChannelParams(1.0, 0.12)
+        diag = willie_state_closed(POLE, params, CUT).diag
         for f in range(4):
             for g in range(4):
                 expected = thermal_occupation(f, 0.12) * thermal_occupation(g, 0.12)
-                assert w1_coeff(f, g, params) == pytest.approx(float(expected))
+                assert diag[f, g] == pytest.approx(float(expected))
 
     def test_w1_g_zero_is_finite(self):
         # g=0 exercises the removable singularity of the g-1 exponent
-        v = w1_coeff(0, 0, FIG2)
+        v = willie_state_closed(POLE, FIG2, CUT).diag[0, 0]
         n = 0.9 * 0.12
         expected = (1.0 / (1.0 + n) - (1.0 - 0.9) / (1.0 + n) ** 2) * (1.0 / (1.0 + n))
         assert v == pytest.approx(expected, rel=1e-14)
 
     def test_w2_zero_cases(self):
-        assert w2_coeff(0, 3, FIG2) == 0.0
-        assert w2_coeff(2, 1, ChannelParams(1.0, 0.12)) == 0.0
+        # upper[f, g] = gamma w2(g, f): zero at g = 0 and at eta = 1
+        assert willie_state_closed(PLUS, FIG2, CUT).upper[3, 0] == 0.0
+        transparent = willie_state_closed(PLUS, ChannelParams(1.0, 0.12), CUT)
+        assert np.count_nonzero(transparent.upper) == 0
 
     def test_w2_direct_value(self):
         n = 0.9 * 0.12
         expected = 0.1 * n**0 / (1.0 + n) ** 4 * math.sqrt(1.0)
-        assert w2_coeff(1, 0, FIG2) == pytest.approx(expected, rel=1e-14)
+        upper = willie_state_closed(PLUS, FIG2, CUT).upper
+        assert upper[0, 1] == pytest.approx(0.5 * expected, rel=1e-14)
 
-    def test_negative_indices_rejected(self):
-        with pytest.raises(ValueError):
-            w1_coeff(-1, 0, FIG2)
-        with pytest.raises(ValueError):
-            w2_coeff(0, -2, FIG2)
+    @pytest.mark.parametrize("eta, nbar_b, max_photons", [
+        (0.9, 0.12, 30), (0.3, 2.0, 20), (0.0, 0.7, 8), (1.0, 0.5, 8),
+        (0.5, 0.0, 8),
+    ])
+    def test_state_matches_scalar_reference_exactly(self, eta, nbar_b, max_photons):
+        params, cutoff = ChannelParams(eta, nbar_b), FockCutoff(max_photons)
+        for q in valid_qubits():
+            state = willie_state_closed(q, params, cutoff)
+            diag, upper = _state_reference(q, params, cutoff)
+            assert np.array_equal(state.diag, diag)
+            assert np.array_equal(state.upper, upper)
 
 
 class TestWillieState:
@@ -119,7 +162,9 @@ class TestWillieState:
         d = CUT.dim
         for f in range(4):
             for g in range(4):
-                assert state.diag[f, g] == pytest.approx(w1_coeff(f, g, FIG2))
+                assert state.diag[f, g] == pytest.approx(
+                    _w1_reference(f, g, 1.0 - FIG2.eta, FIG2.eta * FIG2.nbar_b)
+                )
 
     def test_support_pattern_conserves_total_photon_number(self):
         q = LogicalQubit.pure(0.6, 0.8j)
@@ -133,10 +178,13 @@ class TestWillieState:
     def test_lower_is_conjugate_of_upper(self):
         q = LogicalQubit.pure(0.6, 0.8j)
         state = willie_state_closed(q, FIG2, CUT)
-        lower = state.lower
-        for f in range(1, CUT.dim):
-            for g in range(CUT.dim - 1):
-                assert lower[f, g] == np.conj(state.upper[f - 1, g + 1])
+        dense = state.dense()
+        d = CUT.dim
+        for f in range(1, d):
+            for g in range(d - 1):
+                lower = dense[f * d + g, (f - 1) * d + (g + 1)]
+                assert lower == np.conj(state.upper[f - 1, g + 1])
+        assert np.array_equal(dense, dense.conj().T)
 
     def test_bob_state_is_eta_swap(self):
         q = LogicalQubit(0.3, 0.7, 0.1j)

@@ -5,26 +5,24 @@ import pytest
 
 from covert_bosonic.covert_bounds import (
     BoundsPoint,
-    CovertBudget,
     GainDecompositionError,
-    PauliVector,
+    achievable_qubits,
     assisted_lower_bound_qubits,
     assisted_rate,
     bounds_curve,
     c_cov,
     converse_capacity,
     converse_gain,
-    depolarizing_pauli_vector,
     g_func,
     hashing_rate,
     lower_bound_qubits,
     nbar_s_max,
     q_max,
     qre_bound,
-    shannon_entropy,
     upper_bound_qubits,
     upper_bound_srl_coefficient,
 )
+from covert_bosonic.closed_form import p_total
 from covert_bosonic.fock_core import ChannelParams
 
 FIG2 = ChannelParams(0.9, 0.12)
@@ -56,31 +54,27 @@ class TestCovertnessConstant:
             q = q_max(FIG2, delta, n)
             assert qre_bound(FIG2, q, n) == pytest.approx(delta, abs=1e-12)
 
-    def test_budget_validation(self):
+    def test_q_max_rejects_bad_inputs(self):
+        for n in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                q_max(FIG2, 0.05, n)
         with pytest.raises(ValueError):
-            CovertBudget(0.7, 100, 0.1)
-        with pytest.raises(ValueError):
-            CovertBudget(0.05, 0, 0.1)
-        with pytest.raises(ValueError):
-            CovertBudget(0.05, 100, 1.5)
-        b = CovertBudget.at_q_max(FIG2, 0.05, 10**6)
-        assert b.q == q_max(FIG2, 0.05, 10**6)
+            q_max(FIG2, -0.1, 100)
 
 
 class TestEntropyAndRates:
     def test_shannon_entropy_extremes(self):
-        assert shannon_entropy(PauliVector((1.0, 0.0, 0.0, 0.0))) == 0.0
-        assert shannon_entropy(PauliVector((0.25,) * 4)) == pytest.approx(2.0)
-
-    def test_pauli_vector_validation(self):
-        with pytest.raises(ValueError):
-            PauliVector((0.5, 0.5, 0.5, -0.5))
-        with pytest.raises(ValueError):
-            PauliVector((0.5, 0.5))
+        # p = 0: H(1, 0, 0, 0) = 0 with 0 log 0 = 0.  p = 1 (eta = 0): the
+        # uniform Pauli vector has H = 2 bits, so 1 - H clamps to zero.
+        assert hashing_rate(ChannelParams(1.0, 0.3)) == 1.0
+        assert hashing_rate(ChannelParams(0.0, 0.3)) == 0.0
 
     def test_depolarizing_vector(self):
-        v = depolarizing_pauli_vector(0.4)
-        assert v.probs == pytest.approx((0.7, 0.1, 0.1, 0.1))
+        # The hashing rate is 1 - H of [1 - 3p/4, p/4, p/4, p/4].
+        p = p_total(FIG2)
+        probs = (1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)
+        h = -sum(x * math.log2(x) for x in probs)
+        assert hashing_rate(FIG2) == pytest.approx(1.0 - h, rel=1e-14)
 
     def test_hashing_rate_identity_channel(self):
         assert hashing_rate(ChannelParams(1.0, 0.0)) == 1.0
@@ -161,6 +155,12 @@ class TestBoundScaling:
             hi = upper_bound_qubits(FIG2, 0.05, n)
             assert hi >= lo
 
+    def test_achievable_qubits_takes_the_rate_separately(self):
+        n = np.geomspace(1e4, 1e12, 5)
+        got = achievable_qubits(FIG2, 0.05, n, 0.25)
+        for v, n_i in zip(got, n):
+            assert v == q_max(FIG2, 0.05, n_i) * n_i * 0.25
+
     def test_nbar_s_max_matches_q_max_unclamped(self):
         n = 1e10
         assert nbar_s_max(FIG2, 0.05, n) == pytest.approx(q_max(FIG2, 0.05, n))
@@ -172,6 +172,20 @@ class TestBoundsCurve:
             bounds_curve(FIG2, 0.05, [100.0, 10.0])
         with pytest.raises(ValueError):
             bounds_curve(FIG2, 0.05, [0.0, 10.0])
+
+    @pytest.mark.parametrize("n", [[math.nan], [1e6, math.nan], [1e6, math.inf]])
+    def test_rejects_non_finite_n(self, n):
+        with pytest.raises(ValueError, match="finite"):
+            bounds_curve(FIG2, 0.05, n)
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, math.inf, math.nan])
+    def test_rejects_bad_modes_per_second(self, rate):
+        with pytest.raises(ValueError, match="modes_per_second"):
+            bounds_curve(FIG2, 0.05, [1e6], modes_per_second=rate)
+
+    def test_undefined_converse_refuses_the_sweep(self):
+        with pytest.raises(GainDecompositionError):
+            bounds_curve(ChannelParams(0.1, 10.0), 0.05, [1e4, 1e6])
 
     def test_empty_input(self):
         assert bounds_curve(FIG2, 0.05, []) == []

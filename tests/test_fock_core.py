@@ -77,6 +77,13 @@ class TestValidation:
         ChannelParams(0.0, 0.0)
         ChannelParams(1.0, 2.0)
 
+    @pytest.mark.parametrize("eta, nbar_b", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf),
+    ])
+    def test_channel_params_reject_non_finite(self, eta, nbar_b):
+        with pytest.raises(ValueError):
+            ChannelParams(eta, nbar_b)
+
     def test_cutoff_requires_at_least_one_photon(self):
         with pytest.raises(ValueError):
             FockCutoff(0)
