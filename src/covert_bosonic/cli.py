@@ -8,9 +8,9 @@ units, and nothing time- or host-dependent is emitted.
 
 Exit codes: 0 success, 1 usage error, 2 validation/physics error,
 3 verification failure.  Configuration may come from flags or a JSON config
-file (``--config``); flags win over the file, which wins over the
-``COVERT_BOSONIC_CUTOFF`` environment variable, which wins over the
-built-in default cutoff.
+file (``--config``); flags win over the file.  ``willie-state`` alone takes
+a Fock cutoff: ``--cutoff``, then the file, then the
+``COVERT_BOSONIC_CUTOFF`` environment variable, then the built-in default.
 """
 
 from __future__ import annotations
@@ -288,14 +288,10 @@ def cmd_willie_state(args) -> int:
     else:
         raise UsageError(f"--source must be closed or numeric, got {source!r}")
     d = cutoff.dim
-    records = []
-    for row in range(d * d):
-        for col in range(d * d):
-            v = entries[row, col]
-            if v != 0.0:
-                records.append(
-                    (row // d, row % d, col // d, col % d, v.real, v.imag)
-                )
+    rows, cols = np.nonzero(entries)  # row-major order
+    vals = entries[rows, cols]
+    records = list(zip(*(a.tolist() for a in (
+        rows // d, rows % d, cols // d, cols % d, vals.real, vals.imag))))
     if fmt == "csv":
         lines = [
             "# eta=" + _fmt(params.eta) + " nbar_b=" + _fmt(params.nbar_b)
@@ -415,8 +411,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, help="channel transmittance in [0, 1]")
     p.add_argument("--nbar-b", type=float,
                    help="environment thermal mean photon number")
-    p.add_argument("--cutoff", type=int,
-                   help="Fock cutoff (max photons per mode)")
     p.add_argument("--format", choices=("csv", "json"), help="output format")
     _add_io(p)
 
@@ -442,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("willie-state", help="dump the warden's output state")
     _add_common(p)
+    p.add_argument("--cutoff", type=int,
+                   help="Fock cutoff (max photons per mode)")
     p.add_argument("--qubit",
                    help="named state or alpha_sq:beta_sq[:gamma_re[:gamma_im]]")
     p.add_argument("--source", choices=("closed", "numeric"),

@@ -97,6 +97,8 @@ def _nbar_s(params: ChannelParams, delta: float, n) -> np.ndarray:
         raise ValueError("n must be >= 1")
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    if delta == 0.0:  # no budget, no signal, even where c_cov is infinite
+        return np.zeros_like(n)
     return 2.0 * c_cov(params) * delta / np.sqrt(n)
 
 
@@ -181,8 +183,6 @@ def hashing_rate(params: ChannelParams) -> float:
 def lower_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
     """Achievable expected covert qubits over n rounds: q_max * n * R,
     i.e. 2 sqrt(n) c_cov R delta when q_max is unclamped."""
-    if delta == 0.0:
-        return 0.0
     return float(achievable_qubits(params, delta, n, hashing_rate(params)))
 
 
@@ -196,8 +196,6 @@ def assisted_rate(params: ChannelParams) -> float:
 def assisted_lower_bound_qubits(
     params: ChannelParams, delta: float, n: float
 ) -> float:
-    if delta == 0.0:
-        return 0.0
     return float(achievable_qubits(params, delta, n, assisted_rate(params)))
 
 

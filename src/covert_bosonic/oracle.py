@@ -4,20 +4,26 @@ The closed-form expressions in :mod:`covert_bosonic.closed_form` involve
 enough index bookkeeping that transposition or sign typos are cheap to
 make and expensive to notice.  This module re-derives every quantity
 numerically from :mod:`covert_bosonic.fock_core` primitives alone --
-truncated beamsplitter/amplifier unitaries, partial traces, operator
-exponentials and adaptive quadrature -- and reports the discrepancies.
-It deliberately shares no code with ``closed_form`` beyond those
-primitives, so an error in the analytic layer cannot cancel here.
+truncated beamsplitter/amplifier unitaries, operator exponentials and
+adaptive quadrature -- and reports the discrepancies.  Its numeric states
+use no ``closed_form`` code, so an error in the analytic layer cannot
+cancel here.
 
-The channel acts on each (signal mode, environment mode) pair
-independently, so the two-rail simulation factorizes: the four logical
-basis operators |x><x'| (x in {0, 1} photons) are pushed through the
-pair channel separately and the two-mode output is reassembled by
-linearity.  This is algebraically identical to conjugating the full
-four-mode product state by a pair of beamsplitter unitaries and tracing
-out the receiver's ports, without ever materializing the four-mode
-matrix (``tests/test_oracle.py`` confirms the equivalence against the
-direct four-mode route at a small cutoff).
+Every numeric state comes from one optical picture.  Each rail of the
+dual-rail qubit passes through a chain of stages: a two-mode unitary (a
+beamsplitter of transmittance t or an amplifier of gain G) acts on the
+rail and an ancilla that enters thermal or in vacuum, and one output port
+is kept.  The warden's chain is one beamsplitter with the thermal
+environment, reflected port kept; the receiver's is the same beamsplitter,
+transmitted port kept; the entanglement-breaking constructions prepend
+the plan's amplifier (vacuum idler) and pure-loss stage (vacuum port) to
+the warden's chain.  The rails pass through independent copies of the
+chain, so the four logical basis operators |x><x'| (x in {0, 1} photons)
+go through one rail's chain and the two-mode output is reassembled by
+linearity.  This equals conjugating the four-mode product state by a pair
+of unitaries and tracing out the other ports, without materializing the
+four-mode matrix (``tests/test_oracle.py`` checks the equivalence against
+the direct four-mode route at a small cutoff).
 
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.
@@ -27,9 +33,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,7 +43,6 @@ from scipy.linalg import expm
 from scipy.special import binom, eval_laguerre
 
 from . import closed_form as cf
-from . import covert_bounds as cb
 from .eb_engineering import EbMechanism, EbPlan, effective_willie_char_params
 from .fock_core import (
     ChannelParams,
@@ -51,6 +56,7 @@ from .fock_core import (
     photon_exchange_indices,
     qre,
     tensor,
+    thermal_occupation,
     thermal_state,
     trace_distance,
     two_mode_amplifier_unitary,
@@ -131,117 +137,90 @@ def default_qubit_set(n_random: int = 4, seed: int = 7) -> list[cf.LogicalQubit]
 
 
 # ---------------------------------------------------------------------------
-# Numeric channel application (pairwise, exact at the given cutoff)
+# Numeric states: one rail through a chain of stages, exact at the cutoff
 # ---------------------------------------------------------------------------
 
 
+# Output ports of a stage: a beamsplitter's transmitted and reflected ports.
+_SIGNAL, _ANCILLA = 0, 1
+# Photon numbers (x, x') of the rail basis operators |x><x'|.
+_RAIL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 @lru_cache(maxsize=32)
-def _pair_unitary_tensor(eta: float, max_photons: int) -> np.ndarray:
-    """Beamsplitter unitary on one (signal, environment) pair, reshaped to
-    U[out_sig, out_env, in_sig, in_env]; out_env is the reflected port."""
-    cut = FockCutoff(max_photons)
-    u = beamsplitter_unitary(eta, 0, 1, 2, cut)
-    d = cut.dim
-    t = u.reshape(d, d, d, d)
-    t.setflags(write=False)
-    return t
+def _stage_unitary(unitary: Callable, param: float, max_photons: int) -> np.ndarray:
+    """Stage unitary reshaped to U[out_sig, out_anc, in_sig, in_anc]."""
+    d = max_photons + 1
+    u = unitary(param, 0, 1, 2, FockCutoff(max_photons)).reshape(d, d, d, d)
+    u.setflags(write=False)
+    return u
 
 
-def _pair_channel(
-    x: np.ndarray, eta: float, env_diag: np.ndarray, keep: str, cutoff: FockCutoff
-) -> np.ndarray:
-    """Push a single-mode operator through one beamsplitter mixing it with a
-    diagonal environment state; keep the transmitted or reflected port."""
-    ut = _pair_unitary_tensor(eta, cutoff.max_photons)
-    t1 = np.einsum("bwik,ij->bwjk", ut, x, optimize=True)
-    if keep == "reflected":
-        return np.einsum("bwjk,bvjk,k->wv", t1, ut.conj(), env_diag,
-                         optimize=True)
-    if keep == "transmitted":
-        return np.einsum("bwjk,cwjk,k->bc", t1, ut.conj(), env_diag,
-                         optimize=True)
-    raise ValueError(f"keep must be 'transmitted' or 'reflected', got {keep!r}")
+def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
+    """Push a single-mode operator through one stage and trace out the port
+    not kept.
 
-
-@lru_cache(maxsize=16)
-def _amp_unitary_slice(gain: float, max_photons: int) -> np.ndarray:
-    """Amplifier unitary columns with the idler in vacuum:
-    Ua[out_sig, out_idler, in_sig]."""
-    cut = FockCutoff(max_photons)
-    u = two_mode_amplifier_unitary(gain, 0, 1, 2, cut)
-    d = cut.dim
-    t = u.reshape(d, d, d, d)[:, :, :, 0].copy()
-    t.setflags(write=False)
-    return t
-
-
-def _amp_channel(x: np.ndarray, gain: float, cutoff: FockCutoff) -> np.ndarray:
-    """Quantum-limited amplifier on a single-mode operator (idler traced)."""
-    ua = _amp_unitary_slice(gain, cutoff.max_photons)
-    return np.einsum("omi,ij,pmj->op", ua, x, ua.conj())
-
-
-def _rail_basis_ops(cutoff: FockCutoff) -> dict:
-    d = cutoff.dim
-    ops = {}
-    for x in (0, 1):
-        for xp in (0, 1):
-            m = np.zeros((d, d), dtype=complex)
-            m[x, xp] = 1.0
-            ops[(x, xp)] = m
-    return ops
+    A stage is (unitary, param, nbar, keep): :func:`beamsplitter_unitary`
+    with param the transmittance, or :func:`two_mode_amplifier_unitary`
+    with param the gain, acting on (signal, ancilla); the ancilla enters
+    thermal with mean photon number nbar (vacuum at 0) and port ``keep`` is
+    kept.  Only the nonzero rows and columns of ``x`` and the nonzero
+    ancilla weights enter the contraction, so a rank-1 basis operator costs
+    d^4 and a general operator d^5."""
+    unitary, param, nbar, keep = stage
+    u = _stage_unitary(unitary, param, max_photons)
+    if keep == _ANCILLA:
+        u = u.transpose(1, 0, 2, 3)  # kept port first
+    w = thermal_occupation(np.arange(max_photons + 1), nbar)
+    k = np.flatnonzero(w)
+    i = np.flatnonzero(np.any(x != 0, axis=1))
+    j = np.flatnonzero(np.any(x != 0, axis=0))
+    left = np.einsum("bwik,ij->bwjk", u[:, :, i[:, None], k], x[np.ix_(i, j)],
+                     optimize=True)
+    right = u[:, :, j[:, None], k].conj() * w[k]
+    return np.einsum("bwjk,cwjk->bc", left, right, optimize=True)
 
 
 @lru_cache(maxsize=256)
-def _rail_images(
-    eta: float, nbar_b: float, keep: str, max_photons: int
-) -> dict:
-    """Images of the four logical basis operators under the pair channel.
+def _rail_images(stages: tuple, max_photons: int) -> dict:
+    """Images of the four logical basis operators |x><x'| of one rail
+    under a chain of stages.
 
-    Qubit-independent, so sweeps over many inputs at fixed channel
-    parameters reuse these."""
-    env = thermal_state(nbar_b, FockCutoff(max_photons)).entries.diagonal().real
-    ut = _pair_unitary_tensor(eta, max_photons)
+    Qubit-independent, so sweeps over many inputs through the same optics
+    reuse these."""
+    d = max_photons + 1
     out = {}
-    for x in (0, 1):
-        for xp in (0, 1):
-            # The basis operator |x><xp| selects two input-signal slices of
-            # the beamsplitter tensor, so the general d^5 contraction in
-            # _pair_channel collapses to a d^4 one.
-            if keep == "reflected":
-                out[(x, xp)] = np.einsum(
-                    "bwk,bvk,k->wv", ut[:, :, x, :], ut[:, :, xp, :].conj(),
-                    env, optimize=True,
-                )
-            elif keep == "transmitted":
-                out[(x, xp)] = np.einsum(
-                    "bwk,cwk,k->bc", ut[:, :, x, :], ut[:, :, xp, :].conj(),
-                    env, optimize=True,
-                )
-            else:
-                raise ValueError(
-                    f"keep must be 'transmitted' or 'reflected', got {keep!r}"
-                )
-    for m in out.values():
-        m.setflags(write=False)
+    for x, xp in _RAIL_BASIS:
+        op = np.zeros((d, d), dtype=complex)
+        op[x, xp] = 1.0
+        for stage in stages:
+            op = _apply_stage(op, stage, max_photons)
+        op.setflags(write=False)
+        out[(x, xp)] = op
     return out
 
 
-def _assemble_two_mode(
-    qubit: cf.LogicalQubit, rail: dict, cutoff: FockCutoff
-) -> DensityOperator:
-    """Reassemble the two-mode output from per-rail basis-operator images.
+def _channel(params: ChannelParams, keep: int) -> tuple:
+    """The physical channel as a one-stage chain."""
+    return ((beamsplitter_unitary, params.eta, params.nbar_b, keep),)
 
-    Logical |0> = |01> puts 0 photons on mode 1 and 1 photon on mode 2, so
-    the |01><01| population weights rail-1 image (0,0) and rail-2 image
-    (1,1), and the coherences use the mixed images.
-    """
-    m = (
-        qubit.alpha_sq * np.kron(rail[(0, 0)], rail[(1, 1)])
-        + qubit.gamma * np.kron(rail[(0, 1)], rail[(1, 0)])
-        + np.conj(qubit.gamma) * np.kron(rail[(1, 0)], rail[(0, 1)])
-        + qubit.beta_sq * np.kron(rail[(1, 1)], rail[(0, 0)])
-    )
+
+def _two_mode(qubit: cf.LogicalQubit, rail: dict) -> np.ndarray:
+    """Two-mode output from one rail's basis-operator images.  Logical
+    |0> = |01> and |1> = |10>, so the logical matrix element (x, x') weights
+    kron(image (x, x'), image (1-x, 1-x'))."""
+    w = np.array([qubit.alpha_sq, qubit.gamma, np.conj(qubit.gamma), qubit.beta_sq])
+    left = np.stack([rail[b] for b in _RAIL_BASIS]) * w[:, None, None]
+    right = np.stack([rail[(1 - x, 1 - xp)] for x, xp in _RAIL_BASIS])
+    d = left.shape[1]
+    return np.einsum("sij,skl->ikjl", left, right, optimize=True).reshape(d * d, d * d)
+
+
+def _assemble_two_mode(
+    qubit: cf.LogicalQubit, stages: tuple, cutoff: FockCutoff
+) -> DensityOperator:
+    """Two-mode output of both rails passed through ``stages``."""
+    m = _two_mode(qubit, _rail_images(stages, cutoff.max_photons))
     m = 0.5 * (m + m.conj().T)
     leak = float(max(0.0, 1.0 - np.trace(m).real))
     if leak > _LEAK_LIMIT:
@@ -259,8 +238,7 @@ def willie_state_numeric(
     """Warden's two-mode output, simulated from channel primitives: mix each
     rail with its thermal environment on a truncated beamsplitter and keep
     the reflected ports."""
-    images = _rail_images(params.eta, params.nbar_b, "reflected", cutoff.max_photons)
-    return _assemble_two_mode(qubit, images, cutoff)
+    return _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff)
 
 
 def bob_state_numeric(
@@ -269,8 +247,7 @@ def bob_state_numeric(
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
 ) -> DensityOperator:
     """Receiver's two-mode output: same simulation, transmitted ports kept."""
-    images = _rail_images(params.eta, params.nbar_b, "transmitted", cutoff.max_photons)
-    return _assemble_two_mode(qubit, images, cutoff)
+    return _assemble_two_mode(qubit, _channel(params, _SIGNAL), cutoff)
 
 
 def engineered_willie_state_numeric(
@@ -282,17 +259,12 @@ def engineered_willie_state_numeric(
     """Warden's output through the full entanglement-breaking optical train:
     optional amplifier (vacuum idler), optional pure-loss stage (vacuum
     port), then the physical channel."""
-    env = thermal_state(params.nbar_b, cutoff).entries.diagonal().real
-    vac = np.zeros(cutoff.dim)
-    vac[0] = 1.0
-    images = {}
-    for key, op in _rail_basis_ops(cutoff).items():
-        if plan.mechanism is EbMechanism.AMPLIFY and plan.gain_eb > 1.0:
-            op = _amp_channel(op, plan.gain_eb, cutoff)
-        if plan.tau < 1.0:
-            op = _pair_channel(op, plan.tau, vac, "transmitted", cutoff)
-        images[key] = _pair_channel(op, params.eta, env, "reflected", cutoff)
-    return _assemble_two_mode(qubit, images, cutoff)
+    stages = ()
+    if plan.mechanism is EbMechanism.AMPLIFY and plan.gain_eb > 1.0:
+        stages += ((two_mode_amplifier_unitary, plan.gain_eb, 0.0, _SIGNAL),)
+    if plan.tau < 1.0:
+        stages += ((beamsplitter_unitary, plan.tau, 0.0, _SIGNAL),)
+    return _assemble_two_mode(qubit, stages + _channel(params, _ANCILLA), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -317,40 +289,24 @@ def verify_willie_state(
     rows, cols = photon_exchange_indices(cutoff)
     pattern_off[rows, cols] = False
     pattern_off[cols, rows] = False
-    worst = (0.0, {})
-    off_pattern_worst = 0.0
-    count = 0
-    for params in channel_grid:
-        rail = _rail_images(params.eta, params.nbar_b, "reflected",
-                            cutoff.max_photons)
-        # The output is linear in (alpha_sq, beta_sq, gamma), so precompute
-        # the three independent two-mode blocks once per channel and skip
-        # the per-qubit density-operator validation (covered by unit tests).
-        k_a = np.kron(rail[(0, 0)], rail[(1, 1)])
-        k_b = np.kron(rail[(1, 1)], rail[(0, 0)])
-        k_g = np.kron(rail[(0, 1)], rail[(1, 0)])
-        for qubit in qubits:
-            count += 1
-            numeric = (
-                qubit.alpha_sq * k_a + qubit.beta_sq * k_b
-                + qubit.gamma * k_g + np.conj(qubit.gamma) * k_g.conj().T
-            )
-            closed = cf.willie_state_closed(qubit, params, cutoff).dense()
-            err = float(np.max(np.abs(numeric - closed)))
-            off = float(np.max(np.abs(numeric[pattern_off])))
-            off_pattern_worst = max(off_pattern_worst, off)
-            if err > worst[0]:
-                worst = (err, _inputs(params, qubit))
-    passed = worst[0] <= tolerance and off_pattern_worst <= pattern_tolerance
-    return VerificationReport(
-        check_name="willie_state",
-        grid_size=count,
-        max_abs_error=worst[0],
-        max_rel_error=off_pattern_worst,
-        tolerance=tolerance,
-        passed=passed,
-        worst_case_inputs=worst[1],
-    )
+    off_pattern = [0.0]
+
+    def errors():
+        for params in channel_grid:
+            # Skip the per-qubit density-operator validation (covered by
+            # unit tests).
+            rail = _rail_images(_channel(params, _ANCILLA), cutoff.max_photons)
+            for qubit in qubits:
+                numeric = _two_mode(qubit, rail)
+                closed = cf.willie_state_closed(qubit, params, cutoff).dense()
+                off_pattern.append(float(np.max(np.abs(numeric[pattern_off]))))
+                yield float(np.max(np.abs(numeric - closed))), _inputs(params, qubit)
+
+    # The off-pattern maximum goes in the relative-error slot.
+    report = _report("willie_state", errors(), tolerance)
+    off = max(off_pattern)
+    return replace(report, max_rel_error=off,
+                   passed=report.passed and off <= pattern_tolerance)
 
 
 def verify_chi2(
@@ -365,30 +321,13 @@ def verify_chi2(
     input-independent bound (sampled over the logical state space, with
     equality at full-coherence pure states), and the balanced-mixture
     half-bound identity."""
-    channel_grid = list(channel_grid or default_channel_grid())
+    channels = [p for p in (channel_grid or default_channel_grid())
+                if p.eta != 1.0 and p.nbar_b != 0.0]
     qubits = list(qubits or default_qubit_set())
-    worst = (0.0, {})
-    count = 0
-    for params in channel_grid:
-        if params.eta == 1.0 or params.nbar_b == 0.0:
-            continue
+    for params in channels:
+        # Sampled supremum over the logical state space vs the bound, then
+        # the equality and half-bound identities.
         occ = params.eta * params.nbar_b
-        # The truncated chi-squared tail decays only like (occ/(1+occ))^N
-        # (the inverse thermal weights cancel one factor of the state tail),
-        # so escalate the cutoff with the occupancy.
-        cut = cutoff or FockCutoff(
-            max(20, min(30, int(math.ceil(math.log(1e-11)
-                                          / math.log(occ / (1.0 + occ))))))
-        )
-        quiet = tensor(thermal_state(occ, cut), thermal_state(occ, cut))
-        for qubit in qubits:
-            count += 1
-            num = chi2_numeric(willie_state_numeric(qubit, params, cut), quiet)
-            clo = cf.chi2_closed(qubit, params)
-            rel = abs(num - clo) / max(abs(clo), 1e-30)
-            if rel > worst[0]:
-                worst = (rel, _inputs(params, qubit))
-        # Sampled supremum over the logical state space vs the bound.
         rng = np.random.default_rng(seed)
         bound = cf.chi2_bound(params)
         a2 = rng.uniform(0.0, 1.0, bound_samples)
@@ -398,28 +337,37 @@ def verify_chi2(
             * (a2**2 + (1.0 - a2) ** 2 + 2.0 * gmag**2)
             / (occ * (1.0 + occ))
         )
+        inputs = {"eta": params.eta, "nbar_b": params.nbar_b}
         if np.max(vals) > bound + 1e-9:
-            return _fail("chi2", count, float(np.max(vals) - bound), rel_tolerance,
-                         {"eta": params.eta, "nbar_b": params.nbar_b,
-                          "violation": "sampled value exceeds bound"})
+            return _report("chi2", [(np.max(vals) - bound, {
+                **inputs, "violation": "sampled value exceeds bound"})],
+                rel_tolerance, passed=False)
         s = 1.0 / math.sqrt(2.0)
         equality = cf.chi2_closed(cf.LogicalQubit.pure(s, s), params)
         half = cf.chi2_closed(cf.LogicalQubit(0.5, 0.5, 0.0), params)
-        if abs(equality - bound) > 1e-9 * max(bound, 1.0) or abs(
-            half - 0.5 * bound
-        ) > 1e-9 * max(bound, 1.0):
-            return _fail("chi2", count, abs(equality - bound), rel_tolerance,
-                         {"eta": params.eta, "nbar_b": params.nbar_b,
-                          "violation": "equality/half-bound identity"})
-    return VerificationReport(
-        check_name="chi2",
-        grid_size=count,
-        max_abs_error=worst[0],
-        max_rel_error=worst[0],
-        tolerance=rel_tolerance,
-        passed=worst[0] <= rel_tolerance,
-        worst_case_inputs=worst[1],
-    )
+        err = max(abs(equality - bound), abs(half - 0.5 * bound))
+        if err > 1e-9 * max(bound, 1.0):
+            return _report("chi2", [(err, {
+                **inputs, "violation": "equality/half-bound identity"})],
+                rel_tolerance, passed=False)
+
+    def errors():
+        for params in channels:
+            occ = params.eta * params.nbar_b
+            # The truncated chi-squared tail decays only like (occ/(1+occ))^N
+            # (the inverse thermal weights cancel one factor of the state
+            # tail), so escalate the cutoff with the occupancy.
+            cut = cutoff or FockCutoff(
+                max(20, min(30, int(math.ceil(math.log(1e-11)
+                                              / math.log(occ / (1.0 + occ))))))
+            )
+            quiet = tensor(thermal_state(occ, cut), thermal_state(occ, cut))
+            for qubit in qubits:
+                num = chi2_numeric(willie_state_numeric(qubit, params, cut), quiet)
+                clo = cf.chi2_closed(qubit, params)
+                yield abs(num - clo) / max(abs(clo), 1e-30), _inputs(params, qubit)
+
+    return _report("chi2", errors(), rel_tolerance)
 
 
 def verify_char_fn(
@@ -434,28 +382,18 @@ def verify_char_fn(
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set(n_random=2))
     zeta_grid = list(zeta_grid or _default_zeta_grid())
-    worst = (0.0, {})
-    count = 0
-    for params in channel_grid:
-        for qubit in qubits:
-            numeric = willie_state_numeric(qubit, params, cutoff)
-            for z1, z2 in zeta_grid:
-                count += 1
-                num = anti_normal_char_fn(numeric, z1, z2)
-                clo = cf.willie_char_fn_closed(qubit, params, z1, z2)
-                err = abs(num - clo)
-                if err > worst[0]:
-                    worst = (err, {**_inputs(params, qubit), "zeta1": str(z1),
-                                   "zeta2": str(z2)})
-    return VerificationReport(
-        check_name="char_fn",
-        grid_size=count,
-        max_abs_error=worst[0],
-        max_rel_error=worst[0],
-        tolerance=tolerance,
-        passed=worst[0] <= tolerance,
-        worst_case_inputs=worst[1],
-    )
+
+    def errors():
+        for params in channel_grid:
+            for qubit in qubits:
+                numeric = willie_state_numeric(qubit, params, cutoff)
+                for z1, z2 in zeta_grid:
+                    num = anti_normal_char_fn(numeric, z1, z2)
+                    clo = cf.willie_char_fn_closed(qubit, params, z1, z2)
+                    yield abs(num - clo), {**_inputs(params, qubit),
+                                           "zeta1": str(z1), "zeta2": str(z2)}
+
+    return _report("char_fn", errors(), tolerance)
 
 
 def verify_pinsker_and_detector(
@@ -478,31 +416,22 @@ def verify_pinsker_and_detector(
     quiet = tensor(thermal_state(occ, cutoff), thermal_state(occ, cutoff))
     rho_w = willie_state_numeric(qubit, params, cutoff)
     chi2 = cf.chi2_closed(qubit, params)
-    worst = 0.0
-    worst_inputs: dict = {}
-    for q in q_values:
-        mix = DensityOperator(
-            2, cutoff,
-            (1.0 - q) * quiet.entries + q * rho_w.entries,
-            max(quiet.truncation_leak, rho_w.truncation_leak),
-        )
-        td_term = 0.25 * 2.0 * trace_distance(mix, quiet)
-        d_nats = qre(mix, quiet, base=math.e) if q > 0 else 0.0
-        mid = math.sqrt(max(d_nats, 0.0) / 8.0)
-        right = q * math.sqrt(chi2) / math.sqrt(8.0)
-        violation = max(td_term - mid, mid - right, 0.0)
-        if violation > worst:
-            worst = violation
-            worst_inputs = {**_inputs(params, qubit), "q": q}
-    return VerificationReport(
-        check_name="pinsker_and_detector",
-        grid_size=len(list(q_values)),
-        max_abs_error=worst,
-        max_rel_error=worst,
-        tolerance=slack,
-        passed=worst <= slack,
-        worst_case_inputs=worst_inputs,
-    )
+
+    def errors():
+        for q in q_values:
+            mix = DensityOperator(
+                2, cutoff,
+                (1.0 - q) * quiet.entries + q * rho_w.entries,
+                max(quiet.truncation_leak, rho_w.truncation_leak),
+            )
+            td_term = 0.25 * 2.0 * trace_distance(mix, quiet)
+            d_nats = qre(mix, quiet, base=math.e) if q > 0 else 0.0
+            mid = math.sqrt(max(d_nats, 0.0) / 8.0)
+            right = q * math.sqrt(chi2) / math.sqrt(8.0)
+            yield (max(td_term - mid, mid - right, 0.0),
+                   {**_inputs(params, qubit), "q": q})
+
+    return _report("pinsker_and_detector", errors(), slack)
 
 
 def verify_depolarizing_reduction(
@@ -518,35 +447,22 @@ def verify_depolarizing_reduction(
     p = p' + (1-p') p_fail."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
-    d = cutoff.dim
-    i01, i10 = 0 * d + 1, 1 * d + 0
-    worst = (0.0, {})
-    count = 0
-    for params in channel_grid:
-        p = cb.p_total(params)
-        for qubit in qubits:
-            count += 1
-            rho_b = bob_state_numeric(qubit, params, cutoff).entries
-            block = np.array(
-                [[rho_b[i01, i01], rho_b[i01, i10]], [rho_b[i10, i01], rho_b[i10, i10]]]
-            )
-            fail_weight = 1.0 - float(np.trace(block).real)
-            logical = block + fail_weight * np.eye(2) / 2.0
-            target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
-            err = float(np.max(np.abs(logical - target)))
-            # p_fail closed form vs the projected weight itself.
-            err = max(err, abs(fail_weight - cf.p_fail(params)))
-            if err > worst[0]:
-                worst = (err, _inputs(params, qubit))
-    return VerificationReport(
-        check_name="depolarizing_reduction",
-        grid_size=count,
-        max_abs_error=worst[0],
-        max_rel_error=worst[0],
-        tolerance=tolerance,
-        passed=worst[0] <= tolerance,
-        worst_case_inputs=worst[1],
-    )
+    logical = np.ix_([1, cutoff.dim], [1, cutoff.dim])  # |01>, |10>
+
+    def errors():
+        for params in channel_grid:
+            p = cf.p_total(params)
+            for qubit in qubits:
+                block = bob_state_numeric(qubit, params, cutoff).entries[logical]
+                fail_weight = 1.0 - float(np.trace(block).real)
+                projected = block + fail_weight * np.eye(2) / 2.0
+                target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
+                err = float(np.max(np.abs(projected - target)))
+                # p_fail closed form vs the projected weight itself.
+                yield (max(err, abs(fail_weight - cf.p_fail(params))),
+                       _inputs(params, qubit))
+
+    return _report("depolarizing_reduction", errors(), tolerance)
 
 
 def _char_elem(m: int, mp: int, r: float, theta: float, cutoff: FockCutoff) -> complex:
@@ -556,14 +472,18 @@ def _char_elem(m: int, mp: int, r: float, theta: float, cutoff: FockCutoff) -> c
     return complex(mat[m, mp])
 
 
+def _ring_quad(f: Callable[[float], complex]) -> complex:
+    """int_0^2pi f(th) dth of a complex integrand, one real quadrature per
+    part."""
+    re = quad(lambda t: f(t).real, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
+    im = quad(lambda t: f(t).imag, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
+    return complex(re, im)
+
+
 def laguerre_ring_integral(m: int, r: float, cutoff: FockCutoff) -> complex:
     """Quadrature of the diagonal displacement-kernel ring integral
     int_0^2pi <m| e^(r e^(i th) c^dag) e^(-r e^(-i th) c) |m> dth."""
-    re = quad(lambda t: _char_elem(m, m, r, t, cutoff).real, 0.0, 2.0 * np.pi,
-              epsabs=1e-9, limit=200)[0]
-    im = quad(lambda t: _char_elem(m, m, r, t, cutoff).imag, 0.0, 2.0 * np.pi,
-              epsabs=1e-9, limit=200)[0]
-    return complex(re, im)
+    return _ring_quad(lambda t: _char_elem(m, m, r, t, cutoff))
 
 
 def laguerre_offdiag_ring_integral(m: int, r: float, cutoff: FockCutoff) -> complex:
@@ -572,10 +492,7 @@ def laguerre_offdiag_ring_integral(m: int, r: float, cutoff: FockCutoff) -> comp
     (the only element the e^(-i th) weight leaves nonzero)."""
     if m < 1:
         return 0.0
-    f = lambda t: np.exp(-1j * t) * _char_elem(m, m - 1, r, t, cutoff)
-    re = quad(lambda t: f(t).real, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
-    im = quad(lambda t: f(t).imag, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
-    return complex(re, im)
+    return _ring_quad(lambda t: np.exp(-1j * t) * _char_elem(m, m - 1, r, t, cutoff))
 
 
 def laguerre_offdiag_closed(m: int, r: float) -> float:
@@ -606,25 +523,9 @@ def verify_laguerre_lemma5(
 
     The kernel element only explores number states up to max(m, m'), so
     any cutoff at or above m_max is exact here."""
-    worst = (0.0, {})
-    count = 0
-    for m in range(m_max + 1):
-        for r in r_grid:
-            count += 1
-            num = laguerre_ring_integral(m, r, cutoff)
-            closed = 2.0 * np.pi * eval_laguerre(m, r**2)
-            err = abs(num - closed)
-            if err > worst[0]:
-                worst = (err, {"m": m, "r": r})
-    return VerificationReport(
-        check_name="laguerre_diag",
-        grid_size=count,
-        max_abs_error=worst[0],
-        max_rel_error=worst[0],
-        tolerance=tolerance,
-        passed=worst[0] <= tolerance,
-        worst_case_inputs=worst[1],
-    )
+    return _ring_check(
+        "laguerre_diag", lambda m, r: laguerre_ring_integral(m, r, cutoff),
+        lambda m, r: 2.0 * np.pi * eval_laguerre(m, r**2), m_max, r_grid, tolerance)
 
 
 def verify_laguerre_lemma6(
@@ -634,24 +535,15 @@ def verify_laguerre_lemma6(
     tolerance: float = 1e-8,
 ) -> VerificationReport:
     """Phase-weighted off-diagonal ring integral vs its closed form."""
-    worst = (0.0, {})
-    count = 0
-    for m in range(m_max + 1):
-        for r in r_grid:
-            count += 1
-            num = laguerre_offdiag_ring_integral(m, r, cutoff)
-            err = abs(num - laguerre_offdiag_closed(m, r))
-            if err > worst[0]:
-                worst = (err, {"m": m, "r": r})
-    return VerificationReport(
-        check_name="laguerre_offdiag",
-        grid_size=count,
-        max_abs_error=worst[0],
-        max_rel_error=worst[0],
-        tolerance=tolerance,
-        passed=worst[0] <= tolerance,
-        worst_case_inputs=worst[1],
-    )
+    return _ring_check(
+        "laguerre_offdiag", lambda m, r: laguerre_offdiag_ring_integral(m, r, cutoff),
+        laguerre_offdiag_closed, m_max, r_grid, tolerance)
+
+
+def _ring_check(name, numeric, closed, m_max, r_grid, tolerance) -> VerificationReport:
+    """Worst |numeric(m, r) - closed(m, r)| over m <= m_max and r_grid."""
+    return _report(name, ((abs(numeric(m, r) - closed(m, r)), {"m": m, "r": r})
+                          for m in range(m_max + 1) for r in r_grid), tolerance)
 
 
 def verify_eb_pipelines(
@@ -678,29 +570,19 @@ def verify_eb_pipelines(
         ]
     qubit = qubit or cf.LogicalQubit.pure(0.8, 0.6j)
     zeta_grid = list(zeta_grid or _default_zeta_grid())
-    worst = (0.0, {})
-    count = 0
-    for params, plan in cases:
-        numeric = engineered_willie_state_numeric(qubit, plan, params, cutoff)
-        reflect, occupancy = effective_willie_char_params(plan, params)
-        for z1, z2 in zeta_grid:
-            count += 1
-            num = anti_normal_char_fn(numeric, z1, z2)
-            clo = cf.char_fn_closed_effective(qubit, reflect, occupancy, z1, z2)
-            err = abs(num - clo)
-            if err > worst[0]:
-                worst = (err, {"eta": params.eta, "nbar_b": params.nbar_b,
-                               "mechanism": plan.mechanism.value,
-                               "zeta1": str(z1), "zeta2": str(z2)})
-    return VerificationReport(
-        check_name="eb_pipelines",
-        grid_size=count,
-        max_abs_error=worst[0],
-        max_rel_error=worst[0],
-        tolerance=tolerance,
-        passed=worst[0] <= tolerance,
-        worst_case_inputs=worst[1],
-    )
+
+    def errors():
+        for params, plan in cases:
+            numeric = engineered_willie_state_numeric(qubit, plan, params, cutoff)
+            reflect, occupancy = effective_willie_char_params(plan, params)
+            for z1, z2 in zeta_grid:
+                num = anti_normal_char_fn(numeric, z1, z2)
+                clo = cf.char_fn_closed_effective(qubit, reflect, occupancy, z1, z2)
+                yield abs(num - clo), {"eta": params.eta, "nbar_b": params.nbar_b,
+                                       "mechanism": plan.mechanism.value,
+                                       "zeta1": str(z1), "zeta2": str(z2)}
+
+    return _report("eb_pipelines", errors(), tolerance)
 
 
 def _default_zeta_grid() -> list[tuple[complex, complex]]:
@@ -723,11 +605,22 @@ def _inputs(params: ChannelParams, qubit: cf.LogicalQubit) -> dict:
     }
 
 
-def _fail(name, count, err, tol, inputs) -> VerificationReport:
+def _report(name: str, errors: Iterable[tuple[float, dict]], tolerance: float,
+            passed: Optional[bool] = None) -> VerificationReport:
+    """Report on the largest error over ``errors``, (err, inputs) pairs, one
+    per grid point; that error is both the absolute and the relative figure.
+    The check passes when it is within tolerance unless ``passed`` says
+    otherwise."""
+    worst, count = (0.0, {}), 0
+    for err, inputs in errors:
+        count += 1
+        if err > worst[0]:
+            worst = (err, inputs)
+    err = float(worst[0])
     return VerificationReport(
-        check_name=name, grid_size=count, max_abs_error=float(err),
-        max_rel_error=float(err), tolerance=tol, passed=False,
-        worst_case_inputs=inputs,
+        check_name=name, grid_size=count, max_abs_error=err, max_rel_error=err,
+        tolerance=tolerance, passed=err <= tolerance if passed is None else passed,
+        worst_case_inputs=worst[1],
     )
 
 

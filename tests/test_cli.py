@@ -66,6 +66,18 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "usage"
 
     @pytest.mark.parametrize("argv", [
+        BOUNDS_ARGS,
+        ["eb-report", "--eta", "0.5", "--nbar-b", "0.5"],
+    ])
+    def test_cutoff_is_a_willie_state_flag_only(self, argv, capsys):
+        # Like verify's channel flags: a flag the subcommand would ignore is
+        # rejected rather than accepted silently.
+        code, out, err = run_cli(argv + ["--cutoff", "3"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
         ["willie-state", "--eta", "0.9", "--nbar-b", "inf", "--cutoff", "4"],
         ["willie-state", "--eta", "0.9", "--nbar-b", "nan", "--cutoff", "4"],
         ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",

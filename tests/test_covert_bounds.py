@@ -208,3 +208,33 @@ class TestBoundsCurve:
     def test_seconds_omitted_without_rate(self):
         pts = bounds_curve(FIG2, 0.05, [1e6])
         assert pts[0].seconds is None
+
+
+class TestZeroBudget:
+    """delta = 0 allows no signal photons, even at eta = 1 where c_cov is
+    infinite and the unguarded product inf * 0 would be NaN."""
+
+    @pytest.mark.parametrize("params", [ChannelParams(1.0, 0.1), FIG2])
+    def test_scalar_views_are_zero(self, params):
+        assert q_max(params, 0.0, 1e6) == 0.0
+        assert nbar_s_max(params, 0.0, 1e6) == 0.0
+        assert lower_bound_qubits(params, 0.0, 1e6) == 0.0
+        assert assisted_lower_bound_qubits(params, 0.0, 1e6) == 0.0
+        assert upper_bound_qubits(params, 0.0, 1e6) == 0.0
+
+    def test_sweep_columns_are_zero(self):
+        pts = bounds_curve(ChannelParams(1.0, 0.1), 0.0, [1e2, 1e6, 1e10])
+        for pt in pts:
+            assert (pt.q, pt.nbar_s, pt.capacity_C) == (0.0, 0.0, 0.0)
+            assert (pt.lower_qubits, pt.assisted_lower_qubits, pt.upper_qubits) == (
+                0.0, 0.0, 0.0)
+
+    def test_cli_sweep_succeeds(self, capsys):
+        from covert_bosonic import cli
+
+        code = cli.main(["bounds", "--eta", "1", "--nbar-b", "0.1", "--delta", "0",
+                         "--n", "1e6"])
+        out = capsys.readouterr().out
+        assert code == 0
+        row = out.strip().splitlines()[-1].split(",")
+        assert [float(row[i]) for i in (2, 3, 4, 7, 8)] == [0.0] * 5

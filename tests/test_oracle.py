@@ -1,13 +1,18 @@
+import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import eval_laguerre
 
+import covert_bosonic.closed_form as closed_form
 from covert_bosonic.closed_form import LogicalQubit, willie_state_closed
+from covert_bosonic.eb_engineering import plan_lemma1, plan_lemma2
 from covert_bosonic.fock_core import (
     ChannelParams,
+    DensityOperator,
     FockCutoff,
     apply_unitary,
     beamsplitter_unitary,
@@ -15,6 +20,7 @@ from covert_bosonic.fock_core import (
     partial_trace,
     tensor,
     thermal_state,
+    two_mode_amplifier_unitary,
 )
 from covert_bosonic.oracle import (
     ALL_CHECKS,
@@ -22,6 +28,7 @@ from covert_bosonic.oracle import (
     bob_state_numeric,
     default_channel_grid,
     default_qubit_set,
+    engineered_willie_state_numeric,
     laguerre_offdiag_closed,
     laguerre_offdiag_ring_integral,
     laguerre_ring_integral,
@@ -58,6 +65,101 @@ class TestPairwiseDecomposition:
         full = self._four_mode(qubit, params, cut, keep=[0, 1])
         pair = bob_state_numeric(qubit, params, cut)
         assert np.max(np.abs(full.entries - pair.entries)) < 1e-13
+
+
+class TestEngineeredPipelines:
+    """The engineered warden state entrywise against the same optics built
+    from fock_core primitives, one rail at a time: tensor with the ancilla,
+    conjugate by the stage unitary, trace out the other port."""
+
+    CUT = FockCutoff(5)
+    # Small backgrounds keep the thermal tail above N=5 below the oracle's
+    # leak limit; the amplifier is exactly unitary on the truncated space.
+    CASES = {
+        "none": (ChannelParams(0.95, 0.08), plan_lemma1),
+        "attenuate": (ChannelParams(0.9, 0.05), plan_lemma1),
+        "amplify": (ChannelParams(0.9, 0.05), plan_lemma2),
+    }
+
+    def _stage(self, rho, u, ancilla, keep):
+        return partial_trace(apply_unitary(tensor(rho, ancilla), u), [keep])
+
+    def _rail(self, psi, plan, params):
+        """One rail's output for the pure single-mode input psi (a valid
+        state, unlike the basis operators |0><1| and |1><0|)."""
+        cut = self.CUT
+        vec = np.zeros(cut.dim, dtype=complex)
+        vec[:2] = psi
+        rho = DensityOperator(1, cut, np.outer(vec, vec.conj()))
+        vacuum = thermal_state(0.0, cut)
+        if plan.gain_eb > 1.0:
+            amp = two_mode_amplifier_unitary(plan.gain_eb, 0, 1, 2, cut)
+            rho = self._stage(rho, amp, vacuum, 0)
+        if plan.tau < 1.0:
+            loss = beamsplitter_unitary(plan.tau, 0, 1, 2, cut)
+            rho = self._stage(rho, loss, vacuum, 0)
+        rho = self._stage(rho, beamsplitter_unitary(params.eta, 0, 1, 2, cut),
+                          thermal_state(params.nbar_b, cut), 1)
+        return rho.entries
+
+    @pytest.mark.parametrize("mechanism", sorted(CASES))
+    def test_matches_primitive_optics(self, mechanism):
+        params, planner = self.CASES[mechanism]
+        plan = planner(params)
+        assert plan.mechanism.value.startswith(mechanism)
+        s = 1.0 / math.sqrt(2.0)
+        out = {name: self._rail(psi, plan, params) for name, psi in {
+            "0": (1, 0), "1": (0, 1), "+": (s, s), "-": (s, -s),
+            "+i": (s, 1j * s), "-i": (s, -1j * s)}.items()}
+        # Basis-operator images by linearity:
+        # |0><1| = [(P+ - P-) + i (P+i - P-i)] / 2, |1><0| its adjoint.
+        x = out["+"] - out["-"]
+        y = 1j * (out["+i"] - out["-i"])
+        img = {(0, 0): out["0"], (1, 1): out["1"], (0, 1): (x + y) / 2,
+               (1, 0): (x - y) / 2}
+        qubit = LogicalQubit(0.3, 0.7, 0.2 - 0.3j)
+        reference = (
+            qubit.alpha_sq * np.kron(img[(0, 0)], img[(1, 1)])
+            + qubit.beta_sq * np.kron(img[(1, 1)], img[(0, 0)])
+            + qubit.gamma * np.kron(img[(0, 1)], img[(1, 0)])
+            + np.conj(qubit.gamma) * np.kron(img[(1, 0)], img[(0, 1)])
+        )
+        oracle_state = engineered_willie_state_numeric(qubit, plan, params, self.CUT)
+        assert np.max(np.abs(oracle_state.entries - reference)) <= 1e-12
+
+
+def test_numeric_states_use_no_closed_form(monkeypatch):
+    """Every closed_form function raises, wherever a module holds it; the
+    oracle's numeric states are still built (LogicalQubit keeps working)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed_form code called")
+
+    targets = {
+        id(obj) for obj in vars(closed_form).values()
+        if callable(obj) and obj is not LogicalQubit
+        and getattr(obj, "__module__", None) == closed_form.__name__
+        and not (inspect.isclass(obj) and issubclass(obj, Exception))
+    }
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("covert_bosonic") and mod is not None:
+            for name, obj in list(vars(mod).items()):
+                if id(obj) in targets:
+                    monkeypatch.setattr(mod, name, refuse)
+    assert closed_form.willie_state_closed is refuse
+    # Inputs used by no other test, so no cached image can stand in.
+    cut = FockCutoff(4)
+    qubit = LogicalQubit.pure(0.6, 0.8j)
+    params = ChannelParams(0.77, 0.02)
+    breaking = ChannelParams(0.97, 0.05)
+    hard = ChannelParams(0.6, 0.02)
+    states = [
+        willie_state_numeric(qubit, params, cut),
+        bob_state_numeric(qubit, params, cut),
+        engineered_willie_state_numeric(qubit, plan_lemma1(breaking), breaking, cut),
+        engineered_willie_state_numeric(qubit, plan_lemma1(hard), hard, cut),
+        engineered_willie_state_numeric(qubit, plan_lemma2(hard), hard, cut),
+    ]
+    assert all(isinstance(s, DensityOperator) for s in states)
 
 
 class TestCutoffRobustness:
