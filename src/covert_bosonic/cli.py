@@ -63,7 +63,7 @@ def _parse_n_range(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError
         start, stop, points = float(parts[0]), float(parts[1]), int(float(parts[2]))
-    except ValueError:
+    except (ValueError, OverflowError):
         raise UsageError(
             f"--n must be a number or start:stop:points, got {spec!r}"
         ) from None
@@ -76,6 +76,14 @@ def _parse_n_range(spec: str) -> list[float]:
     if not 0 < start < stop:
         raise UsageError("--n needs 0 < start < stop")
     return [float(x) for x in np.geomspace(start, stop, points)]
+
+
+def _parse_delta(value) -> float:
+    """Covertness budget, which must lie in [0, 1/2)."""
+    delta = float(value)
+    if not 0.0 <= delta < 0.5:
+        raise ValueError(f"delta must be in [0, 1/2), got {delta}")
+    return delta
 
 
 def _parse_qubit(spec: str) -> cf.LogicalQubit:
@@ -198,9 +206,7 @@ def cmd_bounds(args) -> int:
     fmt = _setting(args, cfg, "format", "csv")
     out = _setting(args, cfg, "out")
     params = ChannelParams(float(eta), float(nbar_b))
-    delta = float(delta)
-    if not 0.0 <= delta < 0.5:
-        raise ValueError(f"delta must be in [0, 1/2), got {delta}")
+    delta = _parse_delta(delta)
     n_values = _parse_n_range(str(n_spec))
     points = cb.bounds_curve(
         params, delta, n_values,
@@ -366,14 +372,19 @@ def cmd_eb_report(args) -> int:
     }
     delta = _setting(args, cfg, "delta")
     n_spec = _setting(args, cfg, "n")
-    if delta is not None and n_spec is not None:
-        n = _parse_n_range(str(n_spec))[-1]
-        doc["n"] = n
-        doc["delta"] = float(delta)
+    if (delta is None) != (n_spec is None):
+        raise UsageError("eb-report takes --delta and --n together")
+    if delta is not None:
+        try:
+            n = float(n_spec)
+        except ValueError:
+            raise UsageError(f"--n must be one round count, got {n_spec!r}") from None
+        delta = _parse_delta(delta)
+        doc["n"], doc["delta"] = n, delta
         doc["lower_qubits_effective"] = float(
-            cb.achievable_qubits(cov, float(delta), n, cb.hashing_rate(rate))
+            cb.achievable_qubits(cov, delta, n, cb.hashing_rate(rate))
         )
-        doc["upper_qubits_effective"] = cb.upper_bound_qubits(cov, float(delta), n)
+        doc["upper_qubits_effective"] = cb.upper_bound_qubits(cov, delta, n)
     fmt = _setting(args, cfg, "format", "json")
     out = _setting(args, cfg, "out")
     if fmt == "json":
@@ -453,8 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attenuation safety margin in (0, 1)")
     p.add_argument("--nbar-prime", type=float,
                    help="added thermal photons for the amplify mechanism")
-    p.add_argument("--delta", type=float, help="covertness budget")
-    p.add_argument("--n", help="round count for the recomputed bounds")
+    p.add_argument("--delta", type=float,
+                   help="covertness budget in [0, 1/2); needs --n")
+    p.add_argument("--n", help="one round count for the recomputed bounds; "
+                               "needs --delta")
     p.set_defaults(func=cmd_eb_report)
     return parser
 

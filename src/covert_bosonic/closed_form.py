@@ -26,6 +26,7 @@ authoritative):
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class LogicalQubit:
             raise ValueError(
                 f"populations must sum to 1, got {self.alpha_sq + self.beta_sq!r}"
             )
+        if not cmath.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         if abs(self.gamma) ** 2 > self.alpha_sq * self.beta_sq + _NORM_TOL:
             raise ValueError("|gamma|^2 exceeds alpha_sq * beta_sq (not PSD)")
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +51,7 @@ class GainDecompositionError(ValueError):
     for these parameters (gain denominator not positive)."""
 
 
-@dataclass(frozen=True)
-class BoundsPoint:
+class BoundsPoint(NamedTuple):
     """One sweep sample: round count n with both bound ordinates (qubits),
     the per-round rates behind them, and the operating point (q, nbar_s)."""
 

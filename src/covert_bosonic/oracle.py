@@ -9,24 +9,34 @@ adaptive quadrature -- and reports the discrepancies.  Its numeric states
 use no ``closed_form`` code, so an error in the analytic layer cannot
 cancel here.
 
-Every numeric state comes from one optical picture.  Each rail of the
-dual-rail qubit passes through a chain of stages: a two-mode unitary (a
-beamsplitter of transmittance t or an amplifier of gain G) acts on the
-rail and an ancilla that enters thermal or in vacuum, and one output port
-is kept.  The warden's chain is one beamsplitter with the thermal
-environment, reflected port kept; the receiver's is the same beamsplitter,
-transmitted port kept; the entanglement-breaking constructions prepend
-the plan's amplifier (vacuum idler) and pure-loss stage (vacuum port) to
-the warden's chain.  The rails pass through independent copies of the
-chain, so the four logical basis operators |x><x'| (x in {0, 1} photons)
-go through one rail's chain and the two-mode output is reassembled by
-linearity.  This equals conjugating the four-mode product state by a pair
-of unitaries and tracing out the other ports, without materializing the
-four-mode matrix (``tests/test_oracle.py`` checks the equivalence against
-the direct four-mode route at a small cutoff).
+Every numeric state comes from one optical picture: each rail of the
+dual-rail qubit passes through a chain of stages, two-mode unitaries (a
+beamsplitter of transmittance t or an amplifier of gain G) on the rail and
+an ancilla entering thermal or in vacuum, one output port kept.  The rails
+pass through independent copies of the chain, so the four logical basis
+operators |x><x'| go through one rail's chain and the two-mode output is
+reassembled by linearity, without materializing the four-mode matrix
+(``tests/test_oracle.py`` checks this against the four-mode route).
 
 Every check is a pure function returning a :class:`VerificationReport`;
-checks are independent and may run concurrently.
+checks are independent and may run concurrently.  A check takes at most
+its channels and qubits (by default the 12 + 12 of :func:`default_channel_grid`
+and :func:`default_qubit_set`); all else is fixed:
+
+  check                   grid                                cutoff  tolerance
+  willie_state            all entries; off the pattern        30 (*)  1e-8 (*); 1e-10
+  chi2                    chi2_closed, 10^4 qubits, seed 11   20..30  1e-6 relative; 1e-9
+  char_fn                 25 zeta points, |zeta| <= 2         30      1e-8
+  pinsker_and_detector    q in {0.01, 0.1, 1}                 20      1e-10
+  depolarizing_reduction  the logical 2x2 block               30      1e-8
+  laguerre_diag/offdiag   m <= 5, r in {0.25, 0.5, 1, 2}      10      1e-8
+  eb_pipelines            3 plans x 25 zeta points            30      1e-8
+
+(*) a default the caller may override.  chi2 raises its cutoff with the
+thermal occupancy; char_fn has 2 random qubits; pinsker_and_detector runs
+at (eta, nbar_b) = (0.9, 0.12) and |+> unless given others; eb_pipelines
+sends 0.8|01> + 0.6i|10> through the attenuate plans at (0.9, 0.12) and
+(0.5, 0.5) and the amplify plan with nbar' = 0.52 at (0.5, 0.5).
 """
 
 from __future__ import annotations
@@ -34,16 +44,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import binom, eval_laguerre
 
 from . import closed_form as cf
-from .eb_engineering import EbMechanism, EbPlan, effective_willie_char_params
+from .eb_engineering import (EbPlan, effective_willie_char_params, plan_lemma1,
+                             plan_lemma2)
 from .fock_core import (
     ChannelParams,
     DensityOperator,
@@ -84,6 +93,35 @@ __all__ = [
 DEFAULT_ORACLE_CUTOFF = FockCutoff(30)
 _LEAK_LIMIT = 1e-6
 
+# The fixed settings of the checks, tabled in the module docstring.
+_TOLERANCE = 1e-8
+_PATTERN_TOLERANCE = 1e-10
+_CHI2_REL_TOLERANCE = 1e-6
+_CHI2_BOUND_SAMPLES = 10_000
+_CHI2_SEED = 11
+_QUBIT_SEED = 7
+_PINSKER_Q_VALUES = (0.01, 0.1, 1.0)
+_PINSKER_CUTOFF = FockCutoff(20)
+_PINSKER_SLACK = 1e-10
+_RING_ORDERS = range(6)
+_RING_RADII = (0.25, 0.5, 1.0, 2.0)
+# The kernel element only explores number states up to max(m, m'), so any
+# cutoff at or above the largest order is exact.
+_RING_CUTOFF = FockCutoff(10)
+_ZETA_GRID = tuple(
+    (complex(r * np.exp(1j * phase)),
+     complex((0.3 + 0.3 * j) * np.exp(1j * (phase + 0.7 * i))))
+    for i, r in enumerate((0.1, 0.5, 1.0, 1.5, 2.0))
+    for j, phase in enumerate((0.0, 1.1, 2.3, 3.7, 5.2))
+)
+# A naturally breaking channel and one that is not.  Keep the amplifier gain
+# modest: the truncated tail of the amplified state scales as
+# (1 - 1/G)^cutoff and must stay below the tolerance.
+_EB_CASES = tuple((p, plan(p)) for p, plan in (
+    (ChannelParams(0.9, 0.12), plan_lemma1), (ChannelParams(0.5, 0.5), plan_lemma1),
+    (ChannelParams(0.5, 0.5), partial(plan_lemma2, nbar_prime=0.52))))
+_EB_QUBIT = cf.LogicalQubit.pure(0.8, 0.6j)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -98,12 +136,8 @@ class VerificationReport:
     worst_case_inputs: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["worst_case_inputs"] = {
-            k: (str(v) if isinstance(v, complex) else v)
-            for k, v in self.worst_case_inputs.items()
-        }
-        return json.dumps(d, sort_keys=True)
+        """One JSON line, keys sorted; complex inputs become strings."""
+        return json.dumps(self.__dict__, sort_keys=True, default=str)
 
 
 def default_channel_grid() -> list[ChannelParams]:
@@ -115,7 +149,7 @@ def default_channel_grid() -> list[ChannelParams]:
     ]
 
 
-def default_qubit_set(n_random: int = 4, seed: int = 7) -> list[cf.LogicalQubit]:
+def default_qubit_set(n_random: int = 4) -> list[cf.LogicalQubit]:
     """Poles, equator states at four coherence phases, partially dephased
     states, plus reproducible random mixed states."""
     s = 1.0 / math.sqrt(2.0)
@@ -127,7 +161,7 @@ def default_qubit_set(n_random: int = 4, seed: int = 7) -> list[cf.LogicalQubit]
         qubits.append(cf.LogicalQubit.pure(s, s * np.exp(1j * phase)))
     qubits.append(cf.LogicalQubit(0.5, 0.5, 0.0))  # balanced classical mixture
     qubits.append(cf.LogicalQubit(0.3, 0.7, 0.5 * math.sqrt(0.21)))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_QUBIT_SEED)
     for _ in range(n_random):
         a2 = rng.uniform(0.05, 0.95)
         mag = rng.uniform(0.0, 1.0) * math.sqrt(a2 * (1.0 - a2))
@@ -260,7 +294,7 @@ def engineered_willie_state_numeric(
     optional amplifier (vacuum idler), optional pure-loss stage (vacuum
     port), then the physical channel."""
     stages = ()
-    if plan.mechanism is EbMechanism.AMPLIFY and plan.gain_eb > 1.0:
+    if plan.gain_eb > 1.0:
         stages += ((two_mode_amplifier_unitary, plan.gain_eb, 0.0, _SIGNAL),)
     if plan.tau < 1.0:
         stages += ((beamsplitter_unitary, plan.tau, 0.0, _SIGNAL),)
@@ -276,8 +310,7 @@ def verify_willie_state(
     channel_grid: Optional[Sequence[ChannelParams]] = None,
     qubits: Optional[Sequence[cf.LogicalQubit]] = None,
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-    tolerance: float = 1e-8,
-    pattern_tolerance: float = 1e-10,
+    tolerance: float = _TOLERANCE,
 ) -> VerificationReport:
     """Entrywise closed form vs numeric warden state, plus a check that the
     numeric state vanishes off the photon-number-conserving tri-diagonal
@@ -306,16 +339,12 @@ def verify_willie_state(
     report = _report("willie_state", errors(), tolerance)
     off = max(off_pattern)
     return replace(report, max_rel_error=off,
-                   passed=report.passed and off <= pattern_tolerance)
+                   passed=report.passed and off <= _PATTERN_TOLERANCE)
 
 
 def verify_chi2(
     channel_grid: Optional[Sequence[ChannelParams]] = None,
     qubits: Optional[Sequence[cf.LogicalQubit]] = None,
-    cutoff: Optional[FockCutoff] = None,
-    rel_tolerance: float = 1e-6,
-    bound_samples: int = 10_000,
-    seed: int = 11,
 ) -> VerificationReport:
     """Chi-squared closed form vs the numeric trace computation, the
     input-independent bound (sampled over the logical state space, with
@@ -324,32 +353,26 @@ def verify_chi2(
     channels = [p for p in (channel_grid or default_channel_grid())
                 if p.eta != 1.0 and p.nbar_b != 0.0]
     qubits = list(qubits or default_qubit_set())
+    rng = np.random.default_rng(_CHI2_SEED)
+    a2 = rng.uniform(0.0, 1.0, _CHI2_BOUND_SAMPLES)
+    coh = rng.uniform(0.0, 1.0, _CHI2_BOUND_SAMPLES) * np.sqrt(a2 * (1.0 - a2))
+    sampled = [cf.LogicalQubit(a, 1.0 - a, c) for a, c in zip(a2.tolist(), coh.tolist())]
+    s = 1.0 / math.sqrt(2.0)
     for params in channels:
         # Sampled supremum over the logical state space vs the bound, then
         # the equality and half-bound identities.
-        occ = params.eta * params.nbar_b
-        rng = np.random.default_rng(seed)
         bound = cf.chi2_bound(params)
-        a2 = rng.uniform(0.0, 1.0, bound_samples)
-        gmag = rng.uniform(0.0, 1.0, bound_samples) * np.sqrt(a2 * (1.0 - a2))
-        vals = (
-            (1.0 - params.eta) ** 2
-            * (a2**2 + (1.0 - a2) ** 2 + 2.0 * gmag**2)
-            / (occ * (1.0 + occ))
-        )
-        inputs = {"eta": params.eta, "nbar_b": params.nbar_b}
-        if np.max(vals) > bound + 1e-9:
-            return _report("chi2", [(np.max(vals) - bound, {
-                **inputs, "violation": "sampled value exceeds bound"})],
-                rel_tolerance, passed=False)
-        s = 1.0 / math.sqrt(2.0)
+        top = max(cf.chi2_closed(qubit, params) for qubit in sampled)
         equality = cf.chi2_closed(cf.LogicalQubit.pure(s, s), params)
         half = cf.chi2_closed(cf.LogicalQubit(0.5, 0.5, 0.0), params)
-        err = max(abs(equality - bound), abs(half - 0.5 * bound))
-        if err > 1e-9 * max(bound, 1.0):
-            return _report("chi2", [(err, {
-                **inputs, "violation": "equality/half-bound identity"})],
-                rel_tolerance, passed=False)
+        identity = max(abs(equality - bound), abs(half - 0.5 * bound))
+        for err, limit, violation in (
+            (top - bound, 1e-9, "sampled value exceeds bound"),
+            (identity, 1e-9 * max(bound, 1.0), "equality/half-bound identity"),
+        ):
+            if err > limit:
+                inputs = dict(eta=params.eta, nbar_b=params.nbar_b, violation=violation)
+                return _report("chi2", [(err, inputs)], _CHI2_REL_TOLERANCE, passed=False)
 
     def errors():
         for params in channels:
@@ -357,51 +380,47 @@ def verify_chi2(
             # The truncated chi-squared tail decays only like (occ/(1+occ))^N
             # (the inverse thermal weights cancel one factor of the state
             # tail), so escalate the cutoff with the occupancy.
-            cut = cutoff or FockCutoff(
-                max(20, min(30, int(math.ceil(math.log(1e-11)
-                                              / math.log(occ / (1.0 + occ))))))
-            )
+            cut = FockCutoff(max(20, min(30, math.ceil(
+                math.log(1e-11) / math.log(occ / (1.0 + occ))))))
             quiet = tensor(thermal_state(occ, cut), thermal_state(occ, cut))
             for qubit in qubits:
                 num = chi2_numeric(willie_state_numeric(qubit, params, cut), quiet)
                 clo = cf.chi2_closed(qubit, params)
                 yield abs(num - clo) / max(abs(clo), 1e-30), _inputs(params, qubit)
 
-    return _report("chi2", errors(), rel_tolerance)
+    return _report("chi2", errors(), _CHI2_REL_TOLERANCE)
 
 
 def verify_char_fn(
     channel_grid: Optional[Sequence[ChannelParams]] = None,
     qubits: Optional[Sequence[cf.LogicalQubit]] = None,
-    zeta_grid: Optional[Sequence[tuple[complex, complex]]] = None,
-    cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-    tolerance: float = 1e-8,
 ) -> VerificationReport:
     """Closed-form characteristic function vs the truncated operator trace
     on the numeric warden state, for |zeta| <= 2."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set(n_random=2))
-    zeta_grid = list(zeta_grid or _default_zeta_grid())
 
     def errors():
         for params in channel_grid:
             for qubit in qubits:
-                numeric = willie_state_numeric(qubit, params, cutoff)
-                for z1, z2 in zeta_grid:
-                    num = anti_normal_char_fn(numeric, z1, z2)
-                    clo = cf.willie_char_fn_closed(qubit, params, z1, z2)
-                    yield abs(num - clo), {**_inputs(params, qubit),
-                                           "zeta1": str(z1), "zeta2": str(z2)}
+                yield from _char_fn_errors(
+                    willie_state_numeric(qubit, params),
+                    partial(cf.willie_char_fn_closed, qubit, params),
+                    _inputs(params, qubit))
 
-    return _report("char_fn", errors(), tolerance)
+    return _report("char_fn", errors(), _TOLERANCE)
+
+
+def _char_fn_errors(numeric: DensityOperator, closed: Callable, inputs: dict):
+    """|numeric - closed| characteristic function at each zeta grid point."""
+    for z1, z2 in _ZETA_GRID:
+        yield (abs(anti_normal_char_fn(numeric, z1, z2) - closed(z1, z2)),
+               {**inputs, "zeta1": str(z1), "zeta2": str(z2)})
 
 
 def verify_pinsker_and_detector(
-    params: ChannelParams,
-    qubit: cf.LogicalQubit,
-    q_values: Sequence[float] = (0.01, 0.1, 1.0),
-    cutoff: FockCutoff = FockCutoff(20),
-    slack: float = 1e-10,
+    params: ChannelParams = ChannelParams(0.9, 0.12),
+    qubit: cf.LogicalQubit = cf.LogicalQubit.pure(1 / math.sqrt(2), 1 / math.sqrt(2)),
 ) -> VerificationReport:
     """Single-round covertness chain: with rho1 = (1-q) rho0 + q rhoW,
 
@@ -413,12 +432,13 @@ def verify_pinsker_and_detector(
     standard Pinsker constant 1/8 is the nats form.
     """
     occ = params.eta * params.nbar_b
+    cutoff = _PINSKER_CUTOFF
     quiet = tensor(thermal_state(occ, cutoff), thermal_state(occ, cutoff))
     rho_w = willie_state_numeric(qubit, params, cutoff)
     chi2 = cf.chi2_closed(qubit, params)
 
     def errors():
-        for q in q_values:
+        for q in _PINSKER_Q_VALUES:
             mix = DensityOperator(
                 2, cutoff,
                 (1.0 - q) * quiet.entries + q * rho_w.entries,
@@ -431,14 +451,12 @@ def verify_pinsker_and_detector(
             yield (max(td_term - mid, mid - right, 0.0),
                    {**_inputs(params, qubit), "q": q})
 
-    return _report("pinsker_and_detector", errors(), slack)
+    return _report("pinsker_and_detector", errors(), _PINSKER_SLACK)
 
 
 def verify_depolarizing_reduction(
     channel_grid: Optional[Sequence[ChannelParams]] = None,
     qubits: Optional[Sequence[cf.LogicalQubit]] = None,
-    cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-    tolerance: float = 1e-8,
 ) -> VerificationReport:
     """Project the numeric receiver state onto span{|01>, |10>}, replace the
     failed weight with the maximally mixed logical state, and compare with a
@@ -447,13 +465,14 @@ def verify_depolarizing_reduction(
     p = p' + (1-p') p_fail."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
-    logical = np.ix_([1, cutoff.dim], [1, cutoff.dim])  # |01>, |10>
+    d = DEFAULT_ORACLE_CUTOFF.dim
+    logical = np.ix_([1, d], [1, d])  # |01>, |10>
 
     def errors():
         for params in channel_grid:
             p = cf.p_total(params)
             for qubit in qubits:
-                block = bob_state_numeric(qubit, params, cutoff).entries[logical]
+                block = bob_state_numeric(qubit, params).entries[logical]
                 fail_weight = 1.0 - float(np.trace(block).real)
                 projected = block + fail_weight * np.eye(2) / 2.0
                 target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
@@ -462,37 +481,38 @@ def verify_depolarizing_reduction(
                 yield (max(err, abs(fail_weight - cf.p_fail(params))),
                        _inputs(params, qubit))
 
-    return _report("depolarizing_reduction", errors(), tolerance)
+    return _report("depolarizing_reduction", errors(), _TOLERANCE)
 
 
-def _char_elem(m: int, mp: int, r: float, theta: float, cutoff: FockCutoff) -> complex:
-    z = r * np.exp(1j * theta)
+def _ring_quad(m: int, mp: int, r: float, cutoff: FockCutoff,
+               weight: Callable[[float], complex] = lambda t: 1.0) -> complex:
+    """int_0^2pi weight(th) <m| e^(r e^(i th) c^dag) e^(-r e^(-i th) c) |mp> dth,
+    one real quadrature per part."""
+    from scipy.integrate import quad
+
     a = annihilation_op(cutoff)
-    mat = expm(z * a.conj().T) @ expm(-np.conj(z) * a)
-    return complex(mat[m, mp])
 
+    def f(t: float) -> complex:
+        z = r * np.exp(1j * t)
+        kernel = expm(z * a.conj().T) @ expm(-np.conj(z) * a)
+        return complex(weight(t) * kernel[m, mp])
 
-def _ring_quad(f: Callable[[float], complex]) -> complex:
-    """int_0^2pi f(th) dth of a complex integrand, one real quadrature per
-    part."""
     re = quad(lambda t: f(t).real, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
     im = quad(lambda t: f(t).imag, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
     return complex(re, im)
 
 
 def laguerre_ring_integral(m: int, r: float, cutoff: FockCutoff) -> complex:
-    """Quadrature of the diagonal displacement-kernel ring integral
-    int_0^2pi <m| e^(r e^(i th) c^dag) e^(-r e^(-i th) c) |m> dth."""
-    return _ring_quad(lambda t: _char_elem(m, m, r, t, cutoff))
+    """Quadrature of the diagonal displacement-kernel ring integral."""
+    return _ring_quad(m, m, r, cutoff)
 
 
 def laguerre_offdiag_ring_integral(m: int, r: float, cutoff: FockCutoff) -> complex:
-    """Quadrature of the phase-weighted off-diagonal ring integral
-    int_0^2pi e^(-i th) <m| e^(r e^(i th) c^dag) e^(-r e^(-i th) c) |m-1> dth
-    (the only element the e^(-i th) weight leaves nonzero)."""
+    """Quadrature of the ring integral with weight e^(-i th) and element
+    <m|...|m-1>, the only one the weight leaves nonzero."""
     if m < 1:
         return 0.0
-    return _ring_quad(lambda t: np.exp(-1j * t) * _char_elem(m, m - 1, r, t, cutoff))
+    return _ring_quad(m, m - 1, r, cutoff, lambda t: np.exp(-1j * t))
 
 
 def laguerre_offdiag_closed(m: int, r: float) -> float:
@@ -507,93 +527,48 @@ def laguerre_offdiag_closed(m: int, r: float) -> float:
     if m < 1:
         return 0.0
     total = sum(
-        (-(r**2)) ** k * binom(m - 1, k) / (math.factorial(k) * (k + 1))
+        (-(r**2)) ** k * math.comb(m - 1, k) / (math.factorial(k) * (k + 1))
         for k in range(m)
     )
     return float(2.0 * np.pi * r * math.sqrt(m) * total)
 
 
-def verify_laguerre_lemma5(
-    m_max: int = 5,
-    r_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    cutoff: FockCutoff = FockCutoff(10),
-    tolerance: float = 1e-8,
-) -> VerificationReport:
-    """Ring integral of the diagonal kernel element vs 2 pi L_m(r^2).
+def verify_laguerre_lemma5() -> VerificationReport:
+    """Ring integral of the diagonal kernel element vs 2 pi L_m(r^2)."""
+    from scipy.special import eval_laguerre
 
-    The kernel element only explores number states up to max(m, m'), so
-    any cutoff at or above m_max is exact here."""
-    return _ring_check(
-        "laguerre_diag", lambda m, r: laguerre_ring_integral(m, r, cutoff),
-        lambda m, r: 2.0 * np.pi * eval_laguerre(m, r**2), m_max, r_grid, tolerance)
+    return _ring_check("laguerre_diag", laguerre_ring_integral,
+                       lambda m, r: 2.0 * np.pi * eval_laguerre(m, r**2))
 
 
-def verify_laguerre_lemma6(
-    m_max: int = 5,
-    r_grid: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    cutoff: FockCutoff = FockCutoff(10),
-    tolerance: float = 1e-8,
-) -> VerificationReport:
+def verify_laguerre_lemma6() -> VerificationReport:
     """Phase-weighted off-diagonal ring integral vs its closed form."""
-    return _ring_check(
-        "laguerre_offdiag", lambda m, r: laguerre_offdiag_ring_integral(m, r, cutoff),
-        laguerre_offdiag_closed, m_max, r_grid, tolerance)
+    return _ring_check("laguerre_offdiag", laguerre_offdiag_ring_integral,
+                       laguerre_offdiag_closed)
 
 
-def _ring_check(name, numeric, closed, m_max, r_grid, tolerance) -> VerificationReport:
-    """Worst |numeric(m, r) - closed(m, r)| over m <= m_max and r_grid."""
-    return _report(name, ((abs(numeric(m, r) - closed(m, r)), {"m": m, "r": r})
-                          for m in range(m_max + 1) for r in r_grid), tolerance)
+def _ring_check(name, integral, closed) -> VerificationReport:
+    """Worst |integral(m, r) - closed(m, r)| over the ring orders and radii."""
+    return _report(name, ((abs(integral(m, r, _RING_CUTOFF) - closed(m, r)),
+                           {"m": m, "r": r})
+                          for m in _RING_ORDERS for r in _RING_RADII), _TOLERANCE)
 
 
-def verify_eb_pipelines(
-    cases: Optional[Sequence[tuple[ChannelParams, EbPlan]]] = None,
-    qubit: Optional[cf.LogicalQubit] = None,
-    zeta_grid: Optional[Sequence[tuple[complex, complex]]] = None,
-    cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-    tolerance: float = 1e-8,
-) -> VerificationReport:
+def verify_eb_pipelines() -> VerificationReport:
     """Full optical-train simulation of the entanglement-breaking
     constructions vs the single-channel closed form with effective
     parameters, compared through the characteristic function."""
-    from .eb_engineering import plan_lemma1, plan_lemma2
-
-    if cases is None:
-        hard = ChannelParams(0.5, 0.5)  # not naturally breaking
-        easy = ChannelParams(0.9, 0.12)
-        # Keep the amplifier gain modest: the truncated tail of the amplified
-        # state scales as (1 - 1/G)^cutoff and must stay below the tolerance.
-        cases = [
-            (easy, plan_lemma1(easy)),
-            (hard, plan_lemma1(hard)),
-            (hard, plan_lemma2(hard, nbar_prime=0.52)),
-        ]
-    qubit = qubit or cf.LogicalQubit.pure(0.8, 0.6j)
-    zeta_grid = list(zeta_grid or _default_zeta_grid())
 
     def errors():
-        for params, plan in cases:
-            numeric = engineered_willie_state_numeric(qubit, plan, params, cutoff)
-            reflect, occupancy = effective_willie_char_params(plan, params)
-            for z1, z2 in zeta_grid:
-                num = anti_normal_char_fn(numeric, z1, z2)
-                clo = cf.char_fn_closed_effective(qubit, reflect, occupancy, z1, z2)
-                yield abs(num - clo), {"eta": params.eta, "nbar_b": params.nbar_b,
-                                       "mechanism": plan.mechanism.value,
-                                       "zeta1": str(z1), "zeta2": str(z2)}
+        for params, plan in _EB_CASES:
+            yield from _char_fn_errors(
+                engineered_willie_state_numeric(_EB_QUBIT, plan, params),
+                partial(cf.char_fn_closed_effective, _EB_QUBIT,
+                        *effective_willie_char_params(plan, params)),
+                {"eta": params.eta, "nbar_b": params.nbar_b,
+                 "mechanism": plan.mechanism.value})
 
-    return _report("eb_pipelines", errors(), tolerance)
-
-
-def _default_zeta_grid() -> list[tuple[complex, complex]]:
-    """25 deterministic two-mode points with |zeta| <= 2."""
-    grid = []
-    for i, r in enumerate((0.1, 0.5, 1.0, 1.5, 2.0)):
-        for j, phase in enumerate((0.0, 1.1, 2.3, 3.7, 5.2)):
-            z1 = r * np.exp(1j * phase)
-            z2 = (0.3 + 0.3 * j) * np.exp(1j * (phase + 0.7 * i))
-            grid.append((complex(z1), complex(z2)))
-    return grid
+    return _report("eb_pipelines", errors(), _TOLERANCE)
 
 
 def _inputs(params: ChannelParams, qubit: cf.LogicalQubit) -> dict:
@@ -624,17 +599,11 @@ def _report(name: str, errors: Iterable[tuple[float, dict]], tolerance: float,
     )
 
 
-def _pinsker_default() -> VerificationReport:
-    return verify_pinsker_and_detector(
-        ChannelParams(0.9, 0.12), cf.LogicalQubit.pure(1 / math.sqrt(2), 1 / math.sqrt(2))
-    )
-
-
 ALL_CHECKS = {
     "willie_state": verify_willie_state,
     "chi2": verify_chi2,
     "char_fn": verify_char_fn,
-    "pinsker_and_detector": _pinsker_default,
+    "pinsker_and_detector": verify_pinsker_and_detector,
     "depolarizing_reduction": verify_depolarizing_reduction,
     "laguerre_diag": verify_laguerre_lemma5,
     "laguerre_offdiag": verify_laguerre_lemma6,

@@ -35,11 +35,14 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
-    def test_bad_range_is_usage_error(self, capsys):
-        code, _, _ = run_cli(
+    @pytest.mark.parametrize("spec", ["10:1:5", "1e6:1e7:inf", "1e6:1e7:1e400"])
+    def test_bad_range_is_usage_error(self, spec, capsys):
+        code, out, err = run_cli(
             ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
-             "--n", "10:1:5"], capsys)
-        assert code == 1
+             "--n", spec], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(["bounds", "--eta", "0.9"], capsys)
@@ -88,6 +91,10 @@ class TestExitCodes:
          "--n", "1e6", "--modes-per-sec", "0"],
         ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
          "--n", "1e6", "--modes-per-sec", "inf"],
+        ["willie-state", "--eta", "0.9", "--nbar-b", "0.12", "--cutoff", "4",
+         "--qubit", "1:0:nan"],
+        *([command, "--eta", "0.5", "--nbar-b", "0.5", "--delta", delta, "--n", "1e6"]
+          for command in ("bounds", "eb-report") for delta in ("0.7", "nan", "-0.1")),
     ])
     def test_non_finite_or_out_of_domain_input_is_validation_error(self, argv, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -272,6 +279,16 @@ class TestEbReport:
         assert doc["mechanism"] == "none_needed"
         assert doc["is_entanglement_breaking"] is True
 
+    @pytest.mark.parametrize("extra", [
+        ["--delta", "0.05"], ["--n", "1e6"], ["--delta", "0.05", "--n", "1e4:1e8:3"],
+    ])
+    def test_bounds_need_delta_and_one_round_count(self, extra, capsys):
+        code, out, err = run_cli(
+            ["eb-report", "--eta", "0.5", "--nbar-b", "0.5"] + extra, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
+
     def test_infeasible_is_validation_error(self, capsys):
         code, _, _ = run_cli(
             ["eb-report", "--eta", "0.5", "--nbar-b", "0",
@@ -279,16 +296,28 @@ class TestEbReport:
         assert code == 2
 
 
-def test_cli_import_loads_neither_scipy_nor_oracle():
+def _modules_loaded_by(module, prefixes):
+    """Names starting with one of ``prefixes`` in sys.modules after a fresh
+    interpreter imports ``module``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys, covert_bosonic.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy' or m == 'covert_bosonic.oracle'))")
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cli_import_loads_neither_scipy_nor_oracle():
+    assert _modules_loaded_by("covert_bosonic.cli",
+                              ("scipy", "covert_bosonic.oracle")) == "[]"
+
+
+def test_oracle_import_loads_no_quadrature_modules():
+    # scipy.integrate and scipy.special serve only the ring-integral checks.
+    assert _modules_loaded_by("covert_bosonic.oracle",
+                              ("scipy.integrate", "scipy.special")) == "[]"
 
 
 def test_package_serves_oracle_names_lazily():

@@ -85,6 +85,13 @@ class TestLogicalQubit:
         with pytest.raises(ValueError):
             LogicalQubit(0.5, 0.5, 0.6)
 
+    @pytest.mark.parametrize("gamma", [complex("nan"), complex(0.0, math.nan),
+                                       complex("inf"), math.nan])
+    def test_non_finite_coherence_rejected(self, gamma):
+        # abs(nan)**2 > ... is False, so the positivity check alone let NaN in.
+        with pytest.raises(ValueError, match="finite"):
+            LogicalQubit(1.0, 0.0, gamma)
+
     def test_pure_constructor(self):
         q = LogicalQubit.pure(0.6, 0.8j)
         assert q.alpha_sq == pytest.approx(0.36)

@@ -33,6 +33,7 @@ from covert_bosonic.oracle import (
     laguerre_offdiag_ring_integral,
     laguerre_ring_integral,
     run_all_checks,
+    verify_chi2,
     willie_state_numeric,
 )
 
@@ -160,6 +161,22 @@ def test_numeric_states_use_no_closed_form(monkeypatch):
         engineered_willie_state_numeric(qubit, plan_lemma2(hard), hard, cut),
     ]
     assert all(isinstance(s, DensityOperator) for s in states)
+
+
+def test_chi2_check_bounds_the_closed_form_itself(monkeypatch):
+    """The sampled-bound step evaluates chi2_closed, so a closed form that
+    exceeds the bound only on part of the state space is caught, away from
+    the identity points (alpha_sq = 1/2) and the grid's one qubit."""
+    closed = closed_form.chi2_closed
+
+    def wrong(qubit, params):
+        value = closed(qubit, params)
+        return 2.0 * value if 0.2 < qubit.alpha_sq < 0.4 else value
+
+    monkeypatch.setattr(closed_form, "chi2_closed", wrong)
+    report = verify_chi2([ChannelParams(0.9, 0.12)], [LogicalQubit(0.5, 0.5, 0.0)])
+    assert not report.passed
+    assert report.worst_case_inputs["violation"] == "sampled value exceeds bound"
 
 
 class TestCutoffRobustness:
