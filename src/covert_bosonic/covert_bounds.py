@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class GainDecompositionError(ValueError):
     for these parameters (gain denominator not positive)."""
 
 
-class BoundsPoint(NamedTuple):
+@dataclass(slots=True)
+class BoundsPoint:
     """One sweep sample: round count n with both bound ordinates (qubits),
     the per-round rates behind them, and the operating point (q, nbar_s)."""
 

@@ -137,7 +137,10 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """One JSON line, keys sorted; complex inputs become strings."""
-        return json.dumps(self.__dict__, sort_keys=True, default=str)
+        inputs = {k: (str(v) if isinstance(v, complex) else v)
+                  for k, v in self.worst_case_inputs.items()}
+        return json.dumps({**self.__dict__, "worst_case_inputs": inputs},
+                          sort_keys=True)
 
 
 def default_channel_grid() -> list[ChannelParams]:
@@ -445,7 +448,7 @@ def verify_pinsker_and_detector(
                 max(quiet.truncation_leak, rho_w.truncation_leak),
             )
             td_term = 0.25 * 2.0 * trace_distance(mix, quiet)
-            d_nats = qre(mix, quiet, base=math.e) if q > 0 else 0.0
+            d_nats = qre(mix, quiet, base=math.e)
             mid = math.sqrt(max(d_nats, 0.0) / 8.0)
             right = q * math.sqrt(chi2) / math.sqrt(8.0)
             yield (max(td_term - mid, mid - right, 0.0),
@@ -465,14 +468,14 @@ def verify_depolarizing_reduction(
     p = p' + (1-p') p_fail."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
-    d = DEFAULT_ORACLE_CUTOFF.dim
-    logical = np.ix_([1, d], [1, d])  # |01>, |10>
+    cutoff = DEFAULT_ORACLE_CUTOFF
+    logical = np.ix_([1, cutoff.dim], [1, cutoff.dim])  # |01>, |10>
 
     def errors():
         for params in channel_grid:
             p = cf.p_total(params)
             for qubit in qubits:
-                block = bob_state_numeric(qubit, params).entries[logical]
+                block = bob_state_numeric(qubit, params, cutoff).entries[logical]
                 fail_weight = 1.0 - float(np.trace(block).real)
                 projected = block + fail_weight * np.eye(2) / 2.0
                 target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
@@ -524,8 +527,6 @@ def laguerre_offdiag_closed(m: int, r: float) -> float:
     binom(m-1, k), and the overall sign is positive for this phase/element
     pairing (the negative-signed variant belongs to the conjugate pairing).
     """
-    if m < 1:
-        return 0.0
     total = sum(
         (-(r**2)) ** k * math.comb(m - 1, k) / (math.factorial(k) * (k + 1))
         for k in range(m)
