@@ -9,7 +9,7 @@ units, and nothing time- or host-dependent is emitted.
 Exit codes: 0 success, 1 usage error, 2 validation/physics error,
 3 verification failure.  Configuration may come from flags or a JSON config
 file (``--config``); flags win over the file.  ``willie-state`` alone takes
-a Fock cutoff: ``--cutoff``, then the file, then the
+a Fock cutoff, an integer: ``--cutoff``, then the file, then the
 ``COVERT_BOSONIC_CUTOFF`` environment variable, then the built-in default.
 """
 
@@ -158,7 +158,15 @@ def _resolve_cutoff(args, cfg: dict) -> FockCutoff:
                 ) from None
     if val is None:
         val = DEFAULT_MAX_PHOTONS
-    return FockCutoff(int(val))
+    if isinstance(val, str):  # a config string converts as the flag does
+        try:
+            val = int(val)
+        except ValueError:
+            pass
+    # Never rounded or truncated: 2.7 or true is refused, not run at 2 or 1.
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise UsageError(f"cutoff must be an integer, got {val!r}")
+    return FockCutoff(val)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:

@@ -1,10 +1,19 @@
 """Truncated Fock-space linear algebra for small bosonic systems.
 
-Everything here works with dense complex matrices over the photon-number
+Operators are exchanged as dense complex matrices over the photon-number
 basis |0>, ..., |N> of each mode, with multi-mode states indexed in
 row-major mode order (the first mode is the slowest index).  States carry
 an explicit ``truncation_leak`` so callers can tell how much probability
 mass fell above the cutoff and escalate N when needed.
+
+The algebra underneath runs on photon-number sectors.  A beamsplitter
+conserves the photon number of the two modes it couples (an amplifier their
+difference), so each unitary is built as the operator exponential of one
+small generator block per sector, never of the whole space.  A state finds
+its blocks once, at construction: the sectors of equal total photon number
+when its matrix vanishes off them (every state the optics here produce),
+otherwise the whole space as one block.  Validation, the divergences and
+the characteristic function then read only those blocks.
 
 All objects are immutable after construction and all operations are pure
 functions, so evaluations are safe to run in parallel over parameter
@@ -76,8 +85,12 @@ class FockCutoff:
     max_photons: int
 
     def __post_init__(self):
-        if self.max_photons < 1:
-            raise ValueError(f"max_photons must be >= 1, got {self.max_photons}")
+        n = self.max_photons
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"max_photons must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"max_photons must be >= 1, got {n}")
+        object.__setattr__(self, "max_photons", int(n))
 
     @property
     def dim(self) -> int:
@@ -109,6 +122,10 @@ class DensityOperator:
     a photon tuple (k_0, ..., k_{m-1}) is the row-major flattening with mode 0
     slowest.  ``truncation_leak`` is the probability mass lost above the
     cutoff; the trace must lie in [1 - truncation_leak, 1 + 1e-12].
+
+    The checks run block by block over the state's photon-number sectors
+    (see the module docstring); an entry off them, however small, makes the
+    whole space one block.
     """
 
     num_modes: int
@@ -120,24 +137,36 @@ class DensityOperator:
         if self.num_modes < 1:
             raise ValueError("num_modes must be positive")
         dim = self.cutoff.dim ** self.num_modes
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.ascontiguousarray(self.entries, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > _HERMITICITY_TOL:
-            raise StateValidationError("operator is not Hermitian to 1e-12")
-        # Cholesky of the shifted matrix succeeds iff all eigenvalues exceed
-        # -_PSD_TOL; it is several times cheaper than a full eigendecomposition,
-        # which is only run on failure to produce a precise error message.
-        try:
-            np.linalg.cholesky(m + _PSD_TOL * np.eye(dim))
-        except np.linalg.LinAlgError:
-            evals = np.linalg.eigvalsh(m)
-            if evals[0] < -_PSD_TOL:
-                # Never repaired silently: a negative eigenvalue beyond
-                # tolerance means an upstream bug, and clipping would mask it.
-                raise StateValidationError(
-                    f"operator has eigenvalue {evals[0]:.3e} < -{_PSD_TOL:g}"
-                ) from None
+        sectors = _photon_number_sectors(self.num_modes, self.cutoff.max_photons)
+        values = m[sectors[1], sectors[2]]
+        # Every nonzero entry lies in a sector iff the sectors hold as many
+        # nonzero parts (real and imaginary counted apart) as the matrix.
+        if np.count_nonzero(values.view(float)) != np.count_nonzero(m.view(float)):
+            sectors, values = _whole_space(dim), m.ravel()
+        # Private: the block map and the in-block entries it selects.
+        object.__setattr__(self, "_sectors", sectors)
+        object.__setattr__(self, "_values", values)
+        for block in _blocks(self):
+            if np.max(np.abs(block - block.conj().T)) > _HERMITICITY_TOL:
+                raise StateValidationError("operator is not Hermitian to 1e-12")
+            # Cholesky of the shifted block succeeds iff all its eigenvalues
+            # exceed -_PSD_TOL; it is several times cheaper than an
+            # eigendecomposition, which only runs on failure to produce a
+            # precise error message.
+            try:
+                np.linalg.cholesky(block + _PSD_TOL * np.eye(len(block)))
+            except np.linalg.LinAlgError:
+                low = np.linalg.eigvalsh(block)[0]
+                if low < -_PSD_TOL:
+                    # Never repaired silently: a negative eigenvalue beyond
+                    # tolerance means an upstream bug, and clipping would
+                    # mask it.
+                    raise StateValidationError(
+                        f"operator has eigenvalue {low:.3e} < -{_PSD_TOL:g}"
+                    ) from None
         tr = float(np.trace(m).real)
         if not (1.0 - self.truncation_leak - _TRACE_TOL <= tr <= 1.0 + _TRACE_TOL):
             raise StateValidationError(
@@ -145,6 +174,7 @@ class DensityOperator:
                 f"{self.truncation_leak!r}"
             )
         m.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -202,6 +232,54 @@ def photon_exchange_indices(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]
     return i, i + d - 1
 
 
+# A block map is (sizes, rows, cols): the sizes of the diagonal blocks of a
+# matrix, and the row and column of every entry inside a block, block by
+# block and row-major within each.
+
+
+@lru_cache(maxsize=16)
+def _photon_number_sectors(num_modes: int, max_photons: int) -> tuple:
+    """Block map of the sectors of equal total photon number of a
+    ``num_modes``-mode space, in increasing photon number, each in
+    increasing basis index."""
+    d = max_photons + 1
+    total = np.indices((d,) * num_modes).sum(axis=0).ravel()
+    order = np.argsort(total, kind="stable")
+    sizes = np.bincount(total)
+    sectors = np.split(order, np.cumsum(sizes)[:-1])
+    rows = np.concatenate([np.repeat(s, len(s)) for s in sectors])
+    cols = np.concatenate([np.tile(s, len(s)) for s in sectors])
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return tuple(sizes.tolist()), rows, cols
+
+
+@lru_cache(maxsize=2)
+def _whole_space(dim: int) -> tuple:
+    """Block map of the whole space as one block."""
+    rows, cols = np.divmod(np.arange(dim * dim), dim)
+    for a in (rows, cols):
+        a.setflags(write=False)
+    return (dim,), rows, cols
+
+
+def _blocks(state: "DensityOperator") -> Iterable[np.ndarray]:
+    """The diagonal blocks of a state, as views of its in-block entries."""
+    start = 0
+    for s in state._sectors[0]:
+        yield state._values[start:start + s * s].reshape(s, s)
+        start += s * s
+
+
+def _paired_blocks(a: "DensityOperator", b: "DensityOperator"):
+    """Matching diagonal blocks of two states on one space: their shared
+    block map, or the whole matrices when the maps differ."""
+    _check_same_space(a, b)
+    if a._sectors[0] == b._sectors[0]:  # on one space, equal sizes: one map
+        return zip(_blocks(a), _blocks(b))
+    return [(a.entries, b.entries)]
+
+
 def dual_rail_density(qubit: "LogicalQubit", cutoff: FockCutoff) -> DensityOperator:
     """Two-mode state of a dual-rail qubit: logical |0> = |01>, |1> = |10>.
 
@@ -251,13 +329,47 @@ def partial_trace(state: DensityOperator, keep: Iterable[int]) -> DensityOperato
     return DensityOperator(k, state.cutoff, t.reshape(dim, dim), state.truncation_leak)
 
 
-def _parity_on_mode(mode: int, num_modes: int, cutoff: FockCutoff) -> np.ndarray:
+def _two_mode_core(strength: float, step: int, max_photons: int) -> np.ndarray:
+    """exp(strength (X - X^dag)) on modes (a, b) of a two-mode space, where
+    X = a^dag b for ``step`` -1 and X = a^dag b^dag for ``step`` +1.
+
+    X takes |f, g> to sqrt((f+1) max(g, g+step)) |f+1, g+step> inside the
+    cutoff, so g - step f is conserved: each of its values is a sector, a
+    chain of at most N+1 basis states whose generator is real, antisymmetric
+    and tri-diagonal.  The exponential is taken sector by sector.
+    """
+    from scipy.linalg import expm
+
+    d = max_photons + 1
+    f, g = np.divmod(np.arange(d * d), d)
+    label = g - step * f
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for c in range(int(label.min()), int(label.max()) + 1):
+        idx = np.flatnonzero(label == c)  # the chain, in increasing f
+        x = np.sqrt((f[idx[:-1]] + 1.0) * np.maximum(g[idx[:-1]], g[idx[1:]]))
+        gen = strength * np.diag(x.astype(complex), -1)
+        # scipy's expm is an order of magnitude more accurate on these
+        # blocks in complex arithmetic than in real.
+        u[np.ix_(idx, idx)] = expm(gen - gen.T)
+    return u
+
+
+def _embed(core: np.ndarray, mode_a: int, mode_b: int, num_modes: int,
+           cutoff: FockCutoff) -> np.ndarray:
+    """A two-mode operator on modes (a, b) acting on ``mode_a`` and
+    ``mode_b`` of a ``num_modes``-mode space, as the identity elsewhere: the
+    same blocks, repeated for every spectator photon number."""
+    modes = (mode_a, mode_b)
+    if mode_a == mode_b or not all(0 <= m < num_modes for m in modes):
+        raise ValueError(f"modes {modes} must be distinct modes of {num_modes}")
+    if modes == (0, 1) and num_modes == 2:
+        return core
     d = cutoff.dim
-    op = np.array([1.0])
-    signs = (-1.0) ** np.arange(d)
-    for i in range(num_modes):
-        op = np.kron(op, signs if i == mode else np.ones(d))
-    return op
+    rest = [m for m in range(num_modes) if m not in modes]
+    t = np.kron(core, np.eye(d ** len(rest))).reshape((d,) * (2 * num_modes))
+    axes = np.argsort([mode_a, mode_b, *rest]).tolist()
+    t = t.transpose(axes + [num_modes + a for a in axes])
+    return t.reshape(d**num_modes, d**num_modes)
 
 
 def beamsplitter_unitary(
@@ -274,18 +386,17 @@ def beamsplitter_unitary(
     The minus sign on the reflected port is realized by composing a Fock
     rotation exp(theta (a^dag b - a b^dag)) with a photon-number parity on
     mode_b; a plain rotation alone cannot produce this det = -1 mode map.
-    The unitary conserves total photon number blockwise, so it is exact on
-    any state fully supported below the cutoff.
+    The rotation conserves the photon number of the two modes, so it is
+    built as one exponential per sector of equal n_a + n_b and equal
+    spectator photon numbers, each block of size at most N+1, and it is
+    exact on any state fully supported below the cutoff.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    from scipy.linalg import expm
-
-    theta = np.arccos(np.sqrt(eta))
-    a = mode_annihilation_op(mode_a, num_modes, cutoff)
-    b = mode_annihilation_op(mode_b, num_modes, cutoff)
-    rot = expm(theta * (a.conj().T @ b - a @ b.conj().T))
-    return _parity_on_mode(mode_b, num_modes, cutoff)[:, None] * rot
+    d = cutoff.dim
+    core = _two_mode_core(np.arccos(np.sqrt(eta)), -1, cutoff.max_photons)
+    core *= np.tile((-1.0) ** np.arange(d), d)[:, None]  # parity on mode b
+    return _embed(core, mode_a, mode_b, num_modes, cutoff)
 
 
 def two_mode_amplifier_unitary(
@@ -294,20 +405,18 @@ def two_mode_amplifier_unitary(
     """Two-mode squeezer realizing a quantum-limited amplifier of gain G.
 
     Heisenberg map: mode_a out = sqrt(G) a + sqrt(G-1) b^dag, with
-    cosh(r) = sqrt(G).  The generator is anti-Hermitian so the returned
-    matrix is exactly unitary on the truncated space, but the physical map
-    does not conserve photon number; callers should check the output
-    state's weight near the cutoff (its truncation leak) for G not close
-    to 1.
+    cosh(r) = sqrt(G).  The generator r (a^dag b^dag - a b) conserves
+    n_a - n_b, so the unitary is built as one exponential per sector of
+    equal n_a - n_b and equal spectator photon numbers, each block of size
+    at most N+1.  Every block is exactly unitary on the truncated space,
+    but the physical map does not conserve photon number; callers should
+    check the output state's weight near the cutoff (its truncation leak)
+    for G not close to 1.
     """
     if gain < 1.0:
         raise ValueError(f"gain must be >= 1, got {gain}")
-    from scipy.linalg import expm
-
-    r = np.arccosh(np.sqrt(gain))
-    a = mode_annihilation_op(mode_a, num_modes, cutoff)
-    b = mode_annihilation_op(mode_b, num_modes, cutoff)
-    return expm(r * (a.conj().T @ b.conj().T - a @ b))
+    core = _two_mode_core(np.arccosh(np.sqrt(gain)), 1, cutoff.max_photons)
+    return _embed(core, mode_a, mode_b, num_modes, cutoff)
 
 
 def apply_unitary(state: DensityOperator, u: np.ndarray) -> DensityOperator:
@@ -341,19 +450,24 @@ def anti_normal_char_fn(
         tr[rho exp(-z1* a1) exp(z1 a1^dag) exp(-z2* a2) exp(z2 a2^dag)]
 
     The displacement exponentials are evaluated as truncated operator
-    exponentials.  Convergence is estimated by recomputing with the cutoff
-    lowered by two; if the two values differ by more than ``error_tol`` the
-    result is rejected with :class:`TruncationError`.
+    exponentials, and only the state's in-block entries enter the trace.
+    Convergence is estimated by recomputing with the cutoff lowered by two;
+    if the two values differ by more than ``error_tol`` the result is
+    rejected with :class:`TruncationError`.
     """
     if state.num_modes != 2:
         raise ValueError("anti_normal_char_fn expects a two-mode state")
-    value = _char_fn_trace(state.entries, state.cutoff, zeta1, zeta2)
+    d = state.cutoff.dim
+    # Photon numbers of bra (f, g) and ket (fp, gp) of every in-block entry.
+    _, rows, cols = state._sectors
+    f, g = np.divmod(rows, d)
+    fp, gp = np.divmod(cols, d)
     n = state.cutoff.max_photons
+    value = _char_fn_trace(state._values, f, g, fp, gp, n, zeta1, zeta2)
     if n >= 3:
-        lower = FockCutoff(n - 2)
-        d = lower.dim
-        sub = state.entries.reshape(n + 1, n + 1, n + 1, n + 1)[:d, :d, :d, :d]
-        ref = _char_fn_trace(sub.reshape(d * d, d * d), lower, zeta1, zeta2)
+        low = np.maximum(np.maximum(f, g), np.maximum(fp, gp)) <= n - 2
+        ref = _char_fn_trace(state._values[low], f[low], g[low], fp[low], gp[low],
+                             n - 2, zeta1, zeta2)
         if abs(value - ref) > error_tol:
             raise TruncationError(
                 f"characteristic function not converged at N={n}: "
@@ -362,22 +476,19 @@ def anti_normal_char_fn(
     return complex(value)
 
 
-def _char_fn_trace(entries, cutoff, zeta1, zeta2) -> complex:
-    # tr[rho (K1 x K2)] contracted mode by mode; avoids materializing the
-    # Kronecker-product kernel.
-    d = cutoff.dim
-    k1 = _char_fn_ops_cached(complex(zeta1), cutoff.max_photons)
-    k2 = _char_fn_ops_cached(complex(zeta2), cutoff.max_photons)
-    return complex(
-        np.einsum("ijkl,ki,lj->", entries.reshape(d, d, d, d), k1, k2,
-                  optimize=True)
-    )
+def _char_fn_trace(values, f, g, fp, gp, max_photons, zeta1, zeta2) -> complex:
+    # tr[rho (K1 x K2)] = sum of <f g|rho|fp gp> K1[fp, f] K2[gp, g] over the
+    # given entries; avoids materializing the Kronecker-product kernel.
+    k1 = _char_fn_ops_cached(complex(zeta1), max_photons)
+    k2 = _char_fn_ops_cached(complex(zeta2), max_photons)
+    return complex(np.sum(values * k1[fp, f] * k2[gp, g]))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """(1/2) || a - b ||_1 via eigenvalues of the Hermitian difference."""
-    _check_same_space(a, b)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))
+    """(1/2) || a - b ||_1 via eigenvalues of the Hermitian difference,
+    block by block."""
+    return 0.5 * sum(float(np.sum(np.abs(np.linalg.eigvalsh(x - y))))
+                     for x, y in _paired_blocks(a, b))
 
 
 def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
@@ -386,30 +497,34 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
     ``b`` must be full rank on the truncated support; a singular reference
     raises :class:`RankDeficiencyError` rather than silently regularizing.
     """
-    _check_same_space(a, b)
-    wb, vb = np.linalg.eigh(b.entries)
-    if wb[0] <= 0.0:
-        raise RankDeficiencyError(
-            f"reference state is rank deficient (min eigenvalue {wb[0]:.3e})"
-        )
-    wa, va = np.linalg.eigh(a.entries)
-    wa = np.clip(wa, 0.0, None)
-    ent_a = float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
-    log_b = (vb * np.log(wb)) @ vb.conj().T
-    cross = float(np.trace(a.entries @ log_b).real)
+    ent_a = cross = 0.0
+    for x, wb, vb in _against_reference(a, b):
+        wa = np.clip(np.linalg.eigvalsh(x), 0.0, None)
+        ent_a += float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
+        log_b = (vb * np.log(wb)) @ vb.conj().T
+        cross += float(np.trace(x @ log_b).real)
     return (ent_a - cross) / np.log(base)
 
 
 def chi2_numeric(a: DensityOperator, b: DensityOperator) -> float:
     """Quantum chi-squared divergence tr[a^2 b^-1] - 1."""
-    _check_same_space(a, b)
-    wb, vb = np.linalg.eigh(b.entries)
-    if wb[0] <= 0.0:
+    total = 0.0
+    for x, wb, vb in _against_reference(a, b):
+        inv_b = (vb / wb) @ vb.conj().T
+        total += float(np.trace(x @ x @ inv_b).real)
+    return total - 1.0
+
+
+def _against_reference(a: DensityOperator, b: DensityOperator) -> list:
+    """(block of a, eigenvalues and eigenvectors of the matching block of
+    b) for each shared block; b must be full rank."""
+    pairs = [(x, *np.linalg.eigh(y)) for x, y in _paired_blocks(a, b)]
+    low = min(float(wb[0]) for _, wb, _ in pairs)
+    if low <= 0.0:
         raise RankDeficiencyError(
-            f"reference state is rank deficient (min eigenvalue {wb[0]:.3e})"
+            f"reference state is rank deficient (min eigenvalue {low:.3e})"
         )
-    inv_b = (vb / wb) @ vb.conj().T
-    return float(np.trace(a.entries @ a.entries @ inv_b).real) - 1.0
+    return pairs
 
 
 def _check_same_space(a: DensityOperator, b: DensityOperator):

@@ -241,6 +241,28 @@ class TestWillieState:
             ["willie-state", "--eta", "0.9", "--nbar-b", "0.12"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("cutoff", [2.7, 3.0, True, "2.7", "three"])
+    def test_non_integer_config_cutoff_is_usage_error(self, cutoff, tmp_path,
+                                                      capsys, monkeypatch):
+        # Refused rather than rounded: 2.7 used to run at 2 and true at 1.
+        monkeypatch.delenv(cli.CUTOFF_ENV_VAR, raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cutoff": cutoff}))
+        code, out, err = run_cli(["willie-state", "--eta", "0.9", "--nbar-b", "0.12",
+                                  "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("cutoff", [3, "3"])
+    def test_integer_config_cutoff_is_used(self, cutoff, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cutoff": cutoff}))
+        code, out, _ = run_cli(["willie-state", "--eta", "0.9", "--nbar-b", "0.12",
+                                "--format", "json", "--config", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["cutoff"] == 3
+
 
 class TestEbReport:
     def test_attenuate_json(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from covert_bosonic.fock_core import (
     ChannelParams,
@@ -87,6 +88,15 @@ class TestValidation:
     def test_cutoff_requires_at_least_one_photon(self):
         with pytest.raises(ValueError):
             FockCutoff(0)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_cutoff_requires_an_integer(self, n):
+        with pytest.raises(TypeError):
+            FockCutoff(n)
+
+    def test_cutoff_takes_numpy_integers_as_int(self):
+        cut = FockCutoff(np.int64(4))
+        assert type(cut.max_photons) is int and cut == FockCutoff(4)
 
 
 class TestOperators:
@@ -225,6 +235,42 @@ class TestBeamsplitter:
         assert np.allclose(out.entries, expected.entries, atol=1e-10)
 
 
+def dense_unitary(kind, param, mode_a, mode_b, num_modes, cut):
+    """The unitary as one operator exponential over the whole space: the
+    reference for the sector-by-sector build."""
+    a = mode_annihilation_op(mode_a, num_modes, cut)
+    b = mode_annihilation_op(mode_b, num_modes, cut)
+    if kind == "amplifier":
+        return expm(np.arccosh(np.sqrt(param)) * (a.conj().T @ b.conj().T - a @ b))
+    rot = expm(np.arccos(np.sqrt(param)) * (a.conj().T @ b - a @ b.conj().T))
+    n_b = np.diag(b.conj().T @ b).real.round()
+    return ((-1.0) ** n_b)[:, None] * rot
+
+
+class TestSectorUnitaries:
+    @pytest.mark.parametrize("num_modes, modes, n", [
+        (2, (0, 1), 8), (2, (1, 0), 8), (4, (0, 2), 3), (4, (1, 3), 3),
+    ])
+    @pytest.mark.parametrize("kind, param", [
+        ("beamsplitter", 0.0), ("beamsplitter", 0.37), ("beamsplitter", 1.0),
+        ("amplifier", 1.0), ("amplifier", 1.8),
+    ])
+    def test_matches_dense_exponential(self, kind, param, num_modes, modes, n):
+        cut = FockCutoff(n)
+        build = beamsplitter_unitary if kind == "beamsplitter" else two_mode_amplifier_unitary
+        u = build(param, *modes, num_modes, cut)
+        ref = dense_unitary(kind, param, *modes, num_modes, cut)
+        assert u.shape == ref.shape == (cut.dim**num_modes,) * 2
+        assert np.max(np.abs(u - ref)) < 1e-13
+
+    @pytest.mark.parametrize("modes", [(1, 1), (0, 2), (-1, 0)])
+    def test_modes_must_be_distinct_and_in_range(self, modes):
+        with pytest.raises(ValueError):
+            beamsplitter_unitary(0.5, *modes, 2, FockCutoff(2))
+        with pytest.raises(ValueError):
+            two_mode_amplifier_unitary(1.5, *modes, 2, FockCutoff(2))
+
+
 class TestCharFn:
     def test_thermal_product_closed_form(self):
         nbar = 0.25
@@ -310,3 +356,80 @@ class TestDivergences:
         assert td_ab <= math.sqrt(max(d_nats, 0.0) / 2.0) + 1e-8
         # relative entropy is bounded by chi-squared
         assert d_nats <= chi2_numeric(a, b) + 1e-8
+
+
+def dense_divergences(a, b, zetas):
+    """qre (bits), chi2, trace distance and char fn from the full matrices."""
+    wa = np.clip(np.linalg.eigvalsh(a.entries), 0.0, None)
+    wb, vb = np.linalg.eigh(b.entries)
+    log_b = (vb * np.log(wb)) @ vb.conj().T
+    ent = np.sum(wa[wa > 0] * np.log(wa[wa > 0]))
+    qre_bits = (ent - np.trace(a.entries @ log_b).real) / math.log(2.0)
+    chi2 = np.trace(a.entries @ a.entries @ np.linalg.inv(b.entries)).real - 1.0
+    td = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries)))
+    op = annihilation_op(a.cutoff)
+    kernel = [expm(-np.conj(z) * op) @ expm(z * op.conj().T) for z in zetas]
+    char = np.trace(a.entries @ np.kron(*kernel))
+    return qre_bits, chi2, td, char
+
+
+class TestSectorBlocks:
+    """States block-diagonal in total photon number are handled sector by
+    sector; anything else is one block.  Both agree with dense algebra."""
+
+    CUT = FockCutoff(12)
+
+    def quiet(self):
+        return tensor(thermal_state(0.3, self.CUT), thermal_state(0.3, self.CUT))
+
+    def mixed_with_quiet(self, m):
+        quiet = self.quiet()
+        return DensityOperator(2, self.CUT, 0.5 * m + 0.5 * quiet.entries,
+                               0.5 * quiet.truncation_leak)
+
+    def bell_mixture(self):
+        """(|00> + |11>)/sqrt(2) mixed with the thermal product: a coherence
+        between sectors 0 and 2."""
+        d = self.CUT.dim
+        psi = np.zeros(d * d, dtype=complex)
+        psi[[0, d + 1]] = 1.0 / math.sqrt(2.0)
+        return self.mixed_with_quiet(np.outer(psi, psi.conj()))
+
+    def dual_rail_mixture(self):
+        return self.mixed_with_quiet(
+            dual_rail_density(LogicalQubit(0.3, 0.7, 0.2 + 0.1j), self.CUT).entries)
+
+    def test_block_choice(self):
+        d2 = self.CUT.dim**2
+        assert self.bell_mixture()._sectors[0] == (d2,)
+        sectored = self.dual_rail_mixture()._sectors[0]
+        assert len(sectored) == 2 * self.CUT.max_photons + 1 and sum(sectored) == d2
+
+    @pytest.mark.parametrize("state", ["bell_mixture", "dual_rail_mixture"])
+    def test_divergences_match_dense_algebra(self, state):
+        a = getattr(self, state)()
+        b = self.quiet()
+        zetas = (0.3 + 0.2j, -0.4j)
+        qre_bits, chi2, td, char = dense_divergences(a, b, zetas)
+        assert abs(qre(a, b) - qre_bits) < 1e-12
+        assert abs(chi2_numeric(a, b) - chi2) < 1e-12
+        assert abs(trace_distance(a, b) - td) < 1e-12
+        assert abs(trace_distance(b, a) - td) < 1e-12
+        assert abs(anti_normal_char_fn(a, *zetas) - char) < 1e-12
+
+    def test_negative_eigenvalue_inside_one_sector_is_named(self):
+        cut = FockCutoff(2)
+        d = cut.dim
+        m = np.zeros((d * d, d * d), dtype=complex)
+        m[1, 1] = m[d, d] = 0.5  # |01>, |10>
+        m[1, d] = m[d, 1] = 0.6  # eigenvalues -0.1 and 1.1
+        with pytest.raises(StateValidationError, match="-1.000e-01"):
+            DensityOperator(2, cut, m)
+
+    def test_tiny_off_sector_entry_makes_one_block(self):
+        m = self.quiet().entries.copy()
+        d = self.CUT.dim
+        m[0, d + 1] = m[d + 1, 0] = 1e-300  # |00><11|
+        state = DensityOperator(2, self.CUT, m, self.quiet().truncation_leak)
+        assert state._sectors[0] == (d * d,)
+        assert trace_distance(state, self.quiet()) < 1e-299

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 import covert_bosonic.closed_form as closed_form
@@ -188,6 +190,25 @@ class TestCutoffRobustness:
             closed = willie_state_closed(qubit, params, cut).dense()
             numeric = willie_state_numeric(qubit, params, cut).entries
             assert np.max(np.abs(closed - numeric)) < 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(eta=st.floats(0.05, 0.99), load=st.floats(0.0, 1.0),
+           alpha_sq=st.floats(0.0, 1.0), coherence=st.floats(0.0, 1.0),
+           phase=st.floats(0.0, 2.0 * math.pi))
+    def test_numeric_matches_closed_form_at_n30(self, eta, load, alpha_sq,
+                                                coherence, phase):
+        # eta * nbar_b <= 1/2 keeps the warden's thermal tail negligible at
+        # N = 30.  The simulated environment is truncated at N too, which
+        # bounds nbar_b itself: up to 1 its tail stays below the tolerance,
+        # and far above it the oracle raises TruncationError.  The qubit is
+        # any valid logical state.
+        params = ChannelParams(eta, load * min(1.0, 0.5 / eta))
+        gamma = coherence * math.sqrt(alpha_sq * (1.0 - alpha_sq)) * np.exp(1j * phase)
+        qubit = LogicalQubit(alpha_sq, 1.0 - alpha_sq, complex(gamma))
+        cut = FockCutoff(30)
+        closed = willie_state_closed(qubit, params, cut).dense()
+        numeric = willie_state_numeric(qubit, params, cut).entries
+        assert np.max(np.abs(closed - numeric)) < 1e-8
 
 
 class TestDefaultGrids:
