@@ -8,8 +8,11 @@ mass fell above the cutoff and escalate N when needed.
 
 The algebra underneath runs on photon-number sectors.  A beamsplitter
 conserves the photon number of the two modes it couples (an amplifier their
-difference), so each unitary is built as the operator exponential of one
-small generator block per sector, never of the whole space.  A state finds
+difference), so each unitary is built block by block, one sector at a time,
+never as an exponential of the whole space.  Each sector's generator is its
+strength times a fixed tri-diagonal matrix, whose eigensystem is computed
+once per cutoff and cached; a new transmittance or gain costs one phase per
+eigenvalue and a small matrix product per block.  A state finds
 its blocks once, at construction: the sectors of equal total photon number
 when its matrix vanishes off them (every state the optics here produce),
 otherwise the whole space as one block.  Validation, the divergences and
@@ -329,28 +332,56 @@ def partial_trace(state: DensityOperator, keep: Iterable[int]) -> DensityOperato
     return DensityOperator(k, state.cutoff, t.reshape(dim, dim), state.truncation_leak)
 
 
+# i^k, exactly: the similarity D = diag(i^k) that makes a sector's generator
+# symmetric (see _sector_eigensystems).
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+@lru_cache(maxsize=8)
+def _sector_eigensystems(step: int, max_photons: int) -> tuple:
+    """(chain, D V, mu) for every sector of the generator X - X^dag of
+    :func:`_two_mode_core`.
+
+    A sector's generator is real, antisymmetric and tri-diagonal with
+    sub-diagonal x_k, so with D = diag(i^k) it equals D (-i T) D^-1 for the
+    real symmetric tri-diagonal T with off-diagonals x_k and zero diagonal.
+    T = V diag(mu) V^T gives exp(s (X - X^dag)) = (D V) e^(-i s mu) (D V)^dag
+    on the sector, for any strength s."""
+    from scipy.linalg import eigh_tridiagonal
+
+    d = max_photons + 1
+    f, g = np.divmod(np.arange(d * d), d)
+    label = g - step * f
+    out = []
+    for c in range(int(label.min()), int(label.max()) + 1):
+        idx = np.flatnonzero(label == c)  # the chain, in increasing f
+        x = np.sqrt((f[idx[:-1]] + 1.0) * np.maximum(g[idx[:-1]], g[idx[1:]]))
+        mu, v = eigh_tridiagonal(np.zeros(len(idx)), x)
+        left = _I_POWERS[np.arange(len(idx)) % 4, None] * v
+        for a in (idx, left, mu):
+            a.setflags(write=False)
+        out.append((idx, left, mu))
+    return tuple(out)
+
+
 def _two_mode_core(strength: float, step: int, max_photons: int) -> np.ndarray:
     """exp(strength (X - X^dag)) on modes (a, b) of a two-mode space, where
     X = a^dag b for ``step`` -1 and X = a^dag b^dag for ``step`` +1.
 
     X takes |f, g> to sqrt((f+1) max(g, g+step)) |f+1, g+step> inside the
     cutoff, so g - step f is conserved: each of its values is a sector, a
-    chain of at most N+1 basis states whose generator is real, antisymmetric
-    and tri-diagonal.  The exponential is taken sector by sector.
+    chain of at most N+1 basis states.  Each block comes from the sector's
+    cached eigensystem; strength 0 is the identity exactly.
     """
-    from scipy.linalg import expm
-
     d = max_photons + 1
-    f, g = np.divmod(np.arange(d * d), d)
-    label = g - step * f
     u = np.zeros((d * d, d * d), dtype=complex)
-    for c in range(int(label.min()), int(label.max()) + 1):
-        idx = np.flatnonzero(label == c)  # the chain, in increasing f
-        x = np.sqrt((f[idx[:-1]] + 1.0) * np.maximum(g[idx[:-1]], g[idx[1:]]))
-        gen = strength * np.diag(x.astype(complex), -1)
-        # scipy's expm is an order of magnitude more accurate on these
-        # blocks in complex arithmetic than in real.
-        u[np.ix_(idx, idx)] = expm(gen - gen.T)
+    if strength == 0.0:
+        np.fill_diagonal(u, 1.0)
+        return u
+    for idx, left, mu in _sector_eigensystems(step, max_photons):
+        # The exponential of a real generator is real: drop the roundoff
+        # the complex similarity leaves in the imaginary part.
+        u[np.ix_(idx, idx)] = ((left * np.exp(-1j * strength * mu)) @ left.conj().T).real
     return u
 
 
@@ -387,9 +418,11 @@ def beamsplitter_unitary(
     rotation exp(theta (a^dag b - a b^dag)) with a photon-number parity on
     mode_b; a plain rotation alone cannot produce this det = -1 mode map.
     The rotation conserves the photon number of the two modes, so it is
-    built as one exponential per sector of equal n_a + n_b and equal
-    spectator photon numbers, each block of size at most N+1, and it is
-    exact on any state fully supported below the cutoff.
+    built block by block over the sectors of equal n_a + n_b and equal
+    spectator photon numbers, each block of size at most N+1, from the
+    sector eigensystems cached per cutoff: e^(-i theta mu) on the
+    eigenvalues mu.  At eta = 1 (theta = 0) it is the parity map exactly.
+    It is exact on any state fully supported below the cutoff.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
@@ -406,12 +439,13 @@ def two_mode_amplifier_unitary(
 
     Heisenberg map: mode_a out = sqrt(G) a + sqrt(G-1) b^dag, with
     cosh(r) = sqrt(G).  The generator r (a^dag b^dag - a b) conserves
-    n_a - n_b, so the unitary is built as one exponential per sector of
+    n_a - n_b, so the unitary is built block by block over the sectors of
     equal n_a - n_b and equal spectator photon numbers, each block of size
-    at most N+1.  Every block is exactly unitary on the truncated space,
-    but the physical map does not conserve photon number; callers should
-    check the output state's weight near the cutoff (its truncation leak)
-    for G not close to 1.
+    at most N+1, from the sector eigensystems cached per cutoff; at G = 1
+    it is the identity exactly.  Every block is unitary on the truncated
+    space, but the physical map does not conserve photon number; callers
+    should check the output state's weight near the cutoff (its truncation
+    leak) for G not close to 1.
     """
     if gain < 1.0:
         raise ValueError(f"gain must be >= 1, got {gain}")

@@ -4,10 +4,10 @@ The closed-form expressions in :mod:`covert_bosonic.closed_form` involve
 enough index bookkeeping that transposition or sign typos are cheap to
 make and expensive to notice.  This module re-derives every quantity
 numerically from :mod:`covert_bosonic.fock_core` primitives alone --
-truncated beamsplitter/amplifier unitaries, operator exponentials and
-adaptive quadrature -- and reports the discrepancies.  Its numeric states
-use no ``closed_form`` code, so an error in the analytic layer cannot
-cancel here.
+truncated beamsplitter/amplifier unitaries, operator exponentials and the
+periodic trapezoid rule -- and reports the discrepancies.  Its numeric
+states use no ``closed_form`` code, so an error in the analytic layer
+cannot cancel here.
 
 Every numeric state comes from one optical picture: each rail of the
 dual-rail qubit passes through a chain of stages, two-mode unitaries (a
@@ -16,7 +16,11 @@ an ancilla entering thermal or in vacuum, one output port kept.  The rails
 pass through independent copies of the chain, so the four logical basis
 operators |x><x'| go through one rail's chain and the two-mode output is
 reassembled by linearity, without materializing the four-mode matrix
-(``tests/test_oracle.py`` checks this against the four-mode route).
+(``tests/test_oracle.py`` checks this against the four-mode route).  Each
+stage conserves a photon number, so it runs as a cached shift map on the
+rail's bands, never as a dense d^4 unitary; the willie_state and
+depolarizing_reduction checks read the entries they compare straight from
+the rail images, without building a two-mode state.
 
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most
@@ -24,12 +28,12 @@ its channels and qubits (by default the 12 + 12 of :func:`default_channel_grid`
 and :func:`default_qubit_set`); all else is fixed:
 
   check                   grid                                cutoff  tolerance
-  willie_state            all entries; off the pattern        30 (*)  1e-8 (*); 1e-10
+  willie_state            pattern entries; images off band    30 (*)  1e-8 (*); 1e-10
   chi2                    chi2_closed, 10^4 qubits, seed 11   20..30  1e-6 relative; 1e-9
   char_fn                 25 zeta points, |zeta| <= 2         30      1e-8
   pinsker_and_detector    q in {0.01, 0.1, 1}                 20      1e-10
-  depolarizing_reduction  the logical 2x2 block               30      1e-8
-  laguerre_diag/offdiag   m <= 5, r in {0.25, 0.5, 1, 2}      10      1e-8
+  depolarizing_reduction  the logical 2x2 block, from images  30      1e-8
+  laguerre_diag/offdiag   m <= 5, r in {0.25, 0.5, 1, 2}      10      1e-8 (**)
   eb_pipelines            3 plans x 25 zeta points            30      1e-8
 
 (*) a default the caller may override.  chi2 raises its cutoff with the
@@ -37,6 +41,8 @@ thermal occupancy; char_fn has 2 random qubits; pinsker_and_detector runs
 at (eta, nbar_b) = (0.9, 0.12) and |+> unless given others; eb_pipelines
 sends 0.8|01> + 0.6i|10> through the attenuate plans at (0.9, 0.12) and
 (0.5, 0.5) and the amplify plan with nbar' = 0.52 at (0.5, 0.5).
+(**) each ring integral by the periodic trapezoid rule on 22 angles, exact
+for the truncated kernel.
 """
 
 from __future__ import annotations
@@ -185,12 +191,50 @@ _RAIL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @lru_cache(maxsize=32)
-def _stage_unitary(unitary: Callable, param: float, max_photons: int) -> np.ndarray:
-    """Stage unitary reshaped to U[out_sig, out_anc, in_sig, in_anc]."""
+def _stage_transfer(stage: tuple, max_photons: int) -> tuple:
+    """One stage (see :func:`_apply_stage`) as a shift map, (M, rows).
+
+    The stage unitary conserves n_signal + tau n_ancilla for tau = +1 (a
+    beamsplitter) or -1 (an amplifier), so once the ancilla is traced out
+    it keeps every band row - col of a single-mode operator, up to the sign
+    sigma (-1 only for an amplifier's idler port):
+
+        out[rows[s, i], rows[s, j]] += M[s, i, j] x[i, j],
+        rows[s, i] = s + sigma i - (d - 1 if sigma = 1 else 0),
+
+    for the 2d - 1 shifts s.  M is read once from the unitary's conserving
+    entries, and a unitary with weight off them is refused.  ``rows`` is
+    clipped to the cutoff where M vanishes."""
+    unitary, param, nbar, keep = stage
     d = max_photons + 1
     u = unitary(param, 0, 1, 2, FockCutoff(max_photons)).reshape(d, d, d, d)
-    u.setflags(write=False)
-    return u
+    total = np.count_nonzero(u.view(float))
+    if keep == _ANCILLA:
+        u = u.transpose(1, 0, 2, 3)  # [kept out, traced out, in sig, in anc]
+    w = thermal_occupation(np.arange(d), nbar)
+    k = np.flatnonzero(w)
+    s = np.arange(2 * d - 1)[:, None, None]
+    i = np.arange(d)[None, :, None]
+    n_anc = np.arange(d)[None, None, :]
+    for tau in (1, -1):
+        sigma = 1 if keep == _SIGNAL else tau
+        rows = s - (d - 1 if sigma == 1 else 0) + sigma * i
+        # The traced port's photon number, fixed by the conserved quantity.
+        traced = (n_anc + tau * (i - rows) if keep == _SIGNAL
+                  else i + tau * (n_anc - rows))
+        inside = (rows >= 0) & (rows < d) & (traced >= 0) & (traced < d)
+        v = np.where(inside, u[np.clip(rows, 0, d - 1), np.clip(traced, 0, d - 1),
+                               i, n_anc], 0.0)
+        if np.count_nonzero(v.view(float)) == total:
+            break
+    else:
+        raise ValueError("stage unitary conserves neither n_a + n_b nor n_a - n_b")
+    v = v[:, :, k]
+    m = (v * w[k]) @ v.conj().transpose(0, 2, 1)
+    rows = np.clip(rows[:, :, 0], 0, d - 1)
+    for a in (m, rows):
+        a.setflags(write=False)
+    return m, rows
 
 
 def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
@@ -201,21 +245,18 @@ def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
     with param the transmittance, or :func:`two_mode_amplifier_unitary`
     with param the gain, acting on (signal, ancilla); the ancilla enters
     thermal with mean photon number nbar (vacuum at 0) and port ``keep`` is
-    kept.  Only the nonzero rows and columns of ``x`` and the nonzero
-    ancilla weights enter the contraction, so a rank-1 basis operator costs
-    d^4 and a general operator d^5."""
-    unitary, param, nbar, keep = stage
-    u = _stage_unitary(unitary, param, max_photons)
-    if keep == _ANCILLA:
-        u = u.transpose(1, 0, 2, 3)  # kept port first
-    w = thermal_occupation(np.arange(max_photons + 1), nbar)
-    k = np.flatnonzero(w)
+    kept.  The stage runs as its cached shift map (:func:`_stage_transfer`)
+    on the nonzero rows and columns of ``x`` only, so a rank-1 basis
+    operator reads 2d - 1 entries of M and a general operator all
+    (2d - 1) d^2."""
+    m, rows = _stage_transfer(stage, max_photons)
+    d = max_photons + 1
     i = np.flatnonzero(np.any(x != 0, axis=1))
     j = np.flatnonzero(np.any(x != 0, axis=0))
-    left = np.einsum("bwik,ij->bwjk", u[:, :, i[:, None], k], x[np.ix_(i, j)],
-                     optimize=True)
-    right = u[:, :, j[:, None], k].conj() * w[k]
-    return np.einsum("bwjk,cwjk->bc", left, right, optimize=True)
+    vals = (m[:, i[:, None], j] * x[np.ix_(i, j)]).ravel()
+    flat = (rows[:, i, None] * d + rows[:, None, j]).ravel()
+    out = np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
+    return out.reshape(d, d)
 
 
 @lru_cache(maxsize=256)
@@ -242,15 +283,42 @@ def _channel(params: ChannelParams, keep: int) -> tuple:
     return ((beamsplitter_unitary, params.eta, params.nbar_b, keep),)
 
 
+def _logical_weights(qubit: cf.LogicalQubit) -> np.ndarray:
+    """The logical matrix elements (x, x') of a qubit, in _RAIL_BASIS order."""
+    return np.array([qubit.alpha_sq, qubit.gamma, np.conj(qubit.gamma), qubit.beta_sq])
+
+
 def _two_mode(qubit: cf.LogicalQubit, rail: dict) -> np.ndarray:
     """Two-mode output from one rail's basis-operator images.  Logical
     |0> = |01> and |1> = |10>, so the logical matrix element (x, x') weights
     kron(image (x, x'), image (1-x, 1-x'))."""
-    w = np.array([qubit.alpha_sq, qubit.gamma, np.conj(qubit.gamma), qubit.beta_sq])
-    left = np.stack([rail[b] for b in _RAIL_BASIS]) * w[:, None, None]
+    left = np.stack([rail[b] for b in _RAIL_BASIS]) * _logical_weights(qubit)[:, None, None]
     right = np.stack([rail[(1 - x, 1 - xp)] for x, xp in _RAIL_BASIS])
     d = left.shape[1]
     return np.einsum("sij,skl->ikjl", left, right, optimize=True).reshape(d * d, d * d)
+
+
+def _two_mode_entries(qubit: cf.LogicalQubit, rail: dict, rows: np.ndarray,
+                      cols: np.ndarray) -> np.ndarray:
+    """The entries (rows, cols), flat two-mode indices, of :func:`_two_mode`,
+    gathered from the weighted image products without building the
+    d^2 x d^2 matrix."""
+    d = len(rail[(0, 0)])
+    f, g = np.divmod(rows, d)
+    fp, gp = np.divmod(cols, d)
+    return sum(w * rail[(x, xp)][f, fp] * rail[(1 - x, 1 - xp)][g, gp]
+               for w, (x, xp) in zip(_logical_weights(qubit), _RAIL_BASIS))
+
+
+def _checked_leak(trace: float) -> float:
+    """The probability mass a state of this trace lost above the cutoff,
+    refused above the oracle's leak limit."""
+    leak = float(max(0.0, 1.0 - trace))
+    if leak > _LEAK_LIMIT:
+        raise TruncationError(
+            f"truncation leak {leak:.3e} exceeds {_LEAK_LIMIT:g}; raise the cutoff"
+        )
+    return leak
 
 
 def _assemble_two_mode(
@@ -259,12 +327,7 @@ def _assemble_two_mode(
     """Two-mode output of both rails passed through ``stages``."""
     m = _two_mode(qubit, _rail_images(stages, cutoff.max_photons))
     m = 0.5 * (m + m.conj().T)
-    leak = float(max(0.0, 1.0 - np.trace(m).real))
-    if leak > _LEAK_LIMIT:
-        raise TruncationError(
-            f"truncation leak {leak:.3e} exceeds {_LEAK_LIMIT:g}; raise the cutoff"
-        )
-    return DensityOperator(2, cutoff, m, leak)
+    return DensityOperator(2, cutoff, m, _checked_leak(np.trace(m).real))
 
 
 def willie_state_numeric(
@@ -315,34 +378,43 @@ def verify_willie_state(
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
     tolerance: float = _TOLERANCE,
 ) -> VerificationReport:
-    """Entrywise closed form vs numeric warden state, plus a check that the
-    numeric state vanishes off the photon-number-conserving tri-diagonal
-    support pattern."""
+    """Closed form vs numeric warden state on its support pattern (the
+    diagonal and the photon-exchange coherences, gathered from the weighted
+    rail-image products), plus a check that each channel's rail image of
+    |x><x'| vanishes off its band, row - col = x - x'.  By linearity the
+    band check implies, for every qubit, that the numeric state vanishes
+    off the photon-number-conserving tri-diagonal pattern."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
-    d = cutoff.dim
-    pattern_off = ~np.eye(d * d, dtype=bool)
-    rows, cols = photon_exchange_indices(cutoff)
-    pattern_off[rows, cols] = False
-    pattern_off[cols, rows] = False
-    off_pattern = [0.0]
+    exchange, partner = photon_exchange_indices(cutoff)
+    diag = np.arange(cutoff.dim**2)
+    rows, cols = np.concatenate([diag, exchange]), np.concatenate([diag, partner])
+    off_band = [0.0]
 
     def errors():
         for params in channel_grid:
-            # Skip the per-qubit density-operator validation (covered by
-            # unit tests).
             rail = _rail_images(_channel(params, _ANCILLA), cutoff.max_photons)
+            off_band.append(_off_band(rail))
             for qubit in qubits:
-                numeric = _two_mode(qubit, rail)
-                closed = cf.willie_state_closed(qubit, params, cutoff).dense()
-                off_pattern.append(float(np.max(np.abs(numeric[pattern_off]))))
-                yield float(np.max(np.abs(numeric - closed))), _inputs(params, qubit)
+                closed = cf.willie_state_closed(qubit, params, cutoff)
+                want = np.concatenate([closed.diag.ravel(), closed.upper.ravel()[exchange]])
+                err = np.max(np.abs(_two_mode_entries(qubit, rail, rows, cols) - want))
+                yield float(err), _inputs(params, qubit)
 
-    # The off-pattern maximum goes in the relative-error slot.
+    # The off-band maximum goes in the relative-error slot.
     report = _report("willie_state", errors(), tolerance)
-    off = max(off_pattern)
+    off = max(off_band)
     return replace(report, max_rel_error=off,
                    passed=report.passed and off <= _PATTERN_TOLERANCE)
+
+
+def _off_band(rail: dict) -> float:
+    """Largest entry of any rail image of |x><x'| off its band row - col
+    = x - x'."""
+    d = len(rail[(0, 0)])
+    band = np.subtract.outer(np.arange(d), np.arange(d))
+    return max(float(np.max(np.abs(op[band != x - xp]), initial=0.0))
+               for (x, xp), op in rail.items())
 
 
 def verify_chi2(
@@ -465,17 +537,23 @@ def verify_depolarizing_reduction(
     failed weight with the maximally mixed logical state, and compare with a
     depolarizing channel of parameter p = 1 - eta/(1 + (1-eta) nbar_b)^4
     acting on the input.  This also audits the p' closed form, since
-    p = p' + (1-p') p_fail."""
+    p = p' + (1-p') p_fail.  The 2x2 block is gathered from the receiver's
+    rail images; no two-mode state is built."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
     cutoff = DEFAULT_ORACLE_CUTOFF
-    logical = np.ix_([1, cutoff.dim], [1, cutoff.dim])  # |01>, |10>
+    logical = np.array([1, cutoff.dim])  # |01>, |10>
+    rows, cols = np.repeat(logical, 2), np.tile(logical, 2)
 
     def errors():
         for params in channel_grid:
             p = cf.p_total(params)
+            rail = _rail_images(_channel(params, _SIGNAL), cutoff.max_photons)
+            # The trace of the two-mode state: the images of |0><1| and
+            # |1><0| are traceless, so it does not depend on the qubit.
+            _checked_leak(np.trace(rail[(0, 0)]).real * np.trace(rail[(1, 1)]).real)
             for qubit in qubits:
-                block = bob_state_numeric(qubit, params, cutoff).entries[logical]
+                block = _two_mode_entries(qubit, rail, rows, cols).reshape(2, 2)
                 fail_weight = 1.0 - float(np.trace(block).real)
                 projected = block + fail_weight * np.eye(2) / 2.0
                 target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
@@ -487,22 +565,31 @@ def verify_depolarizing_reduction(
     return _report("depolarizing_reduction", errors(), _TOLERANCE)
 
 
+@lru_cache(maxsize=8)
+def _ring_kernels(r: float, max_photons: int) -> tuple:
+    """Angles th_p = 2 pi p / P for P = 2 (N+1), and the truncated kernels
+    e^(z c^dag) e^(-z* c) at z = r e^(i th_p), one batched pair of
+    exponentials per radius."""
+    a = annihilation_op(FockCutoff(max_photons))
+    count = 2 * (max_photons + 1)
+    theta = 2.0 * np.pi * np.arange(count) / count
+    z = (r * np.exp(1j * theta))[:, None, None]
+    kernels = expm(z * a.conj().T) @ expm(-np.conj(z) * a)
+    for x in (theta, kernels):
+        x.setflags(write=False)
+    return theta, kernels
+
+
 def _ring_quad(m: int, mp: int, r: float, cutoff: FockCutoff,
-               weight: Callable[[float], complex] = lambda t: 1.0) -> complex:
-    """int_0^2pi weight(th) <m| e^(r e^(i th) c^dag) e^(-r e^(-i th) c) |mp> dth,
-    one real quadrature per part."""
-    from scipy.integrate import quad
+               weight: Callable[[np.ndarray], complex] = lambda t: 1.0) -> complex:
+    """int_0^2pi weight(th) <m| e^(r e^(i th) c^dag) e^(-r e^(-i th) c) |mp> dth
+    by the periodic trapezoid rule on the angles of :func:`_ring_kernels`.
 
-    a = annihilation_op(cutoff)
-
-    def f(t: float) -> complex:
-        z = r * np.exp(1j * t)
-        kernel = expm(z * a.conj().T) @ expm(-np.conj(z) * a)
-        return complex(weight(t) * kernel[m, mp])
-
-    re = quad(lambda t: f(t).real, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
-    im = quad(lambda t: f(t).imag, 0.0, 2.0 * np.pi, epsabs=1e-9, limit=200)[0]
-    return complex(re, im)
+    The truncated kernel element, times the weight (one harmonic here), is a
+    trigonometric polynomial with harmonics |k| <= N+1 < P, which the rule
+    integrates exactly."""
+    theta, kernels = _ring_kernels(r, cutoff.max_photons)
+    return complex(2.0 * np.pi / len(theta) * np.sum(weight(theta) * kernels[:, m, mp]))
 
 
 def laguerre_ring_integral(m: int, r: float, cutoff: FockCutoff) -> complex:

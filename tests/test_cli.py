@@ -318,17 +318,17 @@ class TestEbReport:
         assert code == 2
 
 
-def _modules_loaded_by(module, prefixes):
+def _modules_loaded_by(module, prefixes, run="pass"):
     """Names starting with one of ``prefixes`` in sys.modules after a fresh
-    interpreter imports ``module``."""
+    interpreter imports ``module`` and runs the statement ``run``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (f"import sys, {module}; "
+    code = (f"import sys, {module}; {run}; "
             f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip()
+    return out.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_neither_scipy_nor_oracle():
@@ -337,9 +337,17 @@ def test_cli_import_loads_neither_scipy_nor_oracle():
 
 
 def test_oracle_import_loads_no_quadrature_modules():
-    # scipy.integrate and scipy.special serve only the ring-integral checks.
+    # scipy.special serves only the Laguerre closed form; nothing in the
+    # package needs scipy.integrate.
     assert _modules_loaded_by("covert_bosonic.oracle",
                               ("scipy.integrate", "scipy.special")) == "[]"
+
+
+def test_ring_integral_check_loads_no_scipy_integrate():
+    # The ring integrals use the periodic trapezoid rule, not adaptive
+    # quadrature.
+    run = "covert_bosonic.cli.main(['verify', '--check', 'laguerre_diag'])"
+    assert _modules_loaded_by("covert_bosonic.cli", ("scipy.integrate",), run) == "[]"
 
 
 def test_package_serves_oracle_names_lazily():

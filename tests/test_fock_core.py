@@ -271,6 +271,48 @@ class TestSectorUnitaries:
             two_mode_amplifier_unitary(1.5, *modes, 2, FockCutoff(2))
 
 
+def sector_expm_core(strength, step, max_photons):
+    """exp(strength (X - X^dag)) on a two-mode space by one complex expm per
+    sector (X = a^dag b for step -1, a^dag b^dag for step +1): the reference
+    for the cached-eigensystem build."""
+    d = max_photons + 1
+    f, g = np.divmod(np.arange(d * d), d)
+    label = g - step * f
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for c in range(int(label.min()), int(label.max()) + 1):
+        idx = np.flatnonzero(label == c)
+        x = np.sqrt((f[idx[:-1]] + 1.0) * np.maximum(g[idx[:-1]], g[idx[1:]]))
+        gen = strength * np.diag(x.astype(complex), -1)
+        u[np.ix_(idx, idx)] = expm(gen - gen.T)
+    return u
+
+
+class TestSpectralBlocks:
+    CUT = FockCutoff(30)
+
+    @pytest.mark.parametrize("strength", [0.05, 0.3, 1.0, math.pi / 2])
+    def test_beamsplitter_matches_sector_expm(self, strength):
+        d = self.CUT.dim
+        u = beamsplitter_unitary(math.cos(strength) ** 2, 0, 1, 2, self.CUT)
+        parity = np.tile((-1.0) ** np.arange(d), d)[:, None]
+        ref = parity * sector_expm_core(np.arccos(math.cos(strength)), -1, 30)
+        assert np.max(np.abs(u - ref)) < 1e-13
+
+    @pytest.mark.parametrize("strength", [0.05, 0.3, 1.0, math.pi / 2])
+    def test_amplifier_matches_sector_expm(self, strength):
+        u = two_mode_amplifier_unitary(math.cosh(strength) ** 2, 0, 1, 2, self.CUT)
+        ref = sector_expm_core(np.arccosh(math.cosh(strength)), 1, 30)
+        assert np.max(np.abs(u - ref)) < 1e-13
+
+    def test_zero_strength_is_exact(self):
+        cut = FockCutoff(6)
+        d = cut.dim
+        parity = np.diag(np.tile((-1.0) ** np.arange(d), d)).astype(complex)
+        assert np.array_equal(beamsplitter_unitary(1.0, 0, 1, 2, cut), parity)
+        assert np.array_equal(two_mode_amplifier_unitary(1.0, 0, 1, 2, cut),
+                              np.eye(d * d, dtype=complex))
+
+
 class TestCharFn:
     def test_thermal_product_closed_form(self):
         nbar = 0.25

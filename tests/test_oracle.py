@@ -20,10 +20,13 @@ from covert_bosonic.fock_core import (
     beamsplitter_unitary,
     dual_rail_density,
     partial_trace,
+    photon_exchange_indices,
     tensor,
+    thermal_occupation,
     thermal_state,
     two_mode_amplifier_unitary,
 )
+from covert_bosonic import oracle
 from covert_bosonic.oracle import (
     ALL_CHECKS,
     VerificationReport,
@@ -36,6 +39,8 @@ from covert_bosonic.oracle import (
     laguerre_ring_integral,
     run_all_checks,
     verify_chi2,
+    verify_laguerre_lemma6,
+    verify_willie_state,
     willie_state_numeric,
 )
 
@@ -129,6 +134,113 @@ class TestEngineeredPipelines:
         )
         oracle_state = engineered_willie_state_numeric(qubit, plan, params, self.CUT)
         assert np.max(np.abs(oracle_state.entries - reference)) <= 1e-12
+
+
+def dense_stage(x, stage, max_photons):
+    """One stage by the dense d^4 contraction: the full stage unitary, the
+    thermal ancilla weights, the port not kept traced out."""
+    unitary, param, nbar, keep = stage
+    d = max_photons + 1
+    u = unitary(param, 0, 1, 2, FockCutoff(max_photons)).reshape(d, d, d, d)
+    if keep == oracle._ANCILLA:
+        u = u.transpose(1, 0, 2, 3)
+    w = thermal_occupation(np.arange(d), nbar)
+    left = np.einsum("bwik,ij->bwjk", u, x)
+    return np.einsum("bwjk,cwjk->bc", left, u.conj() * w)
+
+
+class TestStageTransfer:
+    """Each stage's cached shift map against the dense contraction."""
+
+    N = 8
+
+    def operators(self):
+        d = self.N + 1
+        rng = np.random.default_rng(5)
+        ops = []
+        for x, xp in ((0, 0), (0, 1), (1, 0), (3, 5)):
+            op = np.zeros((d, d), dtype=complex)
+            op[x, xp] = 1.0
+            ops.append(op)
+        ops.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return ops
+
+    @pytest.mark.parametrize("unitary, param", [
+        (beamsplitter_unitary, 0.0), (beamsplitter_unitary, 0.37),
+        (beamsplitter_unitary, 1.0), (two_mode_amplifier_unitary, 1.0),
+        (two_mode_amplifier_unitary, 1.3),
+    ])
+    @pytest.mark.parametrize("nbar", [0.0, 0.2])
+    @pytest.mark.parametrize("keep", [oracle._SIGNAL, oracle._ANCILLA])
+    def test_matches_dense_contraction(self, unitary, param, nbar, keep):
+        stage = (unitary, param, nbar, keep)
+        for op in self.operators():
+            got = oracle._apply_stage(op, stage, self.N)
+            ref = dense_stage(op, stage, self.N)
+            assert np.max(np.abs(got - ref)) < 1e-13
+
+    def test_cache_holds_no_dense_unitary(self):
+        d = self.N + 1
+        stage = (beamsplitter_unitary, 0.41, 0.1, oracle._SIGNAL)
+        arrays = oracle._stage_transfer(stage, self.N)
+        assert all(a.size <= (2 * d - 1) * d * d for a in arrays)
+
+    def test_unitary_off_conservation_is_refused(self):
+        def broken(param, *args):
+            u = beamsplitter_unitary(param, *args)
+            u[0, 5] = 1e-3  # |0,0> <- |0,5>: conserves neither number
+            return u
+
+        op = np.zeros((self.N + 1,) * 2, dtype=complex)
+        op[0, 0] = 1.0
+        with pytest.raises(ValueError, match="conserves neither"):
+            oracle._apply_stage(op, (broken, 0.5, 0.1, oracle._SIGNAL), self.N)
+
+
+class TestImageChecks:
+    """The entries the image-level checks compare are those of the dense
+    two-mode states."""
+
+    CUT = FockCutoff(8)
+    PARAMS = ChannelParams(0.7, 0.05)
+    QUBIT = LogicalQubit(0.3, 0.7, 0.2 - 0.3j)
+
+    def rail(self, keep):
+        return oracle._rail_images(oracle._channel(self.PARAMS, keep),
+                                   self.CUT.max_photons)
+
+    def test_pattern_entries_match_dense_state(self):
+        rail = self.rail(oracle._ANCILLA)
+        dense = oracle._two_mode(self.QUBIT, rail)
+        diag = np.arange(self.CUT.dim**2)
+        rows, cols = photon_exchange_indices(self.CUT)
+        for r, c in ((diag, diag), (rows, cols), (cols, rows)):
+            got = oracle._two_mode_entries(self.QUBIT, rail, r, c)
+            assert np.max(np.abs(got - dense[r, c])) < 1e-13
+
+    def test_logical_block_matches_receiver_state(self):
+        rail = self.rail(oracle._SIGNAL)
+        logical = np.array([1, self.CUT.dim])
+        got = oracle._two_mode_entries(self.QUBIT, rail, np.repeat(logical, 2),
+                                       np.tile(logical, 2)).reshape(2, 2)
+        dense = bob_state_numeric(self.QUBIT, self.PARAMS, self.CUT).entries
+        assert np.max(np.abs(got - dense[np.ix_(logical, logical)])) < 1e-13
+
+    def test_off_band_entry_fails_willie_state(self, monkeypatch):
+        images = oracle._rail_images
+
+        def planted(stages, max_photons):
+            rail = dict(images(stages, max_photons))
+            op = rail[(0, 0)].copy()
+            op[0, 2] = 1e-9  # band -2 of the image of |0><0|
+            rail[(0, 0)] = op
+            return rail
+
+        assert verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT).passed
+        monkeypatch.setattr(oracle, "_rail_images", planted)
+        report = verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT)
+        assert not report.passed
+        assert report.max_rel_error == 1e-9
 
 
 def test_numeric_states_use_no_closed_form(monkeypatch):
@@ -294,3 +406,15 @@ class TestRingIntegrals:
     def test_offdiag_vanishes_below_threshold(self):
         assert laguerre_offdiag_closed(0, 1.0) == 0.0
         assert laguerre_offdiag_ring_integral(0, 1.0, FockCutoff(10)) == 0.0
+
+    def test_trapezoid_rule_tells_phases_apart(self, monkeypatch):
+        # With weight e^(+i th) the integrand is a pure second harmonic, so
+        # the ring integral vanishes and the lemma must fail.
+        def conjugate_weight(m, r, cutoff):
+            if m < 1:
+                return 0.0
+            return oracle._ring_quad(m, m - 1, r, cutoff, lambda t: np.exp(1j * t))
+
+        assert verify_laguerre_lemma6().passed
+        monkeypatch.setattr(oracle, "laguerre_offdiag_ring_integral", conjugate_weight)
+        assert not verify_laguerre_lemma6().passed
