@@ -59,11 +59,8 @@ from .fock_core import (
     StateValidationError,
     TruncationError,
     anti_normal_char_fn,
-    apply_unitary,
     beamsplitter_unitary,
     chi2_numeric,
-    dual_rail_density,
-    partial_trace,
     qre,
     tensor,
     thermal_state,
@@ -96,12 +93,9 @@ __all__ = [
     "RankDeficiencyError",
     "TruncationError",
     "thermal_state",
-    "dual_rail_density",
     "tensor",
-    "partial_trace",
     "beamsplitter_unitary",
     "two_mode_amplifier_unitary",
-    "apply_unitary",
     "anti_normal_char_fn",
     "trace_distance",
     "qre",

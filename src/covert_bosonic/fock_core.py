@@ -6,8 +6,14 @@ row-major mode order (the first mode is the slowest index).  States carry
 an explicit ``truncation_leak`` so callers can tell how much probability
 mass fell above the cutoff and escalate N when needed.
 
+Every optical stage the package simulates couples one signal mode with one
+ancilla, so the beamsplitter and amplifier unitaries are built on modes
+(0, 1) of a two-mode space and nowhere else; their ``(mode_a, mode_b,
+num_modes)`` arguments must be ``(0, 1, 2)`` and remain only for existing
+positional callers.
+
 The algebra underneath runs on photon-number sectors.  A beamsplitter
-conserves the photon number of the two modes it couples (an amplifier their
+conserves the photon number of its two modes (an amplifier their
 difference), so each unitary is built block by block, one sector at a time,
 never as an exponential of the whole space.  Each sector's generator is its
 strength times a fixed tri-diagonal matrix, whose eigensystem is computed
@@ -25,15 +31,13 @@ grids.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .closed_form import LogicalQubit
 
 __all__ = [
     "DEFAULT_MAX_PHOTONS",
@@ -44,16 +48,12 @@ __all__ = [
     "RankDeficiencyError",
     "TruncationError",
     "annihilation_op",
-    "mode_annihilation_op",
     "thermal_occupation",
     "thermal_state",
     "photon_exchange_indices",
-    "dual_rail_density",
     "tensor",
-    "partial_trace",
     "beamsplitter_unitary",
     "two_mode_amplifier_unitary",
-    "apply_unitary",
     "anti_normal_char_fn",
     "trace_distance",
     "qre",
@@ -149,6 +149,11 @@ class DensityOperator:
         # nonzero parts (real and imaginary counted apart) as the matrix.
         if np.count_nonzero(values.view(float)) != np.count_nonzero(m.view(float)):
             sectors, values = _whole_space(dim), m.ravel()
+        # A NaN counts as nonzero, so a non-finite entry off the sectors has
+        # already made the whole space one block: checking the in-block
+        # values checks every entry.
+        if not np.isfinite(values).all():
+            raise StateValidationError("operator has non-finite entries")
         # Private: the block map and the in-block entries it selects.
         object.__setattr__(self, "_sectors", sectors)
         object.__setattr__(self, "_values", values)
@@ -190,17 +195,6 @@ def annihilation_op(cutoff: FockCutoff) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1).astype(complex)
 
 
-def mode_annihilation_op(mode: int, num_modes: int, cutoff: FockCutoff) -> np.ndarray:
-    """Annihilation operator acting on one mode of a multi-mode space."""
-    if not 0 <= mode < num_modes:
-        raise ValueError(f"mode {mode} out of range for {num_modes} modes")
-    d = cutoff.dim
-    op = np.array([[1.0 + 0.0j]])
-    for i in range(num_modes):
-        op = np.kron(op, annihilation_op(cutoff) if i == mode else np.eye(d))
-    return op
-
-
 def thermal_occupation(k: np.ndarray | int, nbar: float) -> np.ndarray | float:
     """Photon-number distribution of a thermal state: nbar^k/(1+nbar)^(k+1)."""
     return nbar**k / (1.0 + nbar) ** (np.asarray(k) + 1)
@@ -212,8 +206,8 @@ def thermal_state(nbar: float, cutoff: FockCutoff) -> DensityOperator:
     Diagonal in the Fock basis; the geometric tail above the cutoff is
     reported as the truncation leak.
     """
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0.0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
     k = np.arange(cutoff.dim)
     diag = np.asarray(thermal_occupation(k, nbar), dtype=float)
     leak = float(max(0.0, 1.0 - diag.sum()))
@@ -283,25 +277,6 @@ def _paired_blocks(a: "DensityOperator", b: "DensityOperator"):
     return [(a.entries, b.entries)]
 
 
-def dual_rail_density(qubit: "LogicalQubit", cutoff: FockCutoff) -> DensityOperator:
-    """Two-mode state of a dual-rail qubit: logical |0> = |01>, |1> = |10>.
-
-    The only nonzero entries are <01|rho|01> = |alpha|^2, <10|rho|10> =
-    |beta|^2 and the coherence <01|rho|10> = gamma (plus its conjugate).
-    """
-    if cutoff.max_photons < 1:
-        raise ValueError("cutoff must allow at least one photon per mode")
-    d = cutoff.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    i01 = 0 * d + 1
-    i10 = 1 * d + 0
-    m[i01, i01] = qubit.alpha_sq
-    m[i10, i10] = qubit.beta_sq
-    m[i01, i10] = qubit.gamma
-    m[i10, i01] = np.conj(qubit.gamma)
-    return DensityOperator(2, cutoff, m, 0.0)
-
-
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     """Kronecker product of two states; mode counts add."""
     if a.cutoff != b.cutoff:
@@ -310,26 +285,6 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(
         a.num_modes + b.num_modes, a.cutoff, np.kron(a.entries, b.entries), leak
     )
-
-
-def partial_trace(state: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Trace out all modes not listed in ``keep``; preserves the trace."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("keep must name at least one mode")
-    if keep[0] < 0 or keep[-1] >= state.num_modes:
-        raise ValueError(f"mode indices {keep} invalid for {state.num_modes} modes")
-    d = state.cutoff.dim
-    n = state.num_modes
-    t = state.entries.reshape((d,) * (2 * n))
-    traced = [m for m in range(n) if m not in keep]
-    # Contract row index m with column index n + m, highest first so the
-    # remaining axis numbers stay valid.
-    for m in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=m, axis2=t.ndim // 2 + m)
-    k = len(keep)
-    dim = d**k
-    return DensityOperator(k, state.cutoff, t.reshape(dim, dim), state.truncation_leak)
 
 
 # i^k, exactly: the similarity D = diag(i^k) that makes a sector's generator
@@ -385,51 +340,45 @@ def _two_mode_core(strength: float, step: int, max_photons: int) -> np.ndarray:
     return u
 
 
-def _embed(core: np.ndarray, mode_a: int, mode_b: int, num_modes: int,
-           cutoff: FockCutoff) -> np.ndarray:
-    """A two-mode operator on modes (a, b) acting on ``mode_a`` and
-    ``mode_b`` of a ``num_modes``-mode space, as the identity elsewhere: the
-    same blocks, repeated for every spectator photon number."""
-    modes = (mode_a, mode_b)
-    if mode_a == mode_b or not all(0 <= m < num_modes for m in modes):
-        raise ValueError(f"modes {modes} must be distinct modes of {num_modes}")
-    if modes == (0, 1) and num_modes == 2:
-        return core
-    d = cutoff.dim
-    rest = [m for m in range(num_modes) if m not in modes]
-    t = np.kron(core, np.eye(d ** len(rest))).reshape((d,) * (2 * num_modes))
-    axes = np.argsort([mode_a, mode_b, *rest]).tolist()
-    t = t.transpose(axes + [num_modes + a for a in axes])
-    return t.reshape(d**num_modes, d**num_modes)
+def _check_two_mode(mode_a: int, mode_b: int, num_modes: int) -> None:
+    if (mode_a, mode_b, num_modes) != (0, 1, 2):
+        raise ValueError(
+            "unitaries are built on modes (0, 1) of a two-mode space only, "
+            f"got modes ({mode_a}, {mode_b}) of {num_modes}"
+        )
 
 
 def beamsplitter_unitary(
     eta: float, mode_a: int, mode_b: int, num_modes: int, cutoff: FockCutoff
 ) -> np.ndarray:
-    """Beamsplitter coupling modes a and b with transmittance ``eta``.
+    """Beamsplitter of transmittance ``eta`` on a two-mode space.
 
-    Output convention (Heisenberg picture, with a = input on mode_a and
-    b = input on mode_b):
+    Only ``(mode_a, mode_b, num_modes) = (0, 1, 2)`` is built (signal on
+    mode 0, ancilla on mode 1); any other triple raises ``ValueError``.
+    The mode arguments remain only so that positional callers keep working.
 
-        mode_a out:  sqrt(eta) a + sqrt(1-eta) b       (transmitted port)
-        mode_b out:  sqrt(1-eta) a - sqrt(eta) b       (reflected port)
+    Output convention (Heisenberg picture, with a = input on mode 0 and
+    b = input on mode 1):
+
+        mode 0 out:  sqrt(eta) a + sqrt(1-eta) b       (transmitted port)
+        mode 1 out:  sqrt(1-eta) a - sqrt(eta) b       (reflected port)
 
     The minus sign on the reflected port is realized by composing a Fock
     rotation exp(theta (a^dag b - a b^dag)) with a photon-number parity on
-    mode_b; a plain rotation alone cannot produce this det = -1 mode map.
-    The rotation conserves the photon number of the two modes, so it is
-    built block by block over the sectors of equal n_a + n_b and equal
-    spectator photon numbers, each block of size at most N+1, from the
-    sector eigensystems cached per cutoff: e^(-i theta mu) on the
+    mode 1; a plain rotation alone cannot produce this det = -1 mode map.
+    The rotation conserves n_a + n_b, so it is built block by block over
+    the sectors of equal n_a + n_b, each block of size at most N+1, from
+    the sector eigensystems cached per cutoff: e^(-i theta mu) on the
     eigenvalues mu.  At eta = 1 (theta = 0) it is the parity map exactly.
     It is exact on any state fully supported below the cutoff.
     """
+    _check_two_mode(mode_a, mode_b, num_modes)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     d = cutoff.dim
     core = _two_mode_core(np.arccos(np.sqrt(eta)), -1, cutoff.max_photons)
-    core *= np.tile((-1.0) ** np.arange(d), d)[:, None]  # parity on mode b
-    return _embed(core, mode_a, mode_b, num_modes, cutoff)
+    core *= np.tile((-1.0) ** np.arange(d), d)[:, None]  # parity on mode 1
+    return core
 
 
 def two_mode_amplifier_unitary(
@@ -437,27 +386,22 @@ def two_mode_amplifier_unitary(
 ) -> np.ndarray:
     """Two-mode squeezer realizing a quantum-limited amplifier of gain G.
 
-    Heisenberg map: mode_a out = sqrt(G) a + sqrt(G-1) b^dag, with
+    Built on modes (0, 1) of a two-mode space only, under the same mode
+    contract as :func:`beamsplitter_unitary`; G must be finite and >= 1.
+    Heisenberg map: mode 0 out = sqrt(G) a + sqrt(G-1) b^dag, with
     cosh(r) = sqrt(G).  The generator r (a^dag b^dag - a b) conserves
     n_a - n_b, so the unitary is built block by block over the sectors of
-    equal n_a - n_b and equal spectator photon numbers, each block of size
-    at most N+1, from the sector eigensystems cached per cutoff; at G = 1
-    it is the identity exactly.  Every block is unitary on the truncated
-    space, but the physical map does not conserve photon number; callers
-    should check the output state's weight near the cutoff (its truncation
-    leak) for G not close to 1.
+    equal n_a - n_b, each block of size at most N+1, from the sector
+    eigensystems cached per cutoff; at G = 1 it is the identity exactly.
+    Every block is unitary on the truncated space, but the physical map
+    does not conserve photon number; callers should check the output
+    state's weight near the cutoff (its truncation leak) for G not close
+    to 1.
     """
-    if gain < 1.0:
-        raise ValueError(f"gain must be >= 1, got {gain}")
-    core = _two_mode_core(np.arccosh(np.sqrt(gain)), 1, cutoff.max_photons)
-    return _embed(core, mode_a, mode_b, num_modes, cutoff)
-
-
-def apply_unitary(state: DensityOperator, u: np.ndarray) -> DensityOperator:
-    """Conjugate a state by a unitary: rho -> U rho U^dag."""
-    out = u @ state.entries @ u.conj().T
-    out = 0.5 * (out + out.conj().T)  # scrub roundoff asymmetry only
-    return DensityOperator(state.num_modes, state.cutoff, out, state.truncation_leak)
+    _check_two_mode(mode_a, mode_b, num_modes)
+    if not (math.isfinite(gain) and gain >= 1.0):
+        raise ValueError(f"gain must be finite and >= 1, got {gain}")
+    return _two_mode_core(np.arccosh(np.sqrt(gain)), 1, cutoff.max_photons)
 
 
 @lru_cache(maxsize=512)
@@ -491,6 +435,8 @@ def anti_normal_char_fn(
     """
     if state.num_modes != 2:
         raise ValueError("anti_normal_char_fn expects a two-mode state")
+    if not (cmath.isfinite(zeta1) and cmath.isfinite(zeta2)):
+        raise ValueError(f"zeta must be finite, got ({zeta1}, {zeta2})")
     d = state.cutoff.dim
     # Photon numbers of bra (f, g) and ket (fp, gp) of every in-block entry.
     _, rows, cols = state._sectors

@@ -16,11 +16,12 @@ an ancilla entering thermal or in vacuum, one output port kept.  The rails
 pass through independent copies of the chain, so the four logical basis
 operators |x><x'| go through one rail's chain and the two-mode output is
 reassembled by linearity, without materializing the four-mode matrix
-(``tests/test_oracle.py`` checks this against the four-mode route).  Each
-stage conserves a photon number, so it runs as a cached shift map on the
-rail's bands, never as a dense d^4 unitary; the willie_state and
-depolarizing_reduction checks read the entries they compare straight from
-the rail images, without building a two-mode state.
+(the tests check this against the dense four-mode route in
+``tests/dense_reference.py``).  Each stage conserves a photon number, so it
+runs as a cached shift map on the rail's bands, never as a dense d^4
+unitary; the willie_state and depolarizing_reduction checks read the
+entries they compare straight from the rail images, without building a
+two-mode state.
 
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most

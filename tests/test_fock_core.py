@@ -15,12 +15,8 @@ from covert_bosonic.fock_core import (
     TruncationError,
     annihilation_op,
     anti_normal_char_fn,
-    apply_unitary,
     beamsplitter_unitary,
     chi2_numeric,
-    dual_rail_density,
-    mode_annihilation_op,
-    partial_trace,
     qre,
     tensor,
     thermal_occupation,
@@ -29,6 +25,13 @@ from covert_bosonic.fock_core import (
     two_mode_amplifier_unitary,
 )
 from covert_bosonic.closed_form import LogicalQubit
+from dense_reference import (
+    apply_unitary,
+    dual_rail_density,
+    embed,
+    mode_annihilation_op,
+    partial_trace,
+)
 
 CUT = FockCutoff(6)
 
@@ -64,6 +67,25 @@ class TestValidation:
         DensityOperator(1, CUT, m, truncation_leak=0.1)
         with pytest.raises(StateValidationError):
             DensityOperator(1, CUT, m, truncation_leak=0.05)
+
+    @pytest.mark.parametrize("where", ["in_sector", "off_sector", "one_mode_inf"])
+    def test_rejects_non_finite_entries(self, where):
+        cut = FockCutoff(2)
+        d = cut.dim
+        if where == "one_mode_inf":
+            m = np.diag([0.5, 0.5, 0.0]).astype(complex)
+            m[0, 1] = m[1, 0] = np.inf
+            num_modes = 1
+        else:
+            m = np.zeros((d * d, d * d), dtype=complex)
+            m[1, 1] = m[d, d] = 0.5  # |01>, |10>
+            if where == "in_sector":
+                m[1, d] = m[d, 1] = np.nan  # <01|rho|10>
+            else:
+                m[0, d + 1] = m[d + 1, 0] = np.nan  # <00|rho|11>
+            num_modes = 2
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityOperator(num_modes, cut, m)
 
     def test_entries_read_only(self):
         s = thermal_state(0.5, CUT)
@@ -122,6 +144,11 @@ class TestOperators:
         assert small.truncation_leak == pytest.approx(
             1.0 - sum(thermal_occupation(k, 2.0) for k in range(4))
         )
+
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf])
+    def test_thermal_state_rejects_non_finite_nbar(self, nbar):
+        with pytest.raises(ValueError, match="nbar must be finite"):
+            thermal_state(nbar, CUT)
 
     def test_dual_rail_density_entries(self):
         q = LogicalQubit(0.3, 0.7, 0.2 + 0.1j)
@@ -258,7 +285,7 @@ class TestSectorUnitaries:
     def test_matches_dense_exponential(self, kind, param, num_modes, modes, n):
         cut = FockCutoff(n)
         build = beamsplitter_unitary if kind == "beamsplitter" else two_mode_amplifier_unitary
-        u = build(param, *modes, num_modes, cut)
+        u = embed(build(param, 0, 1, 2, cut), *modes, num_modes, cut)
         ref = dense_unitary(kind, param, *modes, num_modes, cut)
         assert u.shape == ref.shape == (cut.dim**num_modes,) * 2
         assert np.max(np.abs(u - ref)) < 1e-13
@@ -269,6 +296,20 @@ class TestSectorUnitaries:
             beamsplitter_unitary(0.5, *modes, 2, FockCutoff(2))
         with pytest.raises(ValueError):
             two_mode_amplifier_unitary(1.5, *modes, 2, FockCutoff(2))
+
+    @pytest.mark.parametrize("modes", [(1, 0, 2), (0, 1, 3), (0, 2, 4), (1, 3, 4)])
+    def test_only_modes_0_1_of_two_are_built(self, modes):
+        with pytest.raises(ValueError, match=r"modes \(0, 1\) of a two-mode space"):
+            beamsplitter_unitary(0.5, *modes, FockCutoff(2))
+        with pytest.raises(ValueError, match=r"modes \(0, 1\) of a two-mode space"):
+            two_mode_amplifier_unitary(1.5, *modes, FockCutoff(2))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, value):
+        with pytest.raises(ValueError, match="eta must be in"):
+            beamsplitter_unitary(value, 0, 1, 2, FockCutoff(3))
+        with pytest.raises(ValueError, match="gain must be finite"):
+            two_mode_amplifier_unitary(value, 0, 1, 2, FockCutoff(3))
 
 
 def sector_expm_core(strength, step, max_photons):
@@ -328,6 +369,12 @@ class TestCharFn:
                    thermal_state(1.5, FockCutoff(5)))
         with pytest.raises(TruncationError):
             anti_normal_char_fn(s, 2.0, 2.0, error_tol=1e-12)
+
+    @pytest.mark.parametrize("zetas", [(math.nan, 0.1), (0.1, complex(0.0, math.inf))])
+    def test_rejects_non_finite_zeta(self, zetas):
+        s = tensor(thermal_state(0.1, CUT), thermal_state(0.1, CUT))
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            anti_normal_char_fn(s, *zetas)
 
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):

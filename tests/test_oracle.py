@@ -16,10 +16,7 @@ from covert_bosonic.fock_core import (
     ChannelParams,
     DensityOperator,
     FockCutoff,
-    apply_unitary,
     beamsplitter_unitary,
-    dual_rail_density,
-    partial_trace,
     photon_exchange_indices,
     tensor,
     thermal_occupation,
@@ -43,6 +40,7 @@ from covert_bosonic.oracle import (
     verify_willie_state,
     willie_state_numeric,
 )
+from dense_reference import apply_unitary, dual_rail_density, embed, partial_trace
 
 
 class TestPairwiseDecomposition:
@@ -54,8 +52,9 @@ class TestPairwiseDecomposition:
         rails = dual_rail_density(qubit, cut)
         env = thermal_state(params.nbar_b, cut)
         state = tensor(tensor(rails, env), env)
-        u1 = beamsplitter_unitary(params.eta, 0, 2, 4, cut)
-        u2 = beamsplitter_unitary(params.eta, 1, 3, 4, cut)
+        u = beamsplitter_unitary(params.eta, 0, 1, 2, cut)
+        u1 = embed(u, 0, 2, 4, cut)
+        u2 = embed(u, 1, 3, 4, cut)
         return partial_trace(apply_unitary(apply_unitary(state, u1), u2), keep)
 
     def test_willie_port(self):
