@@ -13,7 +13,6 @@ from .closed_form import (
     LogicalQubit,
     TriDiagonalWillieState,
     bob_state_closed,
-    char_fn_closed_effective,
     chi2_bound,
     chi2_closed,
     p_fail,
@@ -44,7 +43,6 @@ from .eb_engineering import (
     EbInfeasibleError,
     EbMechanism,
     EbPlan,
-    effective_willie_char_params,
     is_entanglement_breaking,
     lemma2_nbar_prime_lower_bound,
     plan_lemma1,
@@ -107,7 +105,6 @@ __all__ = [
     "willie_state_closed",
     "bob_state_closed",
     "willie_char_fn_closed",
-    "char_fn_closed_effective",
     "chi2_closed",
     "chi2_bound",
     "p_fail",
@@ -138,7 +135,6 @@ __all__ = [
     "lemma2_nbar_prime_lower_bound",
     "plan_lemma1",
     "plan_lemma2",
-    "effective_willie_char_params",
     # oracle
     "VerificationReport",
     "willie_state_numeric",

@@ -9,7 +9,9 @@ evaluates those coefficients, the matching anti-normally ordered
 characteristic function, the chi-squared divergence against the quiet
 (thermal product) state, and the projection/depolarizing parameters of
 the receiver-side reduction.  Everything is cross-checked entrywise by
-the brute-force channel simulation in :mod:`covert_bosonic.oracle`.
+the brute-force channel simulation in :mod:`covert_bosonic.oracle`.  The
+states come as :class:`TriDiagonalWillieState`, defined in ``fock_core``
+(the oracle fills the same layout without this module) and re-exported.
 
 Conventions fixed by that numeric cross-check (the relevant algebra
 admits cheap transposition/sign typos, so the simulation is treated as
@@ -33,9 +35,8 @@ import numpy as np
 
 from .fock_core import (
     ChannelParams,
-    DensityOperator,
     FockCutoff,
-    photon_exchange_indices,
+    TriDiagonalWillieState,
     thermal_occupation,
 )
 
@@ -46,7 +47,6 @@ __all__ = [
     "willie_state_closed",
     "bob_state_closed",
     "willie_char_fn_closed",
-    "char_fn_closed_effective",
     "chi2_closed",
     "chi2_bound",
     "p_fail",
@@ -105,38 +105,6 @@ class LogicalQubit:
         )
 
 
-@dataclass(frozen=True)
-class TriDiagonalWillieState:
-    """Sparse tri-diagonal representation of the warden-side output state.
-
-    ``diag[f, g]`` is <fg|rho|fg>; ``upper[f, g]`` is <fg|rho|f+1,g-1>
-    (zero where g = 0 or f+1 exceeds the cutoff); the lower coherences are
-    the conjugates of the matching upper entries.  Total photon number f+g
-    is conserved between bra and ket on every nonzero entry.
-    """
-
-    cutoff: FockCutoff
-    diag: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def truncation_leak(self) -> float:
-        return float(max(0.0, 1.0 - self.diag.sum()))
-
-    def dense(self) -> np.ndarray:
-        d = self.cutoff.dim
-        m = np.zeros((d * d, d * d), dtype=complex)
-        np.fill_diagonal(m, self.diag.ravel())
-        rows, cols = photon_exchange_indices(self.cutoff)
-        upper = self.upper.ravel()[rows]
-        m[rows, cols] = upper
-        m[cols, rows] = np.conj(upper)
-        return m
-
-    def to_density_operator(self) -> DensityOperator:
-        return DensityOperator(2, self.cutoff, self.dense(), self.truncation_leak)
-
-
 def _tridiagonal_state(
     qubit: LogicalQubit, reflect: float, occupancy: float, cutoff: FockCutoff
 ) -> TriDiagonalWillieState:
@@ -165,11 +133,10 @@ def _tridiagonal_state(
     corr = n_pow[g] - np.where(g >= 1, g * n_pow[np.maximum(g - 1, 0)], 0.0)
     w1 = (thermal[g] - reflect * corr / n1_pow[g + 2])[None, :] * thermal[:, None]
     diag = qubit.alpha_sq * w1 + qubit.beta_sq * w1.T
-    rows, _ = photon_exchange_indices(cutoff)
-    f, g = np.divmod(rows, d)
+    f, g = np.arange(d - 1)[:, None], np.arange(1, d)[None, :]  # the exchange pairs
     w2 = reflect * n_pow[f + g - 1] / n1_pow[f + g + 3] * np.sqrt(g * (f + 1))
     upper = np.zeros((d, d), dtype=complex)
-    upper.flat[rows] = qubit.gamma * w2
+    upper[:-1, 1:] = qubit.gamma * w2
     return TriDiagonalWillieState(cutoff, diag, upper)
 
 
@@ -196,36 +163,24 @@ def bob_state_closed(
     )
 
 
-def char_fn_closed_effective(
-    qubit: LogicalQubit,
-    reflect: float,
-    occupancy: float,
-    zeta1: complex,
-    zeta2: complex,
+def willie_char_fn_closed(
+    qubit: LogicalQubit, params: ChannelParams, zeta1: complex, zeta2: complex
 ) -> complex:
-    """Anti-normal characteristic function of the reflected-port output of a
-    thermal-noise beamsplitter with signal reflectance ``reflect`` and port
-    thermal occupancy ``occupancy``:
+    """Anti-normal characteristic function of the warden's output state.
 
-        exp(-(1 + occupancy)(|z1|^2 + |z2|^2))
-        * [1 - reflect (|a|^2 |z2|^2 + |b|^2 |z1|^2 + g z1 z2* + g* z1* z2)]
+    With reflectance r = 1 - eta and port occupancy n = eta nbar_b,
+
+        exp(-(1 + n)(|z1|^2 + |z2|^2))
+        * [1 - r (|a|^2 |z2|^2 + |b|^2 |z1|^2 + g z1 z2* + g* z1* z2)]
     """
     z1s = abs(zeta1) ** 2
     z2s = abs(zeta2) ** 2
     cross = qubit.gamma * zeta1 * np.conj(zeta2)
-    bracket = 1.0 - reflect * (
+    bracket = 1.0 - (1.0 - params.eta) * (
         qubit.alpha_sq * z2s + qubit.beta_sq * z1s + cross + np.conj(cross)
     )
+    occupancy = params.eta * params.nbar_b
     return complex(np.exp(-(1.0 + occupancy) * (z1s + z2s)) * bracket)
-
-
-def willie_char_fn_closed(
-    qubit: LogicalQubit, params: ChannelParams, zeta1: complex, zeta2: complex
-) -> complex:
-    """Anti-normal characteristic function of the warden's output state."""
-    return char_fn_closed_effective(
-        qubit, 1.0 - params.eta, params.eta * params.nbar_b, zeta1, zeta2
-    )
 
 
 def chi2_closed(qubit: LogicalQubit, params: ChannelParams) -> float:

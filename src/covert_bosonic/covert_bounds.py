@@ -87,6 +87,11 @@ def c_cov(params: ChannelParams) -> float:
 # constant when x is NaN.
 
 
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta >= 0.0):  # NaN or inf would make q 1
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+
+
 def _nbar_s(params: ChannelParams, delta: float, n) -> np.ndarray:
     """2 c_cov delta / sqrt(n): the covertness cap on the signal photon
     number, and the transmission probability before clamping to 1."""
@@ -95,8 +100,7 @@ def _nbar_s(params: ChannelParams, delta: float, n) -> np.ndarray:
         raise ValueError("n must be finite")
     if np.any(n < 1):
         raise ValueError("n must be >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    _check_delta(delta)
     if delta == 0.0:  # no budget, no signal, even where c_cov is infinite
         return np.zeros_like(n)
     return 2.0 * c_cov(params) * delta / np.sqrt(n)
@@ -241,6 +245,7 @@ def upper_bound_srl_coefficient(params: ChannelParams, delta: float) -> float:
     """Large-n limit of upper_bound_qubits / sqrt(n):
     4 c_cov delta log2(1 + 2/Gbar), from first-order expansion of the
     capacity around nbar_s = 0."""
+    _check_delta(delta)
     gbar = converse_gain(params) - 1.0
     return 4.0 * c_cov(params) * delta * math.log2(1.0 + 2.0 / gbar)
 

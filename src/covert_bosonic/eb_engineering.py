@@ -27,7 +27,6 @@ __all__ = [
     "lemma2_nbar_prime_upper_bound",
     "plan_lemma1",
     "plan_lemma2",
-    "effective_willie_char_params",
 ]
 
 DEFAULT_MARGIN = 0.9
@@ -50,9 +49,11 @@ class EbPlan:
     breaking, with the parameter substitutions it induces.
 
     ``effective_covert_params`` reproduces the engineered covertness
-    constant; ``effective_rate_params`` reproduces the engineered
-    achievable rate.  Unused knobs sit at their identity values (tau = 1,
-    gain_eb = 1, nbar_prime = 0).
+    constant and the warden's port, a thermal-noise beamsplitter of
+    reflectance 1 - eta and occupancy eta nbar_b in these parameters;
+    ``effective_rate_params`` reproduces the engineered achievable rate.
+    Unused knobs sit at their identity values (tau = 1, gain_eb = 1,
+    nbar_prime = 0).
     """
 
     mechanism: EbMechanism
@@ -185,15 +186,3 @@ def plan_lemma2(params: ChannelParams, nbar_prime: float | None = None) -> EbPla
         effective_rate_params=ChannelParams(params.eta, params.nbar_b + nbar_second),
     )
 
-
-def effective_willie_char_params(
-    plan: EbPlan, params: ChannelParams
-) -> tuple[float, float]:
-    """(reflectance, added thermal occupancy) of the single beamsplitter
-    equivalent to the engineered sender-to-warden channel, as seen in the
-    warden-port characteristic function."""
-    if plan.mechanism is EbMechanism.ATTENUATE:
-        return plan.tau * (1.0 - params.eta), params.eta * params.nbar_b
-    if plan.mechanism is EbMechanism.AMPLIFY:
-        return 1.0 - params.eta, params.eta * (params.nbar_b + plan.nbar_prime)
-    return 1.0 - params.eta, params.eta * params.nbar_b

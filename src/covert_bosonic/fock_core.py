@@ -22,7 +22,11 @@ eigenvalue and a small matrix product per block.  A state finds
 its blocks once, at construction: the sectors of equal total photon number
 when its matrix vanishes off them (every state the optics here produce),
 otherwise the whole space as one block.  Validation, the divergences and
-the characteristic function then read only those blocks.
+the characteristic function then read only those blocks.  A dual-rail
+input leaves such a channel's two-mode output tri-diagonal, a diagonal and
+one photon-exchange coherence per (f, g); the closed forms and the oracle's
+numeric states alike fill that layout, :class:`TriDiagonalWillieState`,
+whose one ``dense()`` makes the matrix.
 
 All objects are immutable after construction and all operations are pure
 functions, so evaluations are safe to run in parallel over parameter
@@ -51,6 +55,7 @@ __all__ = [
     "thermal_occupation",
     "thermal_state",
     "photon_exchange_indices",
+    "TriDiagonalWillieState",
     "tensor",
     "beamsplitter_unitary",
     "two_mode_amplifier_unitary",
@@ -67,6 +72,8 @@ DEFAULT_MAX_PHOTONS = 20
 _HERMITICITY_TOL = 1e-12
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-12
+# Largest change of the char fn, cutoff N against N - 2, counted as converged.
+_CHAR_FN_TOL = 1e-6
 
 
 class StateValidationError(ValueError):
@@ -139,6 +146,9 @@ class DensityOperator:
     def __post_init__(self):
         if self.num_modes < 1:
             raise ValueError("num_modes must be positive")
+        leak = self.truncation_leak
+        if not (math.isfinite(leak) and 0.0 <= leak <= 1.0):
+            raise ValueError(f"truncation_leak must be finite and in [0, 1], got {leak!r}")
         dim = self.cutoff.dim ** self.num_modes
         m = np.ascontiguousarray(self.entries, dtype=complex)
         if m.shape != (dim, dim):
@@ -227,6 +237,38 @@ def photon_exchange_indices(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]
     f, g = np.divmod(np.arange(d * d), d)
     i = np.flatnonzero((g >= 1) & (f + 1 < d))
     return i, i + d - 1
+
+
+@dataclass(frozen=True)
+class TriDiagonalWillieState:
+    """Sparse tri-diagonal representation of the warden-side output state.
+
+    ``diag[f, g]`` is <fg|rho|fg>; ``upper[f, g]`` is <fg|rho|f+1,g-1>
+    (zero where g = 0 or f+1 exceeds the cutoff); the lower coherences are
+    the conjugates of the matching upper entries.  Total photon number f+g
+    is conserved between bra and ket on every nonzero entry.
+    """
+
+    cutoff: FockCutoff
+    diag: np.ndarray
+    upper: np.ndarray
+
+    @property
+    def truncation_leak(self) -> float:
+        return float(max(0.0, 1.0 - self.diag.sum()))
+
+    def dense(self) -> np.ndarray:
+        d = self.cutoff.dim
+        m = np.zeros((d * d, d * d), dtype=complex)
+        np.fill_diagonal(m, self.diag.ravel())
+        rows, cols = photon_exchange_indices(self.cutoff)
+        upper = self.upper.ravel()[rows]
+        m[rows, cols] = upper
+        m[cols, rows] = np.conj(upper)
+        return m
+
+    def to_density_operator(self) -> DensityOperator:
+        return DensityOperator(2, self.cutoff, self.dense(), self.truncation_leak)
 
 
 # A block map is (sizes, rows, cols): the sizes of the diagonal blocks of a
@@ -416,13 +458,7 @@ def _char_fn_ops_cached(z: complex, max_photons: int) -> np.ndarray:
     return out
 
 
-def anti_normal_char_fn(
-    state: DensityOperator,
-    zeta1: complex,
-    zeta2: complex,
-    *,
-    error_tol: float = 1e-6,
-) -> complex:
+def anti_normal_char_fn(state: DensityOperator, zeta1: complex, zeta2: complex) -> complex:
     """Anti-normally ordered characteristic function of a two-mode state:
 
         tr[rho exp(-z1* a1) exp(z1 a1^dag) exp(-z2* a2) exp(z2 a2^dag)]
@@ -430,29 +466,31 @@ def anti_normal_char_fn(
     The displacement exponentials are evaluated as truncated operator
     exponentials, and only the state's in-block entries enter the trace.
     Convergence is estimated by recomputing with the cutoff lowered by two;
-    if the two values differ by more than ``error_tol`` the result is
-    rejected with :class:`TruncationError`.
+    if the two values differ by more than 1e-6 the result is rejected with
+    :class:`TruncationError`, as is any cutoff below 3, which leaves no
+    lower cutoff to compare with.
     """
     if state.num_modes != 2:
         raise ValueError("anti_normal_char_fn expects a two-mode state")
     if not (cmath.isfinite(zeta1) and cmath.isfinite(zeta2)):
         raise ValueError(f"zeta must be finite, got ({zeta1}, {zeta2})")
+    n = state.cutoff.max_photons
+    if n < 3:  # no cutoff n - 2 >= 1 to compare with
+        raise TruncationError(f"characteristic function unchecked at N={n} < 3")
     d = state.cutoff.dim
     # Photon numbers of bra (f, g) and ket (fp, gp) of every in-block entry.
     _, rows, cols = state._sectors
     f, g = np.divmod(rows, d)
     fp, gp = np.divmod(cols, d)
-    n = state.cutoff.max_photons
     value = _char_fn_trace(state._values, f, g, fp, gp, n, zeta1, zeta2)
-    if n >= 3:
-        low = np.maximum(np.maximum(f, g), np.maximum(fp, gp)) <= n - 2
-        ref = _char_fn_trace(state._values[low], f[low], g[low], fp[low], gp[low],
-                             n - 2, zeta1, zeta2)
-        if abs(value - ref) > error_tol:
-            raise TruncationError(
-                f"characteristic function not converged at N={n}: "
-                f"|delta| = {abs(value - ref):.3e} > {error_tol:g}"
-            )
+    low = np.maximum(np.maximum(f, g), np.maximum(fp, gp)) <= n - 2
+    ref = _char_fn_trace(state._values[low], f[low], g[low], fp[low], gp[low],
+                         n - 2, zeta1, zeta2)
+    if abs(value - ref) > _CHAR_FN_TOL:
+        raise TruncationError(
+            f"characteristic function not converged at N={n}: "
+            f"|delta| = {abs(value - ref):.3e} > {_CHAR_FN_TOL:g}"
+        )
     return complex(value)
 
 
@@ -476,7 +514,10 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
 
     ``b`` must be full rank on the truncated support; a singular reference
     raises :class:`RankDeficiencyError` rather than silently regularizing.
+    ``base`` must be finite, positive and not 1.
     """
+    if not (math.isfinite(base) and base > 0.0 and base != 1.0):
+        raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
     ent_a = cross = 0.0
     for x, wb, vb in _against_reference(a, b):
         wa = np.clip(np.linalg.eigvalsh(x), 0.0, None)

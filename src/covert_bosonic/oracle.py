@@ -19,9 +19,11 @@ reassembled by linearity, without materializing the four-mode matrix
 (the tests check this against the dense four-mode route in
 ``tests/dense_reference.py``).  Each stage conserves a photon number, so it
 runs as a cached shift map on the rail's bands, never as a dense d^4
-unitary; the willie_state and depolarizing_reduction checks read the
-entries they compare straight from the rail images, without building a
-two-mode state.
+unitary.  The image of |x><x'| lies on the band row - col = x - x', so every
+numeric state is read from the images into the tri-diagonal (diag, upper)
+layout of :class:`TriDiagonalWillieState` that the closed forms fill; an
+image with weight off its band is refused.  The checks compare those arrays,
+and only a state handed out as a :class:`DensityOperator` is made dense.
 
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most
@@ -58,18 +60,17 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import closed_form as cf
-from .eb_engineering import (EbPlan, effective_willie_char_params, plan_lemma1,
-                             plan_lemma2)
+from .eb_engineering import EbPlan, plan_lemma1, plan_lemma2
 from .fock_core import (
     ChannelParams,
     DensityOperator,
     FockCutoff,
+    TriDiagonalWillieState,
     TruncationError,
     annihilation_op,
     anti_normal_char_fn,
     beamsplitter_unitary,
     chi2_numeric,
-    photon_exchange_indices,
     qre,
     tensor,
     thermal_occupation,
@@ -284,31 +285,21 @@ def _channel(params: ChannelParams, keep: int) -> tuple:
     return ((beamsplitter_unitary, params.eta, params.nbar_b, keep),)
 
 
-def _logical_weights(qubit: cf.LogicalQubit) -> np.ndarray:
-    """The logical matrix elements (x, x') of a qubit, in _RAIL_BASIS order."""
-    return np.array([qubit.alpha_sq, qubit.gamma, np.conj(qubit.gamma), qubit.beta_sq])
-
-
-def _two_mode(qubit: cf.LogicalQubit, rail: dict) -> np.ndarray:
-    """Two-mode output from one rail's basis-operator images.  Logical
-    |0> = |01> and |1> = |10>, so the logical matrix element (x, x') weights
-    kron(image (x, x'), image (1-x, 1-x'))."""
-    left = np.stack([rail[b] for b in _RAIL_BASIS]) * _logical_weights(qubit)[:, None, None]
-    right = np.stack([rail[(1 - x, 1 - xp)] for x, xp in _RAIL_BASIS])
-    d = left.shape[1]
-    return np.einsum("sij,skl->ikjl", left, right, optimize=True).reshape(d * d, d * d)
-
-
-def _two_mode_entries(qubit: cf.LogicalQubit, rail: dict, rows: np.ndarray,
-                      cols: np.ndarray) -> np.ndarray:
-    """The entries (rows, cols), flat two-mode indices, of :func:`_two_mode`,
-    gathered from the weighted image products without building the
-    d^2 x d^2 matrix."""
+def _tri_diagonal(qubit: cf.LogicalQubit, rail: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, upper) of :class:`TriDiagonalWillieState` for the two-mode
+    output, from one rail's basis-operator images.  Logical |0> = |01> and
+    |1> = |10>, so the logical matrix element (x, x') weights image (x, x')
+    on the first mode times image (1-x, 1-x') on the second.  Weight off the
+    images' bands is not read; callers check it with :func:`_off_band`."""
     d = len(rail[(0, 0)])
-    f, g = np.divmod(rows, d)
-    fp, gp = np.divmod(cols, d)
-    return sum(w * rail[(x, xp)][f, fp] * rail[(1 - x, 1 - xp)][g, gp]
-               for w, (x, xp) in zip(_logical_weights(qubit), _RAIL_BASIS))
+    diag = np.zeros((d, d), dtype=complex)
+    upper = np.zeros((d, d), dtype=complex)
+    weights = (qubit.alpha_sq, qubit.gamma, np.conj(qubit.gamma), qubit.beta_sq)
+    for w, (x, xp) in zip(weights, _RAIL_BASIS):
+        left, right = rail[(x, xp)], rail[(1 - x, 1 - xp)]
+        diag += np.outer(w * np.diag(left), np.diag(right))
+        upper[:-1, 1:] += np.outer(w * np.diag(left, 1), np.diag(right, -1))
+    return diag.real, upper
 
 
 def _checked_leak(trace: float) -> float:
@@ -325,10 +316,16 @@ def _checked_leak(trace: float) -> float:
 def _assemble_two_mode(
     qubit: cf.LogicalQubit, stages: tuple, cutoff: FockCutoff
 ) -> DensityOperator:
-    """Two-mode output of both rails passed through ``stages``."""
-    m = _two_mode(qubit, _rail_images(stages, cutoff.max_photons))
-    m = 0.5 * (m + m.conj().T)
-    return DensityOperator(2, cutoff, m, _checked_leak(np.trace(m).real))
+    """Two-mode output of both rails passed through ``stages``.  The layout
+    holds only the tri-diagonal pattern, so a rail image with weight off its
+    band, which would put weight off the pattern, is refused."""
+    rail = _rail_images(stages, cutoff.max_photons)
+    off = _off_band(rail)
+    if off > 0.0:
+        raise ValueError(f"rail image has weight {off:.3e} off its band; "
+                         "the two-mode output is not tri-diagonal")
+    state = TriDiagonalWillieState(cutoff, *_tri_diagonal(qubit, rail))
+    return DensityOperator(2, cutoff, state.dense(), _checked_leak(state.diag.sum()))
 
 
 def willie_state_numeric(
@@ -379,17 +376,14 @@ def verify_willie_state(
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
     tolerance: float = _TOLERANCE,
 ) -> VerificationReport:
-    """Closed form vs numeric warden state on its support pattern (the
-    diagonal and the photon-exchange coherences, gathered from the weighted
-    rail-image products), plus a check that each channel's rail image of
-    |x><x'| vanishes off its band, row - col = x - x'.  By linearity the
-    band check implies, for every qubit, that the numeric state vanishes
-    off the photon-number-conserving tri-diagonal pattern."""
+    """Closed form vs numeric warden state in their shared tri-diagonal
+    layout (the diagonal and the photon-exchange coherences), plus a check
+    that each channel's rail image of |x><x'| vanishes off its band,
+    row - col = x - x'.  By linearity the band check implies, for every
+    qubit, that the numeric state vanishes off the photon-number-conserving
+    tri-diagonal pattern, so the layout holds all of it."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
-    exchange, partner = photon_exchange_indices(cutoff)
-    diag = np.arange(cutoff.dim**2)
-    rows, cols = np.concatenate([diag, exchange]), np.concatenate([diag, partner])
     off_band = [0.0]
 
     def errors():
@@ -398,8 +392,9 @@ def verify_willie_state(
             off_band.append(_off_band(rail))
             for qubit in qubits:
                 closed = cf.willie_state_closed(qubit, params, cutoff)
-                want = np.concatenate([closed.diag.ravel(), closed.upper.ravel()[exchange]])
-                err = np.max(np.abs(_two_mode_entries(qubit, rail, rows, cols) - want))
+                diag, upper = _tri_diagonal(qubit, rail)
+                err = max(np.max(np.abs(diag - closed.diag)),
+                          np.max(np.abs(upper - closed.upper)))
                 yield float(err), _inputs(params, qubit)
 
     # The off-band maximum goes in the relative-error slot.
@@ -538,23 +533,22 @@ def verify_depolarizing_reduction(
     failed weight with the maximally mixed logical state, and compare with a
     depolarizing channel of parameter p = 1 - eta/(1 + (1-eta) nbar_b)^4
     acting on the input.  This also audits the p' closed form, since
-    p = p' + (1-p') p_fail.  The 2x2 block is gathered from the receiver's
-    rail images; no two-mode state is built."""
+    p = p' + (1-p') p_fail.  The 2x2 block is read from the receiver's
+    tri-diagonal layout; no dense two-mode state is built."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
     cutoff = DEFAULT_ORACLE_CUTOFF
-    logical = np.array([1, cutoff.dim])  # |01>, |10>
-    rows, cols = np.repeat(logical, 2), np.tile(logical, 2)
 
     def errors():
         for params in channel_grid:
             p = cf.p_total(params)
             rail = _rail_images(_channel(params, _SIGNAL), cutoff.max_photons)
-            # The trace of the two-mode state: the images of |0><1| and
-            # |1><0| are traceless, so it does not depend on the qubit.
-            _checked_leak(np.trace(rail[(0, 0)]).real * np.trace(rail[(1, 1)]).real)
             for qubit in qubits:
-                block = _two_mode_entries(qubit, rail, rows, cols).reshape(2, 2)
+                diag, upper = _tri_diagonal(qubit, rail)
+                _checked_leak(diag.sum())
+                # <01|rho|01>, <01|rho|10> and <10|rho|10>.
+                block = np.array([[diag[0, 1], upper[0, 1]],
+                                  [np.conj(upper[0, 1]), diag[1, 0]]])
                 fail_weight = 1.0 - float(np.trace(block).real)
                 projected = block + fail_weight * np.eye(2) / 2.0
                 target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
@@ -652,8 +646,8 @@ def verify_eb_pipelines() -> VerificationReport:
         for params, plan in _EB_CASES:
             yield from _char_fn_errors(
                 engineered_willie_state_numeric(_EB_QUBIT, plan, params),
-                partial(cf.char_fn_closed_effective, _EB_QUBIT,
-                        *effective_willie_char_params(plan, params)),
+                partial(cf.willie_char_fn_closed, _EB_QUBIT,
+                        plan.effective_covert_params),
                 {"eta": params.eta, "nbar_b": params.nbar_b,
                  "mechanism": plan.mechanism.value})
 

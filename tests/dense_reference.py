@@ -3,9 +3,10 @@
 The package builds every unitary on modes (0, 1) of a two-mode space and
 never materializes a state of more than two modes.  These helpers do the
 same optics the slow way, over whole multi-mode spaces: spectator modes
-and mode swaps by Kronecker products, conjugation by a dense unitary and
-partial traces.  Tests compare the package's two-mode and rail-by-rail
-results against them.
+and mode swaps by Kronecker products, conjugation by a dense unitary,
+partial traces, and the two-mode state as one dense product of rail
+images.  Tests compare the package's two-mode and rail-by-rail results
+against them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,20 @@ def dual_rail_density(qubit: LogicalQubit, cutoff: FockCutoff) -> DensityOperato
     m[i01, i10] = qubit.gamma
     m[i10, i01] = np.conj(qubit.gamma)
     return DensityOperator(2, cutoff, m, 0.0)
+
+
+def two_mode(qubit: LogicalQubit, rail: dict) -> np.ndarray:
+    """Dense two-mode output from one rail's images of the basis operators
+    |x><x'| (keyed (x, x')): the logical matrix element (x, x') weights
+    kron(image (x, x'), image (1-x, 1-x')), summed as one einsum over all
+    d^4 entries and made Hermitian."""
+    basis = ((0, 0), (0, 1), (1, 0), (1, 1))
+    weights = np.array([qubit.alpha_sq, qubit.gamma, np.conj(qubit.gamma), qubit.beta_sq])
+    left = np.stack([rail[b] for b in basis]) * weights[:, None, None]
+    right = np.stack([rail[(1 - x, 1 - xp)] for x, xp in basis])
+    d = left.shape[1]
+    m = np.einsum("sij,skl->ikjl", left, right, optimize=True).reshape(d * d, d * d)
+    return 0.5 * (m + m.conj().T)
 
 
 def partial_trace(state: DensityOperator, keep: Iterable[int]) -> DensityOperator:

@@ -62,6 +62,32 @@ class TestCovertnessConstant:
             q_max(FIG2, -0.1, 100)
 
 
+class TestNonFiniteDelta:
+    """A NaN or infinite budget would clamp q to 1 and put the achievable
+    count above the converse; every function taking delta refuses it."""
+
+    CALLS = {
+        "q_max": lambda d: q_max(FIG2, d, 1e6),
+        "nbar_s_max": lambda d: nbar_s_max(FIG2, d, 1e6),
+        "lower_bound_qubits": lambda d: lower_bound_qubits(FIG2, d, 1e6),
+        "assisted_lower_bound_qubits": lambda d: assisted_lower_bound_qubits(FIG2, d, 1e6),
+        "upper_bound_qubits": lambda d: upper_bound_qubits(FIG2, d, 1e6),
+        "upper_bound_srl_coefficient": lambda d: upper_bound_srl_coefficient(FIG2, d),
+        "achievable_qubits": lambda d: achievable_qubits(FIG2, d, [1e6], 0.5),
+        "bounds_curve": lambda d: bounds_curve(FIG2, d, [1e6]),
+    }
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_refused(self, name, delta):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            self.CALLS[name](delta)
+
+    def test_srl_coefficient_refuses_negative_delta(self):
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            upper_bound_srl_coefficient(FIG2, -0.1)
+
+
 class TestEntropyAndRates:
     def test_shannon_entropy_extremes(self):
         # p = 0: H(1, 0, 0, 0) = 0 with 0 log 0 = 0.  p = 1 (eta = 0): the

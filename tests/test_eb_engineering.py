@@ -4,7 +4,6 @@ import pytest
 from covert_bosonic.eb_engineering import (
     EbInfeasibleError,
     EbMechanism,
-    effective_willie_char_params,
     is_entanglement_breaking,
     lemma2_nbar_prime_lower_bound,
     lemma2_nbar_prime_upper_bound,
@@ -23,6 +22,13 @@ from dense_reference import apply_unitary, partial_trace
 
 BREAKING = ChannelParams(0.9, 0.12)  # 0.108 > 0.1
 NOT_BREAKING = ChannelParams(0.5, 0.5)  # 0.25 < 0.5
+
+
+def warden_port(plan):
+    """(reflectance, occupancy) of the warden's port under the plan's
+    effective covert parameters."""
+    p = plan.effective_covert_params
+    return 1.0 - p.eta, p.eta * p.nbar_b
 
 
 class TestBreakingCondition:
@@ -70,8 +76,8 @@ class TestAttenuationPlan:
     def test_stronger_attenuation_lowers_reflectance(self):
         weak = plan_lemma1(NOT_BREAKING, margin=0.9)
         strong = plan_lemma1(NOT_BREAKING, margin=0.5)
-        r_weak, _ = effective_willie_char_params(weak, NOT_BREAKING)
-        r_strong, _ = effective_willie_char_params(strong, NOT_BREAKING)
+        r_weak, _ = warden_port(weak)
+        r_strong, _ = warden_port(strong)
         assert r_strong < r_weak
 
 
@@ -147,19 +153,19 @@ class TestAmplificationPlan:
 class TestWardenPortParameters:
     def test_attenuate_scales_reflectance_only(self):
         plan = plan_lemma1(NOT_BREAKING, margin=0.9)
-        reflect, occ = effective_willie_char_params(plan, NOT_BREAKING)
+        reflect, occ = warden_port(plan)
         assert reflect == pytest.approx(0.45 * 0.5)
         assert occ == pytest.approx(0.25)
 
     def test_amplify_raises_occupancy_only(self):
         plan = plan_lemma2(NOT_BREAKING, nbar_prime=0.6)
-        reflect, occ = effective_willie_char_params(plan, NOT_BREAKING)
+        reflect, occ = warden_port(plan)
         assert reflect == pytest.approx(0.5)
         assert occ == pytest.approx(0.5 * 1.1)
 
     def test_identity_plan_leaves_parameters_alone(self):
         plan = plan_lemma2(BREAKING)
-        assert effective_willie_char_params(plan, BREAKING) == (
+        assert warden_port(plan) == (
             pytest.approx(0.1),
             pytest.approx(0.108),
         )

@@ -68,6 +68,11 @@ class TestValidation:
         with pytest.raises(StateValidationError):
             DensityOperator(1, CUT, m, truncation_leak=0.05)
 
+    @pytest.mark.parametrize("leak", [math.inf, math.nan, -0.1, 5.0])
+    def test_rejects_leak_outside_unit_interval(self, leak):
+        with pytest.raises(ValueError, match="truncation_leak"):
+            DensityOperator(1, CUT, np.zeros((7, 7)), truncation_leak=leak)
+
     @pytest.mark.parametrize("where", ["in_sector", "off_sector", "one_mode_inf"])
     def test_rejects_non_finite_entries(self, where):
         cut = FockCutoff(2)
@@ -368,7 +373,14 @@ class TestCharFn:
         s = tensor(thermal_state(1.5, FockCutoff(5)),
                    thermal_state(1.5, FockCutoff(5)))
         with pytest.raises(TruncationError):
-            anti_normal_char_fn(s, 2.0, 2.0, error_tol=1e-12)
+            anti_normal_char_fn(s, 2.0, 2.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cutoff_without_a_reference_is_refused(self, n):
+        # At N = 1 the truncated trace is 0.92, the exact value 2.1e-9.
+        s = tensor(thermal_state(1.5, FockCutoff(n)), thermal_state(1.5, FockCutoff(n)))
+        with pytest.raises(TruncationError, match="unchecked"):
+            anti_normal_char_fn(s, 2.0, 2.0)
 
     @pytest.mark.parametrize("zetas", [(math.nan, 0.1), (0.1, complex(0.0, math.inf))])
     def test_rejects_non_finite_zeta(self, zetas):
@@ -404,6 +416,12 @@ class TestDivergences:
         assert qre(a, b, base=2.0) == pytest.approx(
             qre(a, b, base=math.e) / math.log(2.0)
         )
+
+    @pytest.mark.parametrize("base", [1.0, -1.0, 0.0, math.inf, math.nan])
+    def test_qre_rejects_bad_base(self, base):
+        s = thermal_state(0.4, CUT)
+        with pytest.raises(ValueError, match="base"):
+            qre(s, s, base=base)
 
     def test_qre_rank_deficient_reference_raises(self):
         d = CUT.dim

@@ -16,8 +16,8 @@ from covert_bosonic.fock_core import (
     ChannelParams,
     DensityOperator,
     FockCutoff,
+    TriDiagonalWillieState,
     beamsplitter_unitary,
-    photon_exchange_indices,
     tensor,
     thermal_occupation,
     thermal_state,
@@ -40,7 +40,8 @@ from covert_bosonic.oracle import (
     verify_willie_state,
     willie_state_numeric,
 )
-from dense_reference import apply_unitary, dual_rail_density, embed, partial_trace
+from dense_reference import (apply_unitary, dual_rail_density, embed, partial_trace,
+                             two_mode)
 
 
 class TestPairwiseDecomposition:
@@ -197,8 +198,8 @@ class TestStageTransfer:
 
 
 class TestImageChecks:
-    """The entries the image-level checks compare are those of the dense
-    two-mode states."""
+    """The tri-diagonal layout the oracle reads from the rail images holds
+    the whole dense two-mode state."""
 
     CUT = FockCutoff(8)
     PARAMS = ChannelParams(0.7, 0.05)
@@ -210,22 +211,18 @@ class TestImageChecks:
 
     def test_pattern_entries_match_dense_state(self):
         rail = self.rail(oracle._ANCILLA)
-        dense = oracle._two_mode(self.QUBIT, rail)
-        diag = np.arange(self.CUT.dim**2)
-        rows, cols = photon_exchange_indices(self.CUT)
-        for r, c in ((diag, diag), (rows, cols), (cols, rows)):
-            got = oracle._two_mode_entries(self.QUBIT, rail, r, c)
-            assert np.max(np.abs(got - dense[r, c])) < 1e-13
+        layout = TriDiagonalWillieState(self.CUT, *oracle._tri_diagonal(self.QUBIT, rail))
+        assert np.max(np.abs(layout.dense() - two_mode(self.QUBIT, rail))) < 1e-13
 
     def test_logical_block_matches_receiver_state(self):
         rail = self.rail(oracle._SIGNAL)
-        logical = np.array([1, self.CUT.dim])
-        got = oracle._two_mode_entries(self.QUBIT, rail, np.repeat(logical, 2),
-                                       np.tile(logical, 2)).reshape(2, 2)
-        dense = bob_state_numeric(self.QUBIT, self.PARAMS, self.CUT).entries
+        diag, upper = oracle._tri_diagonal(self.QUBIT, rail)
+        got = np.array([[diag[0, 1], upper[0, 1]], [np.conj(upper[0, 1]), diag[1, 0]]])
+        logical = np.array([1, self.CUT.dim])  # |01>, |10>
+        dense = two_mode(self.QUBIT, rail)
         assert np.max(np.abs(got - dense[np.ix_(logical, logical)])) < 1e-13
 
-    def test_off_band_entry_fails_willie_state(self, monkeypatch):
+    def plant_off_band_entry(self, monkeypatch):
         images = oracle._rail_images
 
         def planted(stages, max_photons):
@@ -235,11 +232,26 @@ class TestImageChecks:
             rail[(0, 0)] = op
             return rail
 
-        assert verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT).passed
         monkeypatch.setattr(oracle, "_rail_images", planted)
+
+    def test_off_band_entry_fails_willie_state(self, monkeypatch):
+        assert verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT).passed
+        self.plant_off_band_entry(monkeypatch)
         report = verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT)
         assert not report.passed
         assert report.max_rel_error == 1e-9
+
+    def test_off_band_entry_is_refused_by_the_layout(self, monkeypatch):
+        self.plant_off_band_entry(monkeypatch)
+        stages = oracle._channel(self.PARAMS, oracle._ANCILLA)
+        with pytest.raises(ValueError, match="off its band"):
+            oracle._assemble_two_mode(self.QUBIT, stages, self.CUT)
+
+    def test_layout_is_shared_with_closed_form(self):
+        from covert_bosonic import fock_core
+
+        assert closed_form.TriDiagonalWillieState is fock_core.TriDiagonalWillieState
+        assert TriDiagonalWillieState.__module__ == fock_core.__name__
 
 
 def test_numeric_states_use_no_closed_form(monkeypatch):
