@@ -22,11 +22,14 @@ eigenvalue and a small matrix product per block.  A state finds
 its blocks once, at construction: the sectors of equal total photon number
 when its matrix vanishes off them (every state the optics here produce),
 otherwise the whole space as one block.  Validation, the divergences and
-the characteristic function then read only those blocks.  A dual-rail
-input leaves such a channel's two-mode output tri-diagonal, a diagonal and
-one photon-exchange coherence per (f, g); the closed forms and the oracle's
-numeric states alike fill that layout, :class:`TriDiagonalWillieState`,
-whose one ``dense()`` makes the matrix.
+the characteristic function of a :class:`DensityOperator` then read only
+those blocks.  A dual-rail input leaves such a channel's two-mode output
+tri-diagonal, a diagonal and one photon-exchange coherence per (f, g); the
+closed forms and the oracle's numeric states alike fill that layout,
+:class:`TriDiagonalWillieState`.  The layout is a checked state in its own
+right: it validates each sector as a tri-diagonal matrix, and the
+characteristic function reads its entries directly.  Only its ``dense()``
+makes the matrix, for the divergences and for callers that need one.
 
 All objects are immutable after construction and all operations are pure
 functions, so evaluations are safe to run in parallel over parameter
@@ -247,11 +250,42 @@ class TriDiagonalWillieState:
     (zero where g = 0 or f+1 exceeds the cutoff); the lower coherences are
     the conjugates of the matching upper entries.  Total photon number f+g
     is conserved between bra and ket on every nonzero entry.
+
+    The layout is a checked state, held to the criteria of
+    :class:`DensityOperator` without building its matrix: both arrays must
+    be (N+1) x (N+1) (``ValueError``), finite, with ``upper`` zero where
+    the docstring above says so (``ValueError``), a real diagonal, the
+    trace at most 1 + 1e-12, and every sector of equal f + g, a Hermitian
+    tri-diagonal matrix over |f, K-f>, positive semi-definite to 1e-10
+    (:class:`StateValidationError`).  The arrays are stored read-only.
     """
 
     cutoff: FockCutoff
     diag: np.ndarray
     upper: np.ndarray
+
+    def __post_init__(self):
+        d = self.cutoff.dim
+        diag, upper = np.asarray(self.diag), np.asarray(self.upper)
+        if diag.shape != (d, d) or upper.shape != (d, d):
+            raise ValueError(f"diag and upper must be {d}x{d}, got "
+                             f"{diag.shape} and {upper.shape}")
+        if not (np.isfinite(diag).all() and np.isfinite(upper).all()):
+            raise StateValidationError("layout has non-finite entries")
+        if np.any(upper[:, 0]) or np.any(upper[-1]):
+            raise ValueError("upper must vanish where g = 0 or f = max_photons")
+        # <fg|rho|fg> - its conjugate, as DensityOperator measures it.
+        if 2.0 * np.max(np.abs(np.imag(diag))) > _HERMITICITY_TOL:
+            raise StateValidationError("operator is not Hermitian to 1e-12")
+        diag = np.array(np.real(diag), dtype=float)
+        upper = np.array(upper, dtype=complex)
+        _check_layout_psd(diag, upper)
+        tr = float(diag.sum())
+        if not 0.0 <= tr <= 1.0 + _TRACE_TOL:
+            raise StateValidationError(f"trace {tr!r} outside [0, 1 + 1e-12]")
+        for name, a in (("diag", diag), ("upper", upper)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def truncation_leak(self) -> float:
@@ -269,6 +303,73 @@ class TriDiagonalWillieState:
 
     def to_density_operator(self) -> DensityOperator:
         return DensityOperator(2, self.cutoff, self.dense(), self.truncation_leak)
+
+
+@lru_cache(maxsize=8)
+def _layout_sectors(max_photons: int) -> tuple:
+    """(f, g, pad): row K lists the basis states |f, K-f> of the sector of
+    total photon number K in increasing f, padded to N+1 columns; ``pad``
+    marks the padding, whose (f, g) is (0, 0)."""
+    d = max_photons + 1
+    f = np.maximum(0, np.arange(2 * d - 1)[:, None] - max_photons) + np.arange(d)
+    g = np.arange(2 * d - 1)[:, None] - f
+    pad = (f > max_photons) | (g < 0)
+    f, g = np.where(pad, 0, f), np.where(pad, 0, g)
+    for a in (f, g, pad):
+        a.setflags(write=False)
+    return f, g, pad
+
+
+def _check_layout_psd(diag: np.ndarray, upper: np.ndarray) -> None:
+    """Refuse a layout with a sector that has an eigenvalue below -1e-10.
+
+    Sector K is the Hermitian tri-diagonal matrix with diagonal a_i =
+    diag[f_i, g_i] and off-diagonal b_i = upper[f_i, g_i] over its states
+    (f_i, g_i) = (f_0 + i, K - f_0 - i).  Its shift by 1e-10 is positive
+    definite iff every pivot p_0 = a_0 + 1e-10, p_i = a_i + 1e-10 -
+    |b_(i-1)|^2 / p_(i-1) is positive: the shifted Cholesky of
+    :class:`DensityOperator`, run on all sectors at once.  As there, an
+    eigendecomposition runs only on failure, for the error message."""
+    f, g, pad = _layout_sectors(len(diag) - 1)
+    # Padding continues each sector with a decoupled unit entry.
+    a = np.where(pad, 1.0, diag[f, g]) + _PSD_TOL
+    b2 = np.where(pad, 0.0, np.abs(upper[f, g]) ** 2)
+    p = a[:, 0]
+    ok = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, a.shape[1]):
+            p = a[:, i] - b2[:, i - 1] / p
+            ok &= p > 0.0
+    for k in np.flatnonzero(~ok):
+        fk, gk = f[k, ~pad[k]], g[k, ~pad[k]]
+        b = upper[fk, gk][:-1]
+        block = np.diag(diag[fk, gk]) + np.diag(b, 1) + np.diag(b.conj(), -1)
+        low = np.linalg.eigvalsh(block)[0]
+        if low < -_PSD_TOL:
+            raise StateValidationError(
+                f"operator has eigenvalue {low:.3e} < -{_PSD_TOL:g}")
+
+
+@lru_cache(maxsize=8)
+def _layout_coordinates(max_photons: int) -> tuple:
+    """Where a layout's entries sit in the two-mode matrix: the flat
+    positions in ``upper`` of the photon-exchange pairs, and (f, g, fp, gp,
+    low) of bra |f g> and ket |fp gp> for the diagonal, then the pairs, then
+    their transposes; ``low`` marks the entries inside cutoff N - 2."""
+    cutoff = FockCutoff(max_photons)
+    d = cutoff.dim
+    rows, cols = photon_exchange_indices(cutoff)
+    diagonal = np.arange(d * d)
+    f, g = np.divmod(np.concatenate([diagonal, rows, cols]), d)
+    fp, gp = np.divmod(np.concatenate([diagonal, cols, rows]), d)
+    out = (rows, f, g, fp, gp, _inside(f, g, fp, gp, max_photons - 2))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _inside(f, g, fp, gp, max_photons: int) -> np.ndarray:
+    return np.maximum(np.maximum(f, g), np.maximum(fp, gp)) <= max_photons
 
 
 # A block map is (sizes, rows, cols): the sizes of the diagonal blocks of a
@@ -458,33 +559,33 @@ def _char_fn_ops_cached(z: complex, max_photons: int) -> np.ndarray:
     return out
 
 
-def anti_normal_char_fn(state: DensityOperator, zeta1: complex, zeta2: complex) -> complex:
+def anti_normal_char_fn(
+    state: DensityOperator | TriDiagonalWillieState, zeta1: complex, zeta2: complex
+) -> complex:
     """Anti-normally ordered characteristic function of a two-mode state:
 
         tr[rho exp(-z1* a1) exp(z1 a1^dag) exp(-z2* a2) exp(z2 a2^dag)]
 
-    The displacement exponentials are evaluated as truncated operator
-    exponentials, and only the state's in-block entries enter the trace.
-    Convergence is estimated by recomputing with the cutoff lowered by two;
-    if the two values differ by more than 1e-6 the result is rejected with
-    :class:`TruncationError`, as is any cutoff below 3, which leaves no
-    lower cutoff to compare with.
+    ``state`` is a two-mode :class:`DensityOperator` or a
+    :class:`TriDiagonalWillieState`; both reduce to a list of entries with
+    their photon numbers (the in-block entries of the former, the diagonal
+    and exchange coherences of the latter, no dense matrix), and only those
+    enter the trace.  The displacement exponentials are evaluated as
+    truncated operator exponentials.  Convergence is estimated by
+    recomputing with the cutoff lowered by two; if the two values differ by
+    more than 1e-6 the result is rejected with :class:`TruncationError`, as
+    is any cutoff below 3, which leaves no lower cutoff to compare with.
     """
-    if state.num_modes != 2:
+    if isinstance(state, DensityOperator) and state.num_modes != 2:
         raise ValueError("anti_normal_char_fn expects a two-mode state")
     if not (cmath.isfinite(zeta1) and cmath.isfinite(zeta2)):
         raise ValueError(f"zeta must be finite, got ({zeta1}, {zeta2})")
     n = state.cutoff.max_photons
     if n < 3:  # no cutoff n - 2 >= 1 to compare with
         raise TruncationError(f"characteristic function unchecked at N={n} < 3")
-    d = state.cutoff.dim
-    # Photon numbers of bra (f, g) and ket (fp, gp) of every in-block entry.
-    _, rows, cols = state._sectors
-    f, g = np.divmod(rows, d)
-    fp, gp = np.divmod(cols, d)
-    value = _char_fn_trace(state._values, f, g, fp, gp, n, zeta1, zeta2)
-    low = np.maximum(np.maximum(f, g), np.maximum(fp, gp)) <= n - 2
-    ref = _char_fn_trace(state._values[low], f[low], g[low], fp[low], gp[low],
+    values, f, g, fp, gp, low = _char_fn_entries(state)
+    value = _char_fn_trace(values, f, g, fp, gp, n, zeta1, zeta2)
+    ref = _char_fn_trace(values[low], f[low], g[low], fp[low], gp[low],
                          n - 2, zeta1, zeta2)
     if abs(value - ref) > _CHAR_FN_TOL:
         raise TruncationError(
@@ -492,6 +593,22 @@ def anti_normal_char_fn(state: DensityOperator, zeta1: complex, zeta2: complex) 
             f"|delta| = {abs(value - ref):.3e} > {_CHAR_FN_TOL:g}"
         )
     return complex(value)
+
+
+def _char_fn_entries(state) -> tuple:
+    """(values, f, g, fp, gp, low) of a state's entries <f g|rho|fp gp>;
+    ``low`` marks those inside cutoff N - 2."""
+    n = state.cutoff.max_photons
+    if isinstance(state, TriDiagonalWillieState):
+        pairs, *coordinates = _layout_coordinates(n)
+        upper = state.upper.ravel()[pairs]
+        return (np.concatenate([state.diag.ravel(), upper, upper.conj()]),
+                *coordinates)
+    d = state.cutoff.dim
+    _, rows, cols = state._sectors
+    f, g = np.divmod(rows, d)
+    fp, gp = np.divmod(cols, d)
+    return state._values, f, g, fp, gp, _inside(f, g, fp, gp, n - 2)
 
 
 def _char_fn_trace(values, f, g, fp, gp, max_photons, zeta1, zeta2) -> complex:

@@ -22,8 +22,12 @@ runs as a cached shift map on the rail's bands, never as a dense d^4
 unitary.  The image of |x><x'| lies on the band row - col = x - x', so every
 numeric state is read from the images into the tri-diagonal (diag, upper)
 layout of :class:`TriDiagonalWillieState` that the closed forms fill; an
-image with weight off its band is refused.  The checks compare those arrays,
-and only a state handed out as a :class:`DensityOperator` is made dense.
+image with weight off its band is refused, and the layout checks itself
+(sector PSD, trace) as a :class:`DensityOperator` would.  The checks
+compare those arrays or, for char_fn and eb_pipelines, read the
+characteristic function straight from the layout; only a state handed out
+as a :class:`DensityOperator` (``*_state_numeric``, and through them chi2
+and pinsker_and_detector) is made dense.
 
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most
@@ -315,17 +319,19 @@ def _checked_leak(trace: float) -> float:
 
 def _assemble_two_mode(
     qubit: cf.LogicalQubit, stages: tuple, cutoff: FockCutoff
-) -> DensityOperator:
-    """Two-mode output of both rails passed through ``stages``.  The layout
-    holds only the tri-diagonal pattern, so a rail image with weight off its
-    band, which would put weight off the pattern, is refused."""
+) -> TriDiagonalWillieState:
+    """Two-mode output of both rails passed through ``stages``, as the
+    checked layout.  The layout holds only the tri-diagonal pattern, so a
+    rail image with weight off its band, which would put weight off the
+    pattern, is refused."""
     rail = _rail_images(stages, cutoff.max_photons)
     off = _off_band(rail)
     if off > 0.0:
         raise ValueError(f"rail image has weight {off:.3e} off its band; "
                          "the two-mode output is not tri-diagonal")
     state = TriDiagonalWillieState(cutoff, *_tri_diagonal(qubit, rail))
-    return DensityOperator(2, cutoff, state.dense(), _checked_leak(state.diag.sum()))
+    _checked_leak(state.diag.sum())
+    return state
 
 
 def willie_state_numeric(
@@ -336,7 +342,8 @@ def willie_state_numeric(
     """Warden's two-mode output, simulated from channel primitives: mix each
     rail with its thermal environment on a truncated beamsplitter and keep
     the reflected ports."""
-    return _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff)
+    state = _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff)
+    return state.to_density_operator()
 
 
 def bob_state_numeric(
@@ -345,7 +352,8 @@ def bob_state_numeric(
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
 ) -> DensityOperator:
     """Receiver's two-mode output: same simulation, transmitted ports kept."""
-    return _assemble_two_mode(qubit, _channel(params, _SIGNAL), cutoff)
+    state = _assemble_two_mode(qubit, _channel(params, _SIGNAL), cutoff)
+    return state.to_density_operator()
 
 
 def engineered_willie_state_numeric(
@@ -357,12 +365,18 @@ def engineered_willie_state_numeric(
     """Warden's output through the full entanglement-breaking optical train:
     optional amplifier (vacuum idler), optional pure-loss stage (vacuum
     port), then the physical channel."""
+    state = _assemble_two_mode(qubit, _engineered(plan, params), cutoff)
+    return state.to_density_operator()
+
+
+def _engineered(plan: EbPlan, params: ChannelParams) -> tuple:
+    """The entanglement-breaking optical train to the warden as a chain."""
     stages = ()
     if plan.gain_eb > 1.0:
         stages += ((two_mode_amplifier_unitary, plan.gain_eb, 0.0, _SIGNAL),)
     if plan.tau < 1.0:
         stages += ((beamsplitter_unitary, plan.tau, 0.0, _SIGNAL),)
-    return _assemble_two_mode(qubit, stages + _channel(params, _ANCILLA), cutoff)
+    return stages + _channel(params, _ANCILLA)
 
 
 # ---------------------------------------------------------------------------
@@ -467,22 +481,23 @@ def verify_char_fn(
     qubits: Optional[Sequence[cf.LogicalQubit]] = None,
 ) -> VerificationReport:
     """Closed-form characteristic function vs the truncated operator trace
-    on the numeric warden state, for |zeta| <= 2."""
+    on the numeric warden state, read from its layout, for |zeta| <= 2."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set(n_random=2))
 
     def errors():
         for params in channel_grid:
+            stages = _channel(params, _ANCILLA)
             for qubit in qubits:
                 yield from _char_fn_errors(
-                    willie_state_numeric(qubit, params),
+                    _assemble_two_mode(qubit, stages, DEFAULT_ORACLE_CUTOFF),
                     partial(cf.willie_char_fn_closed, qubit, params),
                     _inputs(params, qubit))
 
     return _report("char_fn", errors(), _TOLERANCE)
 
 
-def _char_fn_errors(numeric: DensityOperator, closed: Callable, inputs: dict):
+def _char_fn_errors(numeric: TriDiagonalWillieState, closed: Callable, inputs: dict):
     """|numeric - closed| characteristic function at each zeta grid point."""
     for z1, z2 in _ZETA_GRID:
         yield (abs(anti_normal_char_fn(numeric, z1, z2) - closed(z1, z2)),
@@ -640,12 +655,14 @@ def _ring_check(name, integral, closed) -> VerificationReport:
 def verify_eb_pipelines() -> VerificationReport:
     """Full optical-train simulation of the entanglement-breaking
     constructions vs the single-channel closed form with effective
-    parameters, compared through the characteristic function."""
+    parameters, compared through the characteristic function of the
+    numeric state's layout."""
 
     def errors():
         for params, plan in _EB_CASES:
             yield from _char_fn_errors(
-                engineered_willie_state_numeric(_EB_QUBIT, plan, params),
+                _assemble_two_mode(_EB_QUBIT, _engineered(plan, params),
+                                   DEFAULT_ORACLE_CUTOFF),
                 partial(cf.willie_char_fn_closed, _EB_QUBIT,
                         plan.effective_covert_params),
                 {"eta": params.eta, "nbar_b": params.nbar_b,

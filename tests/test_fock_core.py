@@ -12,6 +12,7 @@ from covert_bosonic.fock_core import (
     FockCutoff,
     RankDeficiencyError,
     StateValidationError,
+    TriDiagonalWillieState,
     TruncationError,
     annihilation_op,
     anti_normal_char_fn,
@@ -540,3 +541,128 @@ class TestSectorBlocks:
         state = DensityOperator(2, self.CUT, m, self.quiet().truncation_leak)
         assert state._sectors[0] == (d * d,)
         assert trace_distance(state, self.quiet()) < 1e-299
+
+
+def layout_matrix(cutoff, diag, upper):
+    """The two-mode matrix of a (diag, upper) layout, scattered entry by
+    entry: <fg|rho|fg> = diag[f, g] and <fg|rho|f+1,g-1> = upper[f, g]."""
+    d = cutoff.dim
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for f in range(d):
+        for g in range(d):
+            m[f * d + g, f * d + g] = diag[f, g]
+            if g >= 1 and f + 1 < d:
+                m[f * d + g, (f + 1) * d + g - 1] = upper[f, g]
+                m[(f + 1) * d + g - 1, f * d + g] = np.conj(upper[f, g])
+    return m
+
+
+def random_layout(seed, max_photons, indefinite):
+    """Random (diag, upper) of trace <= 1 whose exchange coherences are up to
+    0.7 of the geometric mean of their two populations; with ``indefinite``
+    one coherence exceeds twice that mean, so its sector has a negative
+    eigenvalue well below -1e-10."""
+    rng = np.random.default_rng(seed)
+    d = max_photons + 1
+    diag = rng.uniform(0.0, 1.0, (d, d))
+    diag *= rng.uniform(0.5, 1.0) / diag.sum()
+    mean = np.sqrt(diag[:-1, 1:] * diag[1:, :-1])  # pairs (f, g), (f+1, g-1)
+    phase = np.exp(2j * np.pi * rng.uniform(size=mean.shape))
+    upper = np.zeros((d, d), dtype=complex)
+    upper[:-1, 1:] = rng.uniform(0.0, 0.7, mean.shape) * mean * phase
+    if indefinite:
+        f, g = rng.integers(0, d - 1), rng.integers(1, d)
+        upper[f, g] = (2.0 * mean[f, g - 1] + 1e-3) * phase[f, g - 1]
+    return diag, upper
+
+
+class TestTriDiagonalLayout:
+    """The layout is checked at construction, by the criteria of
+    DensityOperator, without building its matrix."""
+
+    CUT = FockCutoff(3)
+
+    def pair(self, coherence):
+        """Populations 1/4 on |01> and |10>, one coherence between them."""
+        diag = np.zeros((4, 4))
+        diag[0, 1] = diag[1, 0] = 0.25
+        upper = np.zeros((4, 4), dtype=complex)
+        upper[0, 1] = coherence
+        return diag, upper
+
+    def test_short_diag_is_refused(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            TriDiagonalWillieState(self.CUT, np.full((2, 2), 0.25), np.zeros((4, 4)))
+
+    def test_wrong_upper_shape_is_refused(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            TriDiagonalWillieState(self.CUT, np.zeros((4, 4)), np.zeros(16))
+
+    @pytest.mark.parametrize("which", ["diag", "upper"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_refused(self, which, bad):
+        arrays = dict(zip(("diag", "upper"), self.pair(0.1)))
+        arrays[which] = arrays[which].astype(complex)
+        arrays[which][1, 2] = bad
+        with pytest.raises(StateValidationError, match="non-finite"):
+            TriDiagonalWillieState(self.CUT, **arrays)
+
+    def test_coherence_beyond_the_populations_is_refused(self):
+        # Sector 1 is [[1/4, b], [b*, 1/4]]: eigenvalues 1/4 -+ |b|.
+        TriDiagonalWillieState(self.CUT, *self.pair(0.25 + 1e-11))
+        with pytest.raises(StateValidationError, match="-1.000e-09"):
+            TriDiagonalWillieState(self.CUT, *self.pair(0.25 + 1e-9))
+
+    @pytest.mark.parametrize("where", [(1, 0), (3, 2)])
+    def test_upper_off_the_exchange_pairs_is_refused(self, where):
+        diag, upper = self.pair(0.1)
+        upper[where] = 1e-300
+        with pytest.raises(ValueError, match="must vanish"):
+            TriDiagonalWillieState(self.CUT, diag, upper)
+
+    def test_complex_diagonal_is_refused(self):
+        diag, upper = self.pair(0.1)
+        with pytest.raises(StateValidationError, match="Hermitian"):
+            TriDiagonalWillieState(self.CUT, diag + 1e-9j, upper)
+
+    def test_trace_above_one_is_refused(self):
+        diag, upper = self.pair(0.1)
+        diag[2, 2] = 0.5 + 1e-9
+        with pytest.raises(StateValidationError, match="trace"):
+            TriDiagonalWillieState(self.CUT, diag, upper)
+
+    def test_arrays_are_read_only_copies(self):
+        diag, upper = self.pair(0.1)
+        state = TriDiagonalWillieState(self.CUT, diag, upper)
+        diag[0, 1] = 5.0
+        assert state.diag[0, 1] == 0.25
+        with pytest.raises(ValueError):
+            state.upper[0, 1] = 0.2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_photons=st.integers(1, 6),
+           indefinite=st.booleans())
+    def test_check_agrees_with_dense_validation(self, seed, max_photons, indefinite):
+        cut = FockCutoff(max_photons)
+        diag, upper = random_layout(seed, max_photons, indefinite)
+
+        def accepts(build):
+            try:
+                build()
+            except StateValidationError:
+                return False
+            return True
+
+        layout = accepts(lambda: TriDiagonalWillieState(cut, diag, upper))
+        dense = accepts(lambda: DensityOperator(
+            2, cut, layout_matrix(cut, diag, upper), max(0.0, 1.0 - diag.sum())))
+        assert layout == dense
+        if indefinite:
+            assert not layout
+
+    def test_dense_is_the_scattered_layout(self):
+        cut = FockCutoff(5)
+        diag, upper = random_layout(3, 5, indefinite=False)
+        upper *= 0.5  # coherences up to 0.35 of the mean: positive definite
+        state = TriDiagonalWillieState(cut, diag, upper)
+        assert np.array_equal(state.dense(), layout_matrix(cut, diag, upper))

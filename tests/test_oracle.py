@@ -17,6 +17,8 @@ from covert_bosonic.fock_core import (
     DensityOperator,
     FockCutoff,
     TriDiagonalWillieState,
+    TruncationError,
+    anti_normal_char_fn,
     beamsplitter_unitary,
     tensor,
     thermal_occupation,
@@ -35,7 +37,9 @@ from covert_bosonic.oracle import (
     laguerre_offdiag_ring_integral,
     laguerre_ring_integral,
     run_all_checks,
+    verify_char_fn,
     verify_chi2,
+    verify_eb_pipelines,
     verify_laguerre_lemma6,
     verify_willie_state,
     willie_state_numeric,
@@ -252,6 +256,69 @@ class TestImageChecks:
 
         assert closed_form.TriDiagonalWillieState is fock_core.TriDiagonalWillieState
         assert TriDiagonalWillieState.__module__ == fock_core.__name__
+
+
+class TestLayoutCharFn:
+    """The char fn read from a layout equals the one read from its dense
+    DensityOperator, with the same refusals."""
+
+    PARAMS = ChannelParams(0.7, 0.05)
+    QUBIT = LogicalQubit(0.3, 0.7, 0.2 - 0.3j)
+
+    @staticmethod
+    def outcome(state, z1, z2):
+        try:
+            return anti_normal_char_fn(state, z1, z2)
+        except TruncationError:
+            return None
+
+    @pytest.mark.parametrize("n", [8, 30])
+    @pytest.mark.parametrize("source", ["closed", "numeric"])
+    def test_layout_matches_dense(self, n, source):
+        cut = FockCutoff(n)
+        layout = (willie_state_closed(self.QUBIT, self.PARAMS, cut) if source == "closed"
+                  else oracle._assemble_two_mode(
+                      self.QUBIT, oracle._channel(self.PARAMS, oracle._ANCILLA), cut))
+        dense = layout.to_density_operator()
+        converged = 0
+        for z1, z2 in oracle._ZETA_GRID:
+            got, want = self.outcome(layout, z1, z2), self.outcome(dense, z1, z2)
+            assert (got is None) == (want is None)
+            if got is not None:
+                converged += 1
+                assert abs(got - want) < 1e-13
+        # At N = 8 only the smallest |zeta| converge; at N = 30 all do.
+        assert converged == (4 if n == 8 else len(oracle._ZETA_GRID))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cutoff_without_a_reference_is_refused(self, n):
+        layout = willie_state_closed(self.QUBIT, self.PARAMS, FockCutoff(n))
+        with pytest.raises(TruncationError, match="unchecked"):
+            anti_normal_char_fn(layout, 0.1, 0.1)
+
+    def test_unconverged_layout_is_refused(self):
+        layout = willie_state_closed(self.QUBIT, ChannelParams(1.0, 1.5), FockCutoff(5))
+        with pytest.raises(TruncationError, match="not converged"):
+            anti_normal_char_fn(layout, 2.0, 2.0)
+
+    @pytest.mark.parametrize("zetas", [(math.nan, 0.1), (0.1, complex(0.0, math.inf))])
+    def test_non_finite_zeta_is_refused(self, zetas):
+        layout = willie_state_closed(self.QUBIT, self.PARAMS, FockCutoff(8))
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            anti_normal_char_fn(layout, *zetas)
+
+
+def test_char_fn_checks_build_no_dense_state(monkeypatch):
+    """char_fn and eb_pipelines read the warden state's layout; making a
+    layout's matrix raises, and both checks still pass."""
+    def refuse(self):
+        raise AssertionError("dense two-mode state built")
+
+    monkeypatch.setattr(TriDiagonalWillieState, "dense", refuse)
+    with pytest.raises(AssertionError, match="dense"):
+        willie_state_numeric(LogicalQubit(1.0, 0.0), ChannelParams(0.9, 0.12))
+    assert verify_char_fn([ChannelParams(0.9, 0.12)], [LogicalQubit(0.3, 0.7, 0.2)]).passed
+    assert verify_eb_pipelines().passed
 
 
 def test_numeric_states_use_no_closed_form(monkeypatch):
