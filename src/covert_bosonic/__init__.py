@@ -70,8 +70,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # The oracle imports scipy; load it on first use of one of its names so
-    # that importing the package, and the CLI's bound sweeps, stay cheap.
+    # Load the oracle on first use of one of its names, so that importing
+    # the package, and the CLI's bound sweeps with it, never load it.
     if name in ("VerificationReport", "bob_state_numeric", "run_all_checks",
                 "willie_state_numeric"):
         from . import oracle

@@ -55,17 +55,22 @@ def _emit_error(kind: str, message: str) -> None:
 
 def _parse_n_range(spec: str) -> list[float]:
     """Geometric range 'start:stop:points'; a single number is a one-point
-    range."""
+    range.  ``points`` is a whole number, written in any float notation
+    ('50', '50.0', '1e4'); any other count is refused, never truncated."""
     parts = spec.split(":")
     try:
         if len(parts) == 1:
             return [float(parts[0])]
         if len(parts) != 3:
             raise ValueError
-        start, stop, points = float(parts[0]), float(parts[1]), int(float(parts[2]))
-    except (ValueError, OverflowError):
+        start, stop, points = float(parts[0]), float(parts[1]), float(parts[2])
+        if not points.is_integer():
+            raise ValueError
+        points = int(points)
+    except ValueError:
         raise UsageError(
-            f"--n must be a number or start:stop:points, got {spec!r}"
+            f"--n must be a number or start:stop:points with a whole number "
+            f"of points, got {spec!r}"
         ) from None
     if points < 1:
         raise UsageError("--n points must be >= 1")

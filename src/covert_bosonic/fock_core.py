@@ -31,6 +31,10 @@ right: it validates each sector as a tri-diagonal matrix, and the
 characteristic function reads its entries directly.  Only its ``dense()``
 makes the matrix, for the divergences and for callers that need one.
 
+The characteristic function's displacement factors are exponentials of
+nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
+no general matrix exponential is needed and numpy suffices.
+
 All objects are immutable after construction and all operations are pure
 functions, so evaluations are safe to run in parallel over parameter
 grids.
@@ -55,6 +59,7 @@ __all__ = [
     "RankDeficiencyError",
     "TruncationError",
     "annihilation_op",
+    "creation_exponential",
     "thermal_occupation",
     "thermal_state",
     "photon_exchange_indices",
@@ -206,6 +211,26 @@ class DensityOperator:
 def annihilation_op(cutoff: FockCutoff) -> np.ndarray:
     """Single-mode annihilation operator: a|k> = sqrt(k)|k-1>."""
     return np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1).astype(complex)
+
+
+def creation_exponential(w: complex | np.ndarray, cutoff: FockCutoff) -> np.ndarray:
+    """exp(w a^dag) on the truncated single-mode space, for a scalar ``w``
+    or stacked over an array of them (shape ``w.shape + (N+1, N+1)``).
+
+    a^dag is nilpotent there, so the exponential is its Taylor sum up to
+    k = N, and (a^dag)^k has one nonzero diagonal: entry (m, n), m >= n, is
+    the one term w^k sqrt(m!/n!) / k! with k = m - n.  Column n is thus the
+    running product down its rows of w sqrt(m) / (m - n) from row n + 1.
+    w = 0 gives the identity exactly; a non-finite ``w`` raises
+    ``ValueError``.
+    """
+    w = np.asarray(w, dtype=complex)
+    if not np.isfinite(w).all():
+        raise ValueError(f"w must be finite, got {w}")
+    m = np.arange(cutoff.dim)[:, None]
+    k = m - np.arange(cutoff.dim)
+    step = np.where(k > 0, w[..., None, None] * np.sqrt(m) / np.maximum(k, 1), 1.0)
+    return np.tril(np.cumprod(step, axis=-2))
 
 
 def thermal_occupation(k: np.ndarray | int, nbar: float) -> np.ndarray | float:
@@ -444,9 +469,8 @@ def _sector_eigensystems(step: int, max_photons: int) -> tuple:
     sub-diagonal x_k, so with D = diag(i^k) it equals D (-i T) D^-1 for the
     real symmetric tri-diagonal T with off-diagonals x_k and zero diagonal.
     T = V diag(mu) V^T gives exp(s (X - X^dag)) = (D V) e^(-i s mu) (D V)^dag
-    on the sector, for any strength s."""
-    from scipy.linalg import eigh_tridiagonal
-
+    on the sector, for any strength s.  Each T is at most (N+1) x (N+1),
+    small enough for a dense symmetric eigensolver."""
     d = max_photons + 1
     f, g = np.divmod(np.arange(d * d), d)
     label = g - step * f
@@ -454,7 +478,7 @@ def _sector_eigensystems(step: int, max_photons: int) -> tuple:
     for c in range(int(label.min()), int(label.max()) + 1):
         idx = np.flatnonzero(label == c)  # the chain, in increasing f
         x = np.sqrt((f[idx[:-1]] + 1.0) * np.maximum(g[idx[:-1]], g[idx[1:]]))
-        mu, v = eigh_tridiagonal(np.zeros(len(idx)), x)
+        mu, v = np.linalg.eigh(np.diag(x, 1) + np.diag(x, -1))
         left = _I_POWERS[np.arange(len(idx)) % 4, None] * v
         for a in (idx, left, mu):
             a.setflags(write=False)
@@ -550,11 +574,10 @@ def two_mode_amplifier_unitary(
 @lru_cache(maxsize=512)
 def _char_fn_ops_cached(z: complex, max_photons: int) -> np.ndarray:
     """Single-mode factor exp(-z* a) exp(z a^dag) of the anti-normally
-    ordered characteristic function kernel."""
-    from scipy.linalg import expm
-
-    a = annihilation_op(FockCutoff(max_photons))
-    out = expm(-np.conj(z) * a) @ expm(z * a.conj().T)
+    ordered characteristic function kernel; exp(-z* a) is the adjoint of
+    exp(-z a^dag)."""
+    cutoff = FockCutoff(max_photons)
+    out = creation_exponential(-z, cutoff).conj().T @ creation_exponential(z, cutoff)
     out.setflags(write=False)
     return out
 
@@ -570,11 +593,12 @@ def anti_normal_char_fn(
     :class:`TriDiagonalWillieState`; both reduce to a list of entries with
     their photon numbers (the in-block entries of the former, the diagonal
     and exchange coherences of the latter, no dense matrix), and only those
-    enter the trace.  The displacement exponentials are evaluated as
-    truncated operator exponentials.  Convergence is estimated by
-    recomputing with the cutoff lowered by two; if the two values differ by
-    more than 1e-6 the result is rejected with :class:`TruncationError`, as
-    is any cutoff below 3, which leaves no lower cutoff to compare with.
+    enter the trace.  The displacement factors are the exact exponentials
+    of the truncated ladder operators (:func:`creation_exponential`).
+    Convergence is estimated by recomputing with the cutoff lowered by two;
+    if the two values differ by more than 1e-6 the result is rejected with
+    :class:`TruncationError`, as is any cutoff below 3, which leaves no
+    lower cutoff to compare with.
     """
     if isinstance(state, DensityOperator) and state.num_modes != 2:
         raise ValueError("anti_normal_char_fn expects a two-mode state")

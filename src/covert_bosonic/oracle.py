@@ -4,10 +4,10 @@ The closed-form expressions in :mod:`covert_bosonic.closed_form` involve
 enough index bookkeeping that transposition or sign typos are cheap to
 make and expensive to notice.  This module re-derives every quantity
 numerically from :mod:`covert_bosonic.fock_core` primitives alone --
-truncated beamsplitter/amplifier unitaries, operator exponentials and the
-periodic trapezoid rule -- and reports the discrepancies.  Its numeric
-states use no ``closed_form`` code, so an error in the analytic layer
-cannot cancel here.
+truncated beamsplitter/amplifier unitaries, exponentials of the truncated
+ladder operators and the periodic trapezoid rule -- and reports the
+discrepancies.  Its numeric states use no ``closed_form`` code, so an error
+in the analytic layer cannot cancel here.
 
 Every numeric state comes from one optical picture: each rail of the
 dual-rail qubit passes through a chain of stages, two-mode unitaries (a
@@ -49,7 +49,8 @@ at (eta, nbar_b) = (0.9, 0.12) and |+> unless given others; eb_pipelines
 sends 0.8|01> + 0.6i|10> through the attenuate plans at (0.9, 0.12) and
 (0.5, 0.5) and the amplify plan with nbar' = 0.52 at (0.5, 0.5).
 (**) each ring integral by the periodic trapezoid rule on 22 angles, exact
-for the truncated kernel.
+for the truncated kernel, whose factors are finite Taylor sums
+(:func:`creation_exponential`); the closed forms are finite sums too.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import closed_form as cf
 from .eb_engineering import EbPlan, plan_lemma1, plan_lemma2
@@ -71,10 +71,10 @@ from .fock_core import (
     FockCutoff,
     TriDiagonalWillieState,
     TruncationError,
-    annihilation_op,
     anti_normal_char_fn,
     beamsplitter_unitary,
     chi2_numeric,
+    creation_exponential,
     qre,
     tensor,
     thermal_occupation,
@@ -579,12 +579,13 @@ def verify_depolarizing_reduction(
 def _ring_kernels(r: float, max_photons: int) -> tuple:
     """Angles th_p = 2 pi p / P for P = 2 (N+1), and the truncated kernels
     e^(z c^dag) e^(-z* c) at z = r e^(i th_p), one batched pair of
-    exponentials per radius."""
-    a = annihilation_op(FockCutoff(max_photons))
+    exponentials per radius; e^(-z* c) is the adjoint of e^(-z c^dag)."""
+    cutoff = FockCutoff(max_photons)
     count = 2 * (max_photons + 1)
     theta = 2.0 * np.pi * np.arange(count) / count
-    z = (r * np.exp(1j * theta))[:, None, None]
-    kernels = expm(z * a.conj().T) @ expm(-np.conj(z) * a)
+    z = r * np.exp(1j * theta)
+    kernels = (creation_exponential(z, cutoff)
+               @ creation_exponential(-z, cutoff).conj().swapaxes(-1, -2))
     for x in (theta, kernels):
         x.setflags(write=False)
     return theta, kernels
@@ -631,12 +632,19 @@ def laguerre_offdiag_closed(m: int, r: float) -> float:
     return float(2.0 * np.pi * r * math.sqrt(m) * total)
 
 
+def laguerre_diag_closed(m: int, r: float) -> float:
+    """Closed form of the diagonal ring integral, 2 pi L_m(r^2):
+
+        2 pi sum_{k=0}^{m} (-r^2)^k binom(m, k) / k!
+    """
+    total = sum((-(r**2)) ** k * math.comb(m, k) / math.factorial(k)
+                for k in range(m + 1))
+    return float(2.0 * np.pi * total)
+
+
 def verify_laguerre_lemma5() -> VerificationReport:
     """Ring integral of the diagonal kernel element vs 2 pi L_m(r^2)."""
-    from scipy.special import eval_laguerre
-
-    return _ring_check("laguerre_diag", laguerre_ring_integral,
-                       lambda m, r: 2.0 * np.pi * eval_laguerre(m, r**2))
+    return _ring_check("laguerre_diag", laguerre_ring_integral, laguerre_diag_closed)
 
 
 def verify_laguerre_lemma6() -> VerificationReport:

@@ -35,7 +35,8 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
-    @pytest.mark.parametrize("spec", ["10:1:5", "1e6:1e7:inf", "1e6:1e7:1e400"])
+    @pytest.mark.parametrize("spec", ["10:1:5", "1e6:1e7:inf", "1e6:1e7:1e400",
+                                      "1e6:1e7:2.9"])
     def test_bad_range_is_usage_error(self, spec, capsys):
         code, out, err = run_cli(
             ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
@@ -337,17 +338,25 @@ def test_cli_import_loads_neither_scipy_nor_oracle():
 
 
 def test_oracle_import_loads_no_quadrature_modules():
-    # scipy.special serves only the Laguerre closed form; nothing in the
-    # package needs scipy.integrate.
-    assert _modules_loaded_by("covert_bosonic.oracle",
-                              ("scipy.integrate", "scipy.special")) == "[]"
+    # The package needs numpy alone: the ring integrals use the periodic
+    # trapezoid rule and every exponential is computed with numpy.
+    assert _modules_loaded_by("covert_bosonic.oracle", ("scipy",)) == "[]"
 
 
 def test_ring_integral_check_loads_no_scipy_integrate():
-    # The ring integrals use the periodic trapezoid rule, not adaptive
-    # quadrature.
-    run = "covert_bosonic.cli.main(['verify', '--check', 'laguerre_diag'])"
-    assert _modules_loaded_by("covert_bosonic.cli", ("scipy.integrate",), run) == "[]"
+    # Covers every exponential, eigensystem and Laguerre polynomial the
+    # package computes: the ring-integral checks (kernels, closed form), the
+    # char fn check (displacement factors), a numeric warden state and both
+    # unitaries (sector eigensystems).
+    run = ("covert_bosonic.cli.main(['verify', '--check', 'laguerre_diag', "
+           "'--check', 'laguerre_offdiag']); "
+           "from covert_bosonic import oracle as o, fock_core as fc; "
+           "p, q, c = fc.ChannelParams(0.9, 0.12), o.default_qubit_set()[2], "
+           "fc.FockCutoff(10); "
+           "o.verify_char_fn([p], [q]); o.willie_state_numeric(q, p, c); "
+           "fc.beamsplitter_unitary(0.5, 0, 1, 2, c); "
+           "fc.two_mode_amplifier_unitary(1.5, 0, 1, 2, c)")
+    assert _modules_loaded_by("covert_bosonic.cli", ("scipy",), run) == "[]"
 
 
 def test_package_serves_oracle_names_lazily():

@@ -18,6 +18,7 @@ from covert_bosonic.fock_core import (
     anti_normal_char_fn,
     beamsplitter_unitary,
     chi2_numeric,
+    creation_exponential,
     qre,
     tensor,
     thermal_occupation,
@@ -25,6 +26,7 @@ from covert_bosonic.fock_core import (
     trace_distance,
     two_mode_amplifier_unitary,
 )
+from covert_bosonic import fock_core
 from covert_bosonic.closed_form import LogicalQubit
 from dense_reference import (
     apply_unitary,
@@ -392,6 +394,58 @@ class TestCharFn:
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):
             anti_normal_char_fn(thermal_state(0.1, CUT), 0.1, 0.1)
+
+
+def creation_exponential_entries(w, cutoff):
+    """exp(w a^dag) entry by entry: w^k sqrt(m!/n!) / k! for k = m - n >= 0."""
+    d = cutoff.dim
+    out = np.zeros((d, d), dtype=complex)
+    for m in range(d):
+        for n in range(m + 1):
+            k = m - n
+            out[m, n] = (w**k * math.sqrt(math.factorial(m) / math.factorial(n))
+                         / math.factorial(k))
+    return out
+
+
+class TestCreationExponential:
+    WS = [0.0, 0.1, 0.5 + 0.3j, 2.0, -1.5 + 1.2j, 2j]
+
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    @pytest.mark.parametrize("w", WS)
+    def test_matches_factorial_entries(self, n, w):
+        cut = FockCutoff(n)
+        got, ref = creation_exponential(w, cut), creation_exponential_entries(w, cut)
+        below = np.tril(np.ones((cut.dim, cut.dim), dtype=bool))
+        nonzero = below & (ref != 0)
+        assert np.all(np.abs(got - ref)[nonzero] <= 1e-14 * np.abs(ref)[nonzero])
+        assert np.all(got[~nonzero] == 0.0)  # exact zeros above the diagonal
+
+    def test_zero_is_the_identity_exactly(self):
+        assert np.array_equal(creation_exponential(0.0, FockCutoff(30)), np.eye(31))
+
+    def test_stacked_equals_per_scalar(self):
+        cut = FockCutoff(10)
+        w = np.array(self.WS).reshape(2, 3)
+        stacked = creation_exponential(w, cut)
+        assert stacked.shape == (2, 3, 11, 11)
+        for idx in np.ndindex(w.shape):
+            assert np.array_equal(stacked[idx], creation_exponential(w[idx], cut))
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, complex(0.0, -math.inf),
+                                   np.array([0.1, math.nan])])
+    def test_rejects_non_finite(self, w):
+        with pytest.raises(ValueError, match="must be finite"):
+            creation_exponential(w, CUT)
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 1.0 + 1.0j, -2.0, 2j, 1.4 - 1.4j, -0.5j])
+    def test_char_fn_factor_matches_expm(self, z):
+        # Entries reach ~6e6 at |z| = 2, where one ulp is ~1e-9, so the bound
+        # is relative to the largest entry.
+        op = annihilation_op(FockCutoff(30))
+        ref = expm(-np.conj(z) * op) @ expm(z * op.conj().T)
+        got = fock_core._char_fn_ops_cached(complex(z), 30)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDivergences:

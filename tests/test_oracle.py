@@ -33,6 +33,7 @@ from covert_bosonic.oracle import (
     default_channel_grid,
     default_qubit_set,
     engineered_willie_state_numeric,
+    laguerre_diag_closed,
     laguerre_offdiag_closed,
     laguerre_offdiag_ring_integral,
     laguerre_ring_integral,
@@ -456,6 +457,12 @@ class TestReports:
 
 
 class TestRingIntegrals:
+    @pytest.mark.parametrize("m", oracle._RING_ORDERS)
+    def test_diagonal_closed_form_is_the_laguerre_polynomial(self, m):
+        for r in oracle._RING_RADII:
+            ref = 2 * np.pi * eval_laguerre(m, r**2)
+            assert laguerre_diag_closed(m, r) == pytest.approx(ref, rel=1e-12)
+
     def test_diagonal_matches_laguerre_polynomial(self):
         cut = FockCutoff(10)
         for m in range(4):
