@@ -72,8 +72,8 @@ def _parse_n_range(spec: str) -> list[float]:
             f"--n must be a number or start:stop:points with a whole number "
             f"of points, got {spec!r}"
         ) from None
-    if points < 1:
-        raise UsageError("--n points must be >= 1")
+    if not 1 <= points <= 10**6:  # a 1e6-point sweep takes ~20 s and ~1 GB
+        raise UsageError(f"--n points must be from 1 to 1e6, got {spec!r}")
     if points == 1:
         if start != stop:
             raise UsageError("--n with one point needs start == stop")
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="sweep achievability/converse bounds")
     _add_common(p)
     p.add_argument("--delta", type=float, help="covertness budget in [0, 1/2)")
-    p.add_argument("--n", help="round counts, geometric range start:stop:points")
+    p.add_argument("--n", help="round counts, geometric range start:stop:points <= 1e6")
     p.add_argument("--modes-per-sec", type=float,
                    help="modulation rate, finite and > 0; adds a seconds "
                         "column (2n/rate)")

@@ -14,11 +14,11 @@ positional callers.
 
 The algebra underneath runs on photon-number sectors.  A beamsplitter
 conserves the photon number of its two modes (an amplifier their
-difference), so each unitary is built block by block, one sector at a time,
-never as an exponential of the whole space.  Each sector's generator is its
-strength times a fixed tri-diagonal matrix, whose eigensystem is computed
-once per cutoff and cached; a new transmittance or gain costs one phase per
-eigenvalue and a small matrix product per block.  A state finds
+difference), so each unitary is a stack of sector blocks, never an
+exponential of the whole space.  Each sector's generator is its strength
+times a fixed tri-diagonal matrix, whose eigensystem is computed once per
+cutoff and cached; a new transmittance or gain costs one phase per
+eigenvalue and one batched product over the blocks.  A state finds
 its blocks once, at construction: the sectors of equal total photon number
 when its matrix vanishes off them (every state the optics here produce),
 otherwise the whole space as one block.  Validation, the divergences and
@@ -27,9 +27,9 @@ those blocks.  A dual-rail input leaves such a channel's two-mode output
 tri-diagonal, a diagonal and one photon-exchange coherence per (f, g); the
 closed forms and the oracle's numeric states alike fill that layout,
 :class:`TriDiagonalWillieState`.  The layout is a checked state in its own
-right: it validates each sector as a tri-diagonal matrix, and the
-characteristic function reads its entries directly.  Only its ``dense()``
-makes the matrix, for the divergences and for callers that need one.
+right: it validates each sector as a tri-diagonal matrix and carries a
+two-mode block map, so the characteristic function and the divergences
+read its entries directly.  Only ``dense()`` makes its matrix.
 
 The characteristic function's displacement factors are exponentials of
 nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
@@ -45,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -178,21 +178,12 @@ class DensityOperator:
         for block in _blocks(self):
             if np.max(np.abs(block - block.conj().T)) > _HERMITICITY_TOL:
                 raise StateValidationError("operator is not Hermitian to 1e-12")
-            # Cholesky of the shifted block succeeds iff all its eigenvalues
-            # exceed -_PSD_TOL; it is several times cheaper than an
-            # eigendecomposition, which only runs on failure to produce a
-            # precise error message.
+            # Cholesky of the shifted block succeeds iff every eigenvalue
+            # exceeds -_PSD_TOL, several times cheaper than an eigensolver.
             try:
                 np.linalg.cholesky(block + _PSD_TOL * np.eye(len(block)))
             except np.linalg.LinAlgError:
-                low = np.linalg.eigvalsh(block)[0]
-                if low < -_PSD_TOL:
-                    # Never repaired silently: a negative eigenvalue beyond
-                    # tolerance means an upstream bug, and clipping would
-                    # mask it.
-                    raise StateValidationError(
-                        f"operator has eigenvalue {low:.3e} < -{_PSD_TOL:g}"
-                    ) from None
+                _refuse_negative(block)
         tr = float(np.trace(m).real)
         if not (1.0 - self.truncation_leak - _TRACE_TOL <= tr <= 1.0 + _TRACE_TOL):
             raise StateValidationError(
@@ -288,6 +279,7 @@ class TriDiagonalWillieState:
     cutoff: FockCutoff
     diag: np.ndarray
     upper: np.ndarray
+    num_modes = 2
 
     def __post_init__(self):
         d = self.cutoff.dim
@@ -311,54 +303,43 @@ class TriDiagonalWillieState:
         for name, a in (("diag", diag), ("upper", upper)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        # Private, as in DensityOperator: the block map, sectors of f + g.
+        object.__setattr__(self, "_sectors", _photon_number_sectors(2, d - 1))
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """The in-block entries: diagonal, exchange pairs, conjugates, zeros."""
+        pairs, where, *_ = _layout_coordinates(self.cutoff.max_photons)
+        upper = self.upper.ravel()[pairs]
+        values = np.zeros(len(self._sectors[1]), dtype=complex)
+        values[where] = np.concatenate([self.diag.ravel(), upper, upper.conj()])
+        values.setflags(write=False)
+        return values
 
     @property
     def truncation_leak(self) -> float:
         return float(max(0.0, 1.0 - self.diag.sum()))
 
     def dense(self) -> np.ndarray:
-        d = self.cutoff.dim
-        m = np.zeros((d * d, d * d), dtype=complex)
-        np.fill_diagonal(m, self.diag.ravel())
-        rows, cols = photon_exchange_indices(self.cutoff)
-        upper = self.upper.ravel()[rows]
-        m[rows, cols] = upper
-        m[cols, rows] = np.conj(upper)
-        return m
+        return _scatter(self)
 
     def to_density_operator(self) -> DensityOperator:
         return DensityOperator(2, self.cutoff, self.dense(), self.truncation_leak)
 
 
-@lru_cache(maxsize=8)
-def _layout_sectors(max_photons: int) -> tuple:
-    """(f, g, pad): row K lists the basis states |f, K-f> of the sector of
-    total photon number K in increasing f, padded to N+1 columns; ``pad``
-    marks the padding, whose (f, g) is (0, 0)."""
-    d = max_photons + 1
-    f = np.maximum(0, np.arange(2 * d - 1)[:, None] - max_photons) + np.arange(d)
-    g = np.arange(2 * d - 1)[:, None] - f
-    pad = (f > max_photons) | (g < 0)
-    f, g = np.where(pad, 0, f), np.where(pad, 0, g)
-    for a in (f, g, pad):
-        a.setflags(write=False)
-    return f, g, pad
-
-
 def _check_layout_psd(diag: np.ndarray, upper: np.ndarray) -> None:
     """Refuse a layout with a sector that has an eigenvalue below -1e-10.
 
-    Sector K is the Hermitian tri-diagonal matrix with diagonal a_i =
-    diag[f_i, g_i] and off-diagonal b_i = upper[f_i, g_i] over its states
-    (f_i, g_i) = (f_0 + i, K - f_0 - i).  Its shift by 1e-10 is positive
-    definite iff every pivot p_0 = a_0 + 1e-10, p_i = a_i + 1e-10 -
-    |b_(i-1)|^2 / p_(i-1) is positive: the shifted Cholesky of
-    :class:`DensityOperator`, run on all sectors at once.  As there, an
-    eigendecomposition runs only on failure, for the error message."""
-    f, g, pad = _layout_sectors(len(diag) - 1)
+    Sector K is tri-diagonal with a_i = diag and b_i = upper at its i-th
+    state (f_0 + i, K - f_0 - i).  Its shift by 1e-10 is positive definite
+    iff every pivot p_0 = a_0 + 1e-10, p_i = a_i + 1e-10 - |b_(i-1)|^2 /
+    p_(i-1) is positive: the shifted Cholesky of :class:`DensityOperator`
+    on all sectors at once, with an eigendecomposition only on failure."""
+    idx = _chains(-1, len(diag) - 1)[0]
+    pad = idx < 0
     # Padding continues each sector with a decoupled unit entry.
-    a = np.where(pad, 1.0, diag[f, g]) + _PSD_TOL
-    b2 = np.where(pad, 0.0, np.abs(upper[f, g]) ** 2)
+    a = np.where(pad, 1.0, diag.ravel()[idx]) + _PSD_TOL
+    b2 = np.where(pad, 0.0, np.abs(upper.ravel()[idx]) ** 2)
     p = a[:, 0]
     ok = p > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -366,35 +347,50 @@ def _check_layout_psd(diag: np.ndarray, upper: np.ndarray) -> None:
             p = a[:, i] - b2[:, i - 1] / p
             ok &= p > 0.0
     for k in np.flatnonzero(~ok):
-        fk, gk = f[k, ~pad[k]], g[k, ~pad[k]]
-        b = upper[fk, gk][:-1]
-        block = np.diag(diag[fk, gk]) + np.diag(b, 1) + np.diag(b.conj(), -1)
-        low = np.linalg.eigvalsh(block)[0]
-        if low < -_PSD_TOL:
-            raise StateValidationError(
-                f"operator has eigenvalue {low:.3e} < -{_PSD_TOL:g}")
+        cells = idx[k, ~pad[k]]
+        b = upper.ravel()[cells][:-1]
+        _refuse_negative(np.diag(diag.ravel()[cells]) + np.diag(b, 1) + np.diag(b.conj(), -1))
+
+
+def _refuse_negative(block: np.ndarray) -> None:
+    """Refuse a Hermitian block with an eigenvalue below -1e-10, never
+    clipped: such an eigenvalue means an upstream bug."""
+    low = np.linalg.eigvalsh(block)[0]
+    if low < -_PSD_TOL:
+        raise StateValidationError(f"operator has eigenvalue {low:.3e} < -1e-10") from None
 
 
 @lru_cache(maxsize=8)
 def _layout_coordinates(max_photons: int) -> tuple:
-    """Where a layout's entries sit in the two-mode matrix: the flat
-    positions in ``upper`` of the photon-exchange pairs, and (f, g, fp, gp,
-    low) of bra |f g> and ket |fp gp> for the diagonal, then the pairs, then
-    their transposes; ``low`` marks the entries inside cutoff N - 2."""
-    cutoff = FockCutoff(max_photons)
-    d = cutoff.dim
-    rows, cols = photon_exchange_indices(cutoff)
-    diagonal = np.arange(d * d)
-    f, g = np.divmod(np.concatenate([diagonal, rows, cols]), d)
-    fp, gp = np.divmod(np.concatenate([diagonal, cols, rows]), d)
-    out = (rows, f, g, fp, gp, _inside(f, g, fp, gp, max_photons - 2))
+    """The flat positions in ``upper`` of the exchange pairs, then the
+    positions among the sectors' in-block entries of a layout's diagonal,
+    pairs and their transposes, and the :func:`_block_coordinates` there."""
+    rows, cols = photon_exchange_indices(FockCutoff(max_photons))
+    diagonal = np.arange((max_photons + 1) ** 2)
+    bra = np.concatenate([diagonal, rows, cols])
+    ket = np.concatenate([diagonal, cols, rows])
+    _, chain, position = _chains(-1, max_photons)
+    sizes = np.bincount(chain)
+    start = np.cumsum(sizes**2) - sizes**2
+    where = start[chain[bra]] + sizes[chain[bra]] * position[bra] + position[ket]
+    out = (rows, where, *(a[where] for a in _block_coordinates(max_photons, False)))
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def _inside(f, g, fp, gp, max_photons: int) -> np.ndarray:
-    return np.maximum(np.maximum(f, g), np.maximum(fp, gp)) <= max_photons
+@lru_cache(maxsize=4)
+def _block_coordinates(max_photons: int, whole: bool) -> tuple:
+    """(f, g, fp, gp, low) of every in-block entry <f g|rho|fp gp> of the
+    two-mode sectors or, with ``whole``, of the whole space; ``low`` marks
+    those inside cutoff N - 2."""
+    d = max_photons + 1
+    _, rows, cols = _whole_space(d * d) if whole else _photon_number_sectors(2, max_photons)
+    out = (*np.divmod(rows, d), *np.divmod(cols, d))
+    out += (np.max(out, axis=0) <= max_photons - 2,)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 # A block map is (sizes, rows, cols): the sizes of the diagonal blocks of a
@@ -439,10 +435,20 @@ def _blocks(state: "DensityOperator") -> Iterable[np.ndarray]:
 def _paired_blocks(a: "DensityOperator", b: "DensityOperator"):
     """Matching diagonal blocks of two states on one space: their shared
     block map, or the whole matrices when the maps differ."""
-    _check_same_space(a, b)
+    if a.num_modes != b.num_modes or a.cutoff != b.cutoff:
+        raise ValueError("operators live on different truncated spaces")
     if a._sectors[0] == b._sectors[0]:  # on one space, equal sizes: one map
         return zip(_blocks(a), _blocks(b))
-    return [(a.entries, b.entries)]
+    return [(_scatter(a), _scatter(b))]
+
+
+def _scatter(state) -> np.ndarray:
+    """A state's matrix: its in-block entries in place, zero elsewhere."""
+    _, rows, cols = state._sectors
+    dim = state.cutoff.dim ** state.num_modes
+    m = np.zeros((dim, dim), dtype=complex)
+    m[rows, cols] = state._values
+    return m
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -455,6 +461,24 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     )
 
 
+@lru_cache(maxsize=8)
+def _chains(step: int, max_photons: int) -> tuple:
+    """(idx, chain, position) of the 2N+1 chains of constant g - ``step`` f,
+    in increasing g - step f: row c of ``idx`` lists chain c's flat indices
+    f d + g by increasing f, padded with -1, and index i sits at
+    idx[chain[i], position[i]].  Step -1 gives the sectors of equal f + g."""
+    d = max_photons + 1
+    f, g = np.divmod(np.arange(d * d), d)
+    chain = g - step * f + (max_photons if step == 1 else 0)
+    # A chain starts at f = 0 or at the edge g = 0 (step +1), g = N (step -1).
+    position = np.minimum(f, g if step == 1 else max_photons - g)
+    idx = np.full((2 * d - 1, d), -1)
+    idx[chain, position] = np.arange(d * d)
+    for a in (idx, chain, position):
+        a.setflags(write=False)
+    return idx, chain, position
+
+
 # i^k, exactly: the similarity D = diag(i^k) that makes a sector's generator
 # symmetric (see _sector_eigensystems).
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -462,8 +486,8 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 @lru_cache(maxsize=8)
 def _sector_eigensystems(step: int, max_photons: int) -> tuple:
-    """(chain, D V, mu) for every sector of the generator X - X^dag of
-    :func:`_two_mode_core`.
+    """(D V, mu) for every chain of :func:`_chains`, a sector of the
+    generator X - X^dag of :func:`_sector_blocks`, zero-padded.
 
     A sector's generator is real, antisymmetric and tri-diagonal with
     sub-diagonal x_k, so with D = diag(i^k) it equals D (-i T) D^-1 for the
@@ -471,39 +495,60 @@ def _sector_eigensystems(step: int, max_photons: int) -> tuple:
     T = V diag(mu) V^T gives exp(s (X - X^dag)) = (D V) e^(-i s mu) (D V)^dag
     on the sector, for any strength s.  Each T is at most (N+1) x (N+1),
     small enough for a dense symmetric eigensolver."""
+    idx = _chains(step, max_photons)[0]
     d = max_photons + 1
-    f, g = np.divmod(np.arange(d * d), d)
-    label = g - step * f
-    out = []
-    for c in range(int(label.min()), int(label.max()) + 1):
-        idx = np.flatnonzero(label == c)  # the chain, in increasing f
-        x = np.sqrt((f[idx[:-1]] + 1.0) * np.maximum(g[idx[:-1]], g[idx[1:]]))
-        mu, v = np.linalg.eigh(np.diag(x, 1) + np.diag(x, -1))
-        left = _I_POWERS[np.arange(len(idx)) % 4, None] * v
-        for a in (idx, left, mu):
-            a.setflags(write=False)
-        out.append((idx, left, mu))
-    return tuple(out)
+    left = np.zeros((len(idx), d, d), dtype=complex)
+    mu = np.zeros((len(idx), d))
+    for c, row in enumerate(idx):
+        f, g = np.divmod(row[row >= 0], d)
+        x = np.sqrt((f[:-1] + 1.0) * np.maximum(g[:-1], g[1:]))
+        n = len(f)
+        mu[c, :n], v = np.linalg.eigh(np.diag(x, 1) + np.diag(x, -1))
+        left[c, :n, :n] = _I_POWERS[np.arange(n) % 4, None] * v
+    for a in (left, mu):
+        a.setflags(write=False)
+    return left, mu
 
 
-def _two_mode_core(strength: float, step: int, max_photons: int) -> np.ndarray:
-    """exp(strength (X - X^dag)) on modes (a, b) of a two-mode space, where
-    X = a^dag b for ``step`` -1 and X = a^dag b^dag for ``step`` +1.
+def _sector_blocks(strength: float, step: int, max_photons: int) -> np.ndarray:
+    """exp(strength (X - X^dag)) on a two-mode space, X = a^dag b for
+    ``step`` -1 and a^dag b^dag for ``step`` +1, as real blocks (2N+1, N+1,
+    N+1), one per chain of :func:`_chains`; padding entries are never read.
 
     X takes |f, g> to sqrt((f+1) max(g, g+step)) |f+1, g+step> inside the
-    cutoff, so g - step f is conserved: each of its values is a sector, a
-    chain of at most N+1 basis states.  Each block comes from the sector's
-    cached eigensystem; strength 0 is the identity exactly.
-    """
-    d = max_photons + 1
-    u = np.zeros((d * d, d * d), dtype=complex)
+    cutoff, so each chain is a sector.  Strength 0 is the identity exactly."""
+    left, mu = _sector_eigensystems(step, max_photons)
     if strength == 0.0:
-        np.fill_diagonal(u, 1.0)
-        return u
-    for idx, left, mu in _sector_eigensystems(step, max_photons):
-        # The exponential of a real generator is real: drop the roundoff
-        # the complex similarity leaves in the imaginary part.
-        u[np.ix_(idx, idx)] = ((left * np.exp(-1j * strength * mu)) @ left.conj().T).real
+        return np.broadcast_to(np.eye(max_photons + 1), left.shape)
+    # The exponential of a real generator is real: drop the roundoff the
+    # complex similarity leaves in the imaginary part.
+    phases = np.exp(-1j * strength * mu)[:, None, :]
+    return ((left * phases) @ left.conj().swapaxes(1, 2)).real
+
+
+def _beamsplitter_blocks(eta: float, max_photons: int) -> tuple:
+    """(blocks, step) of :func:`beamsplitter_unitary`."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must be in [0, 1], got {eta}")
+    parity = (-1.0) ** (_chains(-1, max_photons)[0] % (max_photons + 1))  # of mode 1
+    return _sector_blocks(np.arccos(np.sqrt(eta)), -1, max_photons) * parity[:, :, None], -1
+
+
+def _amplifier_blocks(gain: float, max_photons: int) -> tuple:
+    """(blocks, step) of :func:`two_mode_amplifier_unitary`."""
+    if not (math.isfinite(gain) and gain >= 1.0):
+        raise ValueError(f"gain must be finite and >= 1, got {gain}")
+    return _sector_blocks(np.arccosh(np.sqrt(gain)), 1, max_photons), 1
+
+
+def _unitary(blocks: np.ndarray, step: int) -> np.ndarray:
+    """The dense two-mode matrix with ``blocks`` on the chains of ``step``."""
+    d = blocks.shape[1]
+    idx = _chains(step, d - 1)[0]
+    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+    inside = (rows >= 0) & (cols >= 0)
+    u = np.zeros((d * d, d * d), dtype=complex)
+    u[rows[inside], cols[inside]] = blocks[inside]
     return u
 
 
@@ -533,19 +578,12 @@ def beamsplitter_unitary(
     The minus sign on the reflected port is realized by composing a Fock
     rotation exp(theta (a^dag b - a b^dag)) with a photon-number parity on
     mode 1; a plain rotation alone cannot produce this det = -1 mode map.
-    The rotation conserves n_a + n_b, so it is built block by block over
-    the sectors of equal n_a + n_b, each block of size at most N+1, from
-    the sector eigensystems cached per cutoff: e^(-i theta mu) on the
-    eigenvalues mu.  At eta = 1 (theta = 0) it is the parity map exactly.
-    It is exact on any state fully supported below the cutoff.
+    The rotation conserves n_a + n_b: it is the scatter of its blocks on
+    the sectors of equal n_a + n_b.  At eta = 1 (theta = 0) it is the
+    parity map exactly.  It is exact on any state supported below the cutoff.
     """
     _check_two_mode(mode_a, mode_b, num_modes)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    d = cutoff.dim
-    core = _two_mode_core(np.arccos(np.sqrt(eta)), -1, cutoff.max_photons)
-    core *= np.tile((-1.0) ** np.arange(d), d)[:, None]  # parity on mode 1
-    return core
+    return _unitary(*_beamsplitter_blocks(eta, cutoff.max_photons))
 
 
 def two_mode_amplifier_unitary(
@@ -557,18 +595,15 @@ def two_mode_amplifier_unitary(
     contract as :func:`beamsplitter_unitary`; G must be finite and >= 1.
     Heisenberg map: mode 0 out = sqrt(G) a + sqrt(G-1) b^dag, with
     cosh(r) = sqrt(G).  The generator r (a^dag b^dag - a b) conserves
-    n_a - n_b, so the unitary is built block by block over the sectors of
-    equal n_a - n_b, each block of size at most N+1, from the sector
-    eigensystems cached per cutoff; at G = 1 it is the identity exactly.
+    n_a - n_b: the unitary is the scatter of its blocks on the sectors of
+    equal n_a - n_b; at G = 1 it is the identity exactly.
     Every block is unitary on the truncated space, but the physical map
     does not conserve photon number; callers should check the output
     state's weight near the cutoff (its truncation leak) for G not close
     to 1.
     """
     _check_two_mode(mode_a, mode_b, num_modes)
-    if not (math.isfinite(gain) and gain >= 1.0):
-        raise ValueError(f"gain must be finite and >= 1, got {gain}")
-    return _two_mode_core(np.arccosh(np.sqrt(gain)), 1, cutoff.max_photons)
+    return _unitary(*_amplifier_blocks(gain, cutoff.max_photons))
 
 
 @lru_cache(maxsize=512)
@@ -600,14 +635,20 @@ def anti_normal_char_fn(
     :class:`TruncationError`, as is any cutoff below 3, which leaves no
     lower cutoff to compare with.
     """
-    if isinstance(state, DensityOperator) and state.num_modes != 2:
+    if state.num_modes != 2:
         raise ValueError("anti_normal_char_fn expects a two-mode state")
     if not (cmath.isfinite(zeta1) and cmath.isfinite(zeta2)):
         raise ValueError(f"zeta must be finite, got ({zeta1}, {zeta2})")
     n = state.cutoff.max_photons
     if n < 3:  # no cutoff n - 2 >= 1 to compare with
         raise TruncationError(f"characteristic function unchecked at N={n} < 3")
-    values, f, g, fp, gp, low = _char_fn_entries(state)
+    values = state._values
+    if isinstance(state, TriDiagonalWillieState):  # its pattern entries only
+        _, where, *coordinates = _layout_coordinates(n)
+        values = values[where]
+    else:
+        coordinates = _block_coordinates(n, len(state._sectors[0]) == 1)
+    f, g, fp, gp, low = coordinates
     value = _char_fn_trace(values, f, g, fp, gp, n, zeta1, zeta2)
     ref = _char_fn_trace(values[low], f[low], g[low], fp[low], gp[low],
                          n - 2, zeta1, zeta2)
@@ -617,22 +658,6 @@ def anti_normal_char_fn(
             f"|delta| = {abs(value - ref):.3e} > {_CHAR_FN_TOL:g}"
         )
     return complex(value)
-
-
-def _char_fn_entries(state) -> tuple:
-    """(values, f, g, fp, gp, low) of a state's entries <f g|rho|fp gp>;
-    ``low`` marks those inside cutoff N - 2."""
-    n = state.cutoff.max_photons
-    if isinstance(state, TriDiagonalWillieState):
-        pairs, *coordinates = _layout_coordinates(n)
-        upper = state.upper.ravel()[pairs]
-        return (np.concatenate([state.diag.ravel(), upper, upper.conj()]),
-                *coordinates)
-    d = state.cutoff.dim
-    _, rows, cols = state._sectors
-    f, g = np.divmod(rows, d)
-    fp, gp = np.divmod(cols, d)
-    return state._values, f, g, fp, gp, _inside(f, g, fp, gp, n - 2)
 
 
 def _char_fn_trace(values, f, g, fp, gp, max_photons, zeta1, zeta2) -> complex:
@@ -645,7 +670,7 @@ def _char_fn_trace(values, f, g, fp, gp, max_photons, zeta1, zeta2) -> complex:
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """(1/2) || a - b ||_1 via eigenvalues of the Hermitian difference,
-    block by block."""
+    block by block; a or b may be a :class:`TriDiagonalWillieState`."""
     return 0.5 * sum(float(np.sum(np.abs(np.linalg.eigvalsh(x - y))))
                      for x, y in _paired_blocks(a, b))
 
@@ -655,7 +680,7 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
 
     ``b`` must be full rank on the truncated support; a singular reference
     raises :class:`RankDeficiencyError` rather than silently regularizing.
-    ``base`` must be finite, positive and not 1.
+    ``base`` must be finite, positive and not 1; a or b may be a layout.
     """
     if not (math.isfinite(base) and base > 0.0 and base != 1.0):
         raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
@@ -669,7 +694,7 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
 
 
 def chi2_numeric(a: DensityOperator, b: DensityOperator) -> float:
-    """Quantum chi-squared divergence tr[a^2 b^-1] - 1."""
+    """Quantum chi-squared divergence tr[a^2 b^-1] - 1; a or b may be a layout."""
     total = 0.0
     for x, wb, vb in _against_reference(a, b):
         inv_b = (vb / wb) @ vb.conj().T
@@ -687,8 +712,3 @@ def _against_reference(a: DensityOperator, b: DensityOperator) -> list:
             f"reference state is rank deficient (min eigenvalue {low:.3e})"
         )
     return pairs
-
-
-def _check_same_space(a: DensityOperator, b: DensityOperator):
-    if a.num_modes != b.num_modes or a.cutoff != b.cutoff:
-        raise ValueError("operators live on different truncated spaces")

@@ -4,8 +4,8 @@ The closed-form expressions in :mod:`covert_bosonic.closed_form` involve
 enough index bookkeeping that transposition or sign typos are cheap to
 make and expensive to notice.  This module re-derives every quantity
 numerically from :mod:`covert_bosonic.fock_core` primitives alone --
-truncated beamsplitter/amplifier unitaries, exponentials of the truncated
-ladder operators and the periodic trapezoid rule -- and reports the
+the sector blocks of truncated beamsplitter/amplifier unitaries, truncated
+ladder exponentials and the periodic trapezoid rule -- and reports the
 discrepancies.  Its numeric states use no ``closed_form`` code, so an error
 in the analytic layer cannot cancel here.
 
@@ -18,16 +18,16 @@ operators |x><x'| go through one rail's chain and the two-mode output is
 reassembled by linearity, without materializing the four-mode matrix
 (the tests check this against the dense four-mode route in
 ``tests/dense_reference.py``).  Each stage conserves a photon number, so it
-runs as a cached shift map on the rail's bands, never as a dense d^4
-unitary.  The image of |x><x'| lies on the band row - col = x - x', so every
-numeric state is read from the images into the tri-diagonal (diag, upper)
-layout of :class:`TriDiagonalWillieState` that the closed forms fill; an
-image with weight off its band is refused, and the layout checks itself
-(sector PSD, trace) as a :class:`DensityOperator` would.  The checks
-compare those arrays or, for char_fn and eb_pipelines, read the
-characteristic function straight from the layout; only a state handed out
-as a :class:`DensityOperator` (``*_state_numeric``, and through them chi2
-and pinsker_and_detector) is made dense.
+runs as a cached shift map on the rail's bands, gathered from the stage
+unitary's sector blocks; no dense d^4 unitary is built.  The image of
+|x><x'| lies on the band row - col = x - x', so every numeric state is read
+from the images into the tri-diagonal (diag, upper) layout of
+:class:`TriDiagonalWillieState` that the closed forms fill; an image with
+weight off its band is refused, and the layout checks itself (sector PSD,
+trace) as a :class:`DensityOperator` would.  The checks compare those
+arrays or pass the layout to the characteristic function or, against the
+diagonal layout of the thermal product, to the divergences; only a state
+handed out as a :class:`DensityOperator` (``*_state_numeric``) is dense.
 
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most
@@ -71,16 +71,15 @@ from .fock_core import (
     FockCutoff,
     TriDiagonalWillieState,
     TruncationError,
+    _amplifier_blocks,
+    _beamsplitter_blocks,
+    _chains,
     anti_normal_char_fn,
-    beamsplitter_unitary,
     chi2_numeric,
     creation_exponential,
     qre,
-    tensor,
     thermal_occupation,
-    thermal_state,
     trace_distance,
-    two_mode_amplifier_unitary,
 )
 
 __all__ = [
@@ -200,43 +199,36 @@ _RAIL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 def _stage_transfer(stage: tuple, max_photons: int) -> tuple:
     """One stage (see :func:`_apply_stage`) as a shift map, (M, rows).
 
-    The stage unitary conserves n_signal + tau n_ancilla for tau = +1 (a
-    beamsplitter) or -1 (an amplifier), so once the ancilla is traced out
-    it keeps every band row - col of a single-mode operator, up to the sign
-    sigma (-1 only for an amplifier's idler port):
+    The blocks conserve n_signal + tau n_ancilla, tau = -step (+1 for a
+    beamsplitter, -1 for an amplifier), so once the ancilla is traced out
+    the stage keeps every band row - col of a single-mode operator, up to
+    the sign sigma (-1 only for an amplifier's idler port):
 
         out[rows[s, i], rows[s, j]] += M[s, i, j] x[i, j],
         rows[s, i] = s + sigma i - (d - 1 if sigma = 1 else 0),
 
-    for the 2d - 1 shifts s.  M is read once from the unitary's conserving
-    entries, and a unitary with weight off them is refused.  ``rows`` is
-    clipped to the cutoff where M vanishes."""
-    unitary, param, nbar, keep = stage
+    for the 2d - 1 shifts s.  M sums E[s, i, k] E[s, j, k], weighted by the
+    ancilla input k, where E[s, i, k] is the block entry from |i, k> to the
+    output with rows[s, i] photons kept.  ``rows`` is clipped to the cutoff
+    where M vanishes."""
+    builder, param, nbar, keep = stage
+    blocks, step = builder(param, max_photons)
+    _, chain, position = _chains(step, max_photons)
+    tau = -step
+    sigma = 1 if keep == _SIGNAL else tau
     d = max_photons + 1
-    u = unitary(param, 0, 1, 2, FockCutoff(max_photons)).reshape(d, d, d, d)
-    total = np.count_nonzero(u.view(float))
-    if keep == _ANCILLA:
-        u = u.transpose(1, 0, 2, 3)  # [kept out, traced out, in sig, in anc]
     w = thermal_occupation(np.arange(d), nbar)
-    k = np.flatnonzero(w)
+    k = np.flatnonzero(w)[None, None, :]
     s = np.arange(2 * d - 1)[:, None, None]
     i = np.arange(d)[None, :, None]
-    n_anc = np.arange(d)[None, None, :]
-    for tau in (1, -1):
-        sigma = 1 if keep == _SIGNAL else tau
-        rows = s - (d - 1 if sigma == 1 else 0) + sigma * i
-        # The traced port's photon number, fixed by the conserved quantity.
-        traced = (n_anc + tau * (i - rows) if keep == _SIGNAL
-                  else i + tau * (n_anc - rows))
-        inside = (rows >= 0) & (rows < d) & (traced >= 0) & (traced < d)
-        v = np.where(inside, u[np.clip(rows, 0, d - 1), np.clip(traced, 0, d - 1),
-                               i, n_anc], 0.0)
-        if np.count_nonzero(v.view(float)) == total:
-            break
-    else:
-        raise ValueError("stage unitary conserves neither n_a + n_b nor n_a - n_b")
-    v = v[:, :, k]
-    m = (v * w[k]) @ v.conj().transpose(0, 2, 1)
+    rows = s - (d - 1 if sigma == 1 else 0) + sigma * i
+    # The traced port's photon number, fixed by the conserved quantity.
+    traced = k + tau * (i - rows) if keep == _SIGNAL else i + tau * (k - rows)
+    inside = (rows >= 0) & (rows < d) & (traced >= 0) & (traced < d)
+    out = np.where(inside, rows * d + traced if keep == _SIGNAL else traced * d + rows, 0)
+    col = i * d + k
+    e = np.where(inside, blocks[chain[col], position[out], position[col]], 0.0)
+    m = (e * w[k]) @ e.transpose(0, 2, 1)
     rows = np.clip(rows[:, :, 0], 0, d - 1)
     for a in (m, rows):
         a.setflags(write=False)
@@ -247,14 +239,13 @@ def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
     """Push a single-mode operator through one stage and trace out the port
     not kept.
 
-    A stage is (unitary, param, nbar, keep): :func:`beamsplitter_unitary`
-    with param the transmittance, or :func:`two_mode_amplifier_unitary`
-    with param the gain, acting on (signal, ancilla); the ancilla enters
-    thermal with mean photon number nbar (vacuum at 0) and port ``keep`` is
-    kept.  The stage runs as its cached shift map (:func:`_stage_transfer`)
-    on the nonzero rows and columns of ``x`` only, so a rank-1 basis
-    operator reads 2d - 1 entries of M and a general operator all
-    (2d - 1) d^2."""
+    A stage is (builder, param, nbar, keep): the sector-block builder of a
+    beamsplitter (param the transmittance) or an amplifier (param the gain)
+    on (signal, ancilla); the ancilla enters thermal with mean photon
+    number nbar (vacuum at 0) and port ``keep`` is kept.  The
+    stage runs as its cached shift map (:func:`_stage_transfer`) on the
+    nonzero rows and columns of ``x`` only, so a rank-1 basis operator
+    reads 2d - 1 entries of M and a general operator all (2d - 1) d^2."""
     m, rows = _stage_transfer(stage, max_photons)
     d = max_photons + 1
     i = np.flatnonzero(np.any(x != 0, axis=1))
@@ -286,7 +277,7 @@ def _rail_images(stages: tuple, max_photons: int) -> dict:
 
 def _channel(params: ChannelParams, keep: int) -> tuple:
     """The physical channel as a one-stage chain."""
-    return ((beamsplitter_unitary, params.eta, params.nbar_b, keep),)
+    return ((_beamsplitter_blocks, params.eta, params.nbar_b, keep),)
 
 
 def _tri_diagonal(qubit: cf.LogicalQubit, rail: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -342,8 +333,7 @@ def willie_state_numeric(
     """Warden's two-mode output, simulated from channel primitives: mix each
     rail with its thermal environment on a truncated beamsplitter and keep
     the reflected ports."""
-    state = _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff)
-    return state.to_density_operator()
+    return _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff).to_density_operator()
 
 
 def bob_state_numeric(
@@ -352,8 +342,7 @@ def bob_state_numeric(
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
 ) -> DensityOperator:
     """Receiver's two-mode output: same simulation, transmitted ports kept."""
-    state = _assemble_two_mode(qubit, _channel(params, _SIGNAL), cutoff)
-    return state.to_density_operator()
+    return _assemble_two_mode(qubit, _channel(params, _SIGNAL), cutoff).to_density_operator()
 
 
 def engineered_willie_state_numeric(
@@ -365,17 +354,16 @@ def engineered_willie_state_numeric(
     """Warden's output through the full entanglement-breaking optical train:
     optional amplifier (vacuum idler), optional pure-loss stage (vacuum
     port), then the physical channel."""
-    state = _assemble_two_mode(qubit, _engineered(plan, params), cutoff)
-    return state.to_density_operator()
+    return _assemble_two_mode(qubit, _engineered(plan, params), cutoff).to_density_operator()
 
 
 def _engineered(plan: EbPlan, params: ChannelParams) -> tuple:
     """The entanglement-breaking optical train to the warden as a chain."""
     stages = ()
     if plan.gain_eb > 1.0:
-        stages += ((two_mode_amplifier_unitary, plan.gain_eb, 0.0, _SIGNAL),)
+        stages += ((_amplifier_blocks, plan.gain_eb, 0.0, _SIGNAL),)
     if plan.tau < 1.0:
-        stages += ((beamsplitter_unitary, plan.tau, 0.0, _SIGNAL),)
+        stages += ((_beamsplitter_blocks, plan.tau, 0.0, _SIGNAL),)
     return stages + _channel(params, _ANCILLA)
 
 
@@ -467,13 +455,19 @@ def verify_chi2(
             # tail), so escalate the cutoff with the occupancy.
             cut = FockCutoff(max(20, min(30, math.ceil(
                 math.log(1e-11) / math.log(occ / (1.0 + occ))))))
-            quiet = tensor(thermal_state(occ, cut), thermal_state(occ, cut))
+            quiet, stages = _quiet(occ, cut), _channel(params, _ANCILLA)
             for qubit in qubits:
-                num = chi2_numeric(willie_state_numeric(qubit, params, cut), quiet)
+                num = chi2_numeric(_assemble_two_mode(qubit, stages, cut), quiet)
                 clo = cf.chi2_closed(qubit, params)
                 yield abs(num - clo) / max(abs(clo), 1e-30), _inputs(params, qubit)
 
     return _report("chi2", errors(), _CHI2_REL_TOLERANCE)
+
+
+def _quiet(occ: float, cutoff: FockCutoff) -> TriDiagonalWillieState:
+    """The warden's quiet state: the diagonal layout of two thermal modes."""
+    p = thermal_occupation(np.arange(cutoff.dim), occ)
+    return TriDiagonalWillieState(cutoff, np.outer(p, p), np.zeros((cutoff.dim,) * 2))
 
 
 def verify_char_fn(
@@ -517,19 +511,15 @@ def verify_pinsker_and_detector(
     step (relative entropy bounded by chi-squared) holds in nats, and the
     standard Pinsker constant 1/8 is the nats form.
     """
-    occ = params.eta * params.nbar_b
     cutoff = _PINSKER_CUTOFF
-    quiet = tensor(thermal_state(occ, cutoff), thermal_state(occ, cutoff))
-    rho_w = willie_state_numeric(qubit, params, cutoff)
+    quiet = _quiet(params.eta * params.nbar_b, cutoff)
+    rho_w = _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff)
     chi2 = cf.chi2_closed(qubit, params)
 
     def errors():
         for q in _PINSKER_Q_VALUES:
-            mix = DensityOperator(
-                2, cutoff,
-                (1.0 - q) * quiet.entries + q * rho_w.entries,
-                max(quiet.truncation_leak, rho_w.truncation_leak),
-            )
+            mix = TriDiagonalWillieState(
+                cutoff, (1.0 - q) * quiet.diag + q * rho_w.diag, q * rho_w.upper)
             td_term = 0.25 * 2.0 * trace_distance(mix, quiet)
             d_nats = qre(mix, quiet, base=math.e)
             mid = math.sqrt(max(d_nats, 0.0) / 8.0)

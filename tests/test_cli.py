@@ -36,7 +36,7 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "usage"
 
     @pytest.mark.parametrize("spec", ["10:1:5", "1e6:1e7:inf", "1e6:1e7:1e400",
-                                      "1e6:1e7:2.9"])
+                                      "1e6:1e7:2.9", "1e6:1e7:1e300", "1:2:1000001"])
     def test_bad_range_is_usage_error(self, spec, capsys):
         code, out, err = run_cli(
             ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",

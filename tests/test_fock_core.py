@@ -596,6 +596,23 @@ class TestSectorBlocks:
         assert state._sectors[0] == (d * d,)
         assert trace_distance(state, self.quiet()) < 1e-299
 
+    @pytest.mark.parametrize("state", ["quiet", "bell_mixture", "dual_rail_mixture"])
+    def test_char_fn_reads_cached_coordinates(self, state):
+        """The char fn equals, bit for bit, the trace over coordinates
+        recomputed from the block map on every call, and a second call on
+        the same block map reuses the cached coordinates."""
+        rho = getattr(self, state)()
+        n, d = self.CUT.max_photons, self.CUT.dim
+        _, rows, cols = rho._sectors
+        f, g = np.divmod(rows, d)
+        fp, gp = np.divmod(cols, d)
+        fock_core._block_coordinates.cache_clear()
+        for z1, z2 in [(0.3, 0.1j), (0.3 + 0.2j, -0.4j), (-0.2j, 0.25)]:
+            want = fock_core._char_fn_trace(rho._values, f, g, fp, gp, n, z1, z2)
+            assert anti_normal_char_fn(rho, z1, z2) == want
+        info = fock_core._block_coordinates.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
 
 def layout_matrix(cutoff, diag, upper):
     """The two-mode matrix of a (diag, upper) layout, scattered entry by
@@ -713,6 +730,34 @@ class TestTriDiagonalLayout:
         assert layout == dense
         if indefinite:
             assert not layout
+
+    def test_values_are_the_dense_in_block_entries(self):
+        cut = FockCutoff(5)
+        diag, upper = random_layout(4, 5, indefinite=False)
+        state = TriDiagonalWillieState(cut, diag, upper)
+        _, rows, cols = state._sectors
+        assert np.array_equal(state._values, layout_matrix(cut, diag, upper)[rows, cols])
+
+    @pytest.mark.parametrize("measure", [chi2_numeric, qre, trace_distance])
+    def test_divergences_read_the_layout(self, measure):
+        """A layout, its DensityOperator and every mixed pair give the same
+        value bit for bit, against a reference on the same block map and
+        against one on the whole space."""
+        cut = FockCutoff(5)
+        diag, upper = random_layout(5, 5, indefinite=False)
+        state = TriDiagonalWillieState(cut, diag, upper * 0.5)
+        p = thermal_occupation(np.arange(cut.dim), 0.4)
+        quiet = TriDiagonalWillieState(cut, np.outer(p, p), np.zeros((cut.dim,) * 2))
+        product = tensor(thermal_state(0.4, cut), thermal_state(0.4, cut))
+        dense = state.to_density_operator()
+        values = {measure(a, b) for a in (state, dense) for b in (quiet, product)}
+        assert len(values) == 1
+        # One coherence off the sectors makes the reference one block.
+        m = product.entries.copy()
+        m[0, cut.dim + 1] = m[cut.dim + 1, 0] = 1e-3  # |00><11|
+        whole = DensityOperator(2, cut, m, product.truncation_leak)
+        assert whole._sectors[0] == (cut.dim**2,)
+        assert measure(state, whole) == measure(dense, whole)
 
     def test_dense_is_the_scattered_layout(self):
         cut = FockCutoff(5)

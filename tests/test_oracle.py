@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 import sys
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from covert_bosonic.fock_core import (
     thermal_state,
     two_mode_amplifier_unitary,
 )
-from covert_bosonic import oracle
+from covert_bosonic import fock_core, oracle
 from covert_bosonic.oracle import (
     ALL_CHECKS,
     VerificationReport,
@@ -141,12 +143,18 @@ class TestEngineeredPipelines:
         assert np.max(np.abs(oracle_state.entries - reference)) <= 1e-12
 
 
+# The sector-block builder behind each dense unitary, and back.
+BUILDERS = {beamsplitter_unitary: fock_core._beamsplitter_blocks,
+            two_mode_amplifier_unitary: fock_core._amplifier_blocks}
+DENSE = {builder: unitary for unitary, builder in BUILDERS.items()}
+
+
 def dense_stage(x, stage, max_photons):
     """One stage by the dense d^4 contraction: the full stage unitary, the
     thermal ancilla weights, the port not kept traced out."""
-    unitary, param, nbar, keep = stage
+    builder, param, nbar, keep = stage
     d = max_photons + 1
-    u = unitary(param, 0, 1, 2, FockCutoff(max_photons)).reshape(d, d, d, d)
+    u = DENSE[builder](param, 0, 1, 2, FockCutoff(max_photons)).reshape(d, d, d, d)
     if keep == oracle._ANCILLA:
         u = u.transpose(1, 0, 2, 3)
     w = thermal_occupation(np.arange(d), nbar)
@@ -178,7 +186,7 @@ class TestStageTransfer:
     @pytest.mark.parametrize("nbar", [0.0, 0.2])
     @pytest.mark.parametrize("keep", [oracle._SIGNAL, oracle._ANCILLA])
     def test_matches_dense_contraction(self, unitary, param, nbar, keep):
-        stage = (unitary, param, nbar, keep)
+        stage = (BUILDERS[unitary], param, nbar, keep)
         for op in self.operators():
             got = oracle._apply_stage(op, stage, self.N)
             ref = dense_stage(op, stage, self.N)
@@ -186,20 +194,42 @@ class TestStageTransfer:
 
     def test_cache_holds_no_dense_unitary(self):
         d = self.N + 1
-        stage = (beamsplitter_unitary, 0.41, 0.1, oracle._SIGNAL)
+        stage = (fock_core._beamsplitter_blocks, 0.41, 0.1, oracle._SIGNAL)
         arrays = oracle._stage_transfer(stage, self.N)
         assert all(a.size <= (2 * d - 1) * d * d for a in arrays)
 
-    def test_unitary_off_conservation_is_refused(self):
-        def broken(param, *args):
-            u = beamsplitter_unitary(param, *args)
-            u[0, 5] = 1e-3  # |0,0> <- |0,5>: conserves neither number
-            return u
 
-        op = np.zeros((self.N + 1,) * 2, dtype=complex)
-        op[0, 0] = 1.0
-        with pytest.raises(ValueError, match="conserves neither"):
-            oracle._apply_stage(op, (broken, 0.5, 0.1, oracle._SIGNAL), self.N)
+def traced_peak_mb(run) -> float:
+    """Peak traced allocation, in MB, while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """No stage map or divergence check holds an (N+1)^4 array: their
+    allocation peaks stay far below one, from cold caches."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        for cached in (oracle._stage_transfer, oracle._rail_images,
+                       fock_core._sector_eigensystems):
+            cached.cache_clear()
+
+    def test_stage_build_at_n60(self):
+        # A dense d^4 complex unitary alone is 16 * 61^4 bytes = 221 MB.
+        stage = (fock_core._beamsplitter_blocks, 0.9, 0.12, oracle._ANCILLA)
+        assert traced_peak_mb(lambda: oracle._stage_transfer(stage, 60)) < 48
+
+    def test_pinsker_and_detector(self):
+        assert traced_peak_mb(oracle.verify_pinsker_and_detector) < 8
+
+    def test_chi2_one_channel_one_qubit(self):
+        run = partial(verify_chi2, [ChannelParams(0.9, 0.12)], [LogicalQubit(0.3, 0.7, 0.2)])
+        assert traced_peak_mb(run) < 8
 
 
 class TestImageChecks:
@@ -307,6 +337,36 @@ class TestLayoutCharFn:
         layout = willie_state_closed(self.QUBIT, self.PARAMS, FockCutoff(8))
         with pytest.raises(ValueError, match="zeta must be finite"):
             anti_normal_char_fn(layout, *zetas)
+
+
+def test_checks_build_no_dense_unitary_or_state(monkeypatch):
+    """Every check passes on a 1 x 1 grid, from cold caches, while the
+    dense unitaries, a layout's matrix and every DensityOperator raise:
+    the oracle reads only sector blocks and checked layouts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense unitary or state built")
+
+    for name in ("beamsplitter_unitary", "two_mode_amplifier_unitary"):
+        for mod in (fock_core, oracle, sys.modules["covert_bosonic"]):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    monkeypatch.setattr(TriDiagonalWillieState, "dense", refuse)
+    monkeypatch.setattr(DensityOperator, "__post_init__", refuse)
+    for cached in (oracle._stage_transfer, oracle._rail_images):
+        cached.cache_clear()
+    with pytest.raises(AssertionError, match="dense"):
+        fock_core.two_mode_amplifier_unitary(1.5, 0, 1, 2, FockCutoff(3))
+    with pytest.raises(AssertionError, match="dense"):
+        thermal_state(0.1, FockCutoff(3))
+    params, qubit = ChannelParams(0.85, 0.07), LogicalQubit(0.4, 0.6, 0.1 - 0.2j)
+    grid = {"channel_grid": [params], "qubits": [qubit]}
+    for name, check in ALL_CHECKS.items():
+        if "channel_grid" in inspect.signature(check).parameters:
+            report = check(**grid)
+        elif name == "pinsker_and_detector":
+            report = check(params, qubit)
+        else:
+            report = check()
+        assert report.passed, name
 
 
 def test_char_fn_checks_build_no_dense_state(monkeypatch):
