@@ -82,9 +82,9 @@ def c_cov(params: ChannelParams) -> float:
 
 # The array functions below evaluate a whole sweep for bounds_curve; the
 # scalar functions are 0-d views of them.  They follow scalar float
-# arithmetic: inf/NaN (c_cov is infinite at eta = 1) propagate silently, and
-# np.fmin/np.fmax match Python's min(1, x)/max(0, x), which return the
-# constant when x is NaN.
+# arithmetic: np.fmin/np.fmax match Python's min(1, x)/max(0, x), which
+# return the constant when x is NaN.  c_cov is infinite at eta = 1; q then
+# clamps to 1, and the converse refuses the infinite nbar_s.
 
 
 def _check_delta(delta: float) -> None:
@@ -92,14 +92,19 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
 
 
-def _nbar_s(params: ChannelParams, delta: float, n) -> np.ndarray:
-    """2 c_cov delta / sqrt(n): the covertness cap on the signal photon
-    number, and the transmission probability before clamping to 1."""
+def _check_n(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)):
         raise ValueError("n must be finite")
     if np.any(n < 1):
         raise ValueError("n must be >= 1")
+    return n
+
+
+def _nbar_s(params: ChannelParams, delta: float, n) -> np.ndarray:
+    """2 c_cov delta / sqrt(n): the covertness cap on the signal photon
+    number, and the transmission probability before clamping to 1."""
+    n = _check_n(n)
     _check_delta(delta)
     if delta == 0.0:  # no budget, no signal, even where c_cov is infinite
         return np.zeros_like(n)
@@ -129,6 +134,12 @@ def _g(x) -> np.ndarray:
 
 def _capacity(params: ChannelParams, nbar_s) -> np.ndarray:
     nbar_s = np.asarray(nbar_s, dtype=float)
+    if not np.all(np.isfinite(nbar_s)):
+        # g(inf) - g(inf) is NaN, which the [.]+ clamp would turn into 0.
+        raise ValueError(
+            f"nbar_s must be finite, got {float(nbar_s[~np.isfinite(nbar_s)][0])}; "
+            "an infinite nbar_s_max (eta = 1, delta > 0) means covertness sets "
+            "no power limit, so the converse is unbounded")
     if np.any(nbar_s < 0):
         raise ValueError("nbar_s must be >= 0")
     g = converse_gain(params)
@@ -161,7 +172,11 @@ def q_max(params: ChannelParams, delta: float, n: float) -> float:
 def qre_bound(params: ChannelParams, q: float, n: float) -> float:
     """Covertness criterion value sqrt(D/8) <= q (1-eta) sqrt(n) /
     (2 sqrt(2 eta nbar_b (1 + eta nbar_b))); equals delta at q = q_max in
-    the unclamped regime."""
+    the unclamped regime.  ``q`` must lie in [0, 1] and ``n`` be finite and
+    >= 1."""
+    if not (math.isfinite(q) and 0.0 <= q <= 1.0):
+        raise ValueError(f"q must be finite and in [0, 1], got {q!r}")
+    _check_n(n)
     if params.nbar_b == 0.0:
         raise DivergenceUndefinedError("criterion diverges at nbar_b = 0")
     occ = params.eta * params.nbar_b
@@ -222,7 +237,7 @@ def g_func(x: float) -> float:
 
 def converse_capacity(params: ChannelParams, nbar_s: float) -> float:
     """Qubits per mode through the amplifier component at signal mean photon
-    number nbar_s:
+    number nbar_s, which must be finite and >= 0:
 
         [g(((G+1) nbar_s + Gbar) / 2) - g(Gbar (1 + nbar_s) / 2)]+
     """

@@ -14,6 +14,7 @@ back into the covertness constant and the achievable rate.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .fock_core import ChannelParams
@@ -152,6 +153,8 @@ def plan_lemma2(params: ChannelParams, nbar_prime: float | None = None) -> EbPla
     eta (nbar_b + nbar'); the receiver-side rate picks up the smaller
     added noise nbar'' = (1 - 1/G) eta / (1-eta).
     """
+    if nbar_prime is not None and not math.isfinite(nbar_prime):
+        raise ValueError(f"nbar_prime must be finite, got {nbar_prime!r}")
     if is_entanglement_breaking(params) and (nbar_prime is None or nbar_prime == 0.0):
         return _identity_plan(params)
     bound = lemma2_nbar_prime_lower_bound(params)

@@ -18,18 +18,20 @@ difference), so each unitary is a stack of sector blocks, never an
 exponential of the whole space.  Each sector's generator is its strength
 times a fixed tri-diagonal matrix, whose eigensystem is computed once per
 cutoff and cached; a new transmittance or gain costs one phase per
-eigenvalue and one batched product over the blocks.  A state finds
-its blocks once, at construction: the sectors of equal total photon number
-when its matrix vanishes off them (every state the optics here produce),
-otherwise the whole space as one block.  Validation, the divergences and
-the characteristic function of a :class:`DensityOperator` then read only
-those blocks.  A dual-rail input leaves such a channel's two-mode output
+eigenvalue and one batched product over the blocks.  One table, grouping
+the flat basis indices by a conserved number, describes every such
+structure: the chains of each unitary, and the sectors of equal total
+photon number of a state.  A state holds its blocks as one padded stack on
+its table: the sectors when its matrix vanishes off them (every state the
+optics here produce), otherwise the whole space as one block.  Validation,
+the divergences and the characteristic function then read only those
+blocks.  A dual-rail input leaves such a channel's two-mode output
 tri-diagonal, a diagonal and one photon-exchange coherence per (f, g); the
 closed forms and the oracle's numeric states alike fill that layout,
 :class:`TriDiagonalWillieState`.  The layout is a checked state in its own
-right: it validates each sector as a tri-diagonal matrix and carries a
-two-mode block map, so the characteristic function and the divergences
-read its entries directly.  Only ``dense()`` makes its matrix.
+right: it validates each sector as a tri-diagonal matrix, the
+characteristic function reads its two arrays directly, and the divergences
+read its blocks.  Only ``dense()`` makes its matrix.
 
 The characteristic function's displacement factors are exponentials of
 nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
@@ -46,7 +48,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -58,11 +59,9 @@ __all__ = [
     "StateValidationError",
     "RankDeficiencyError",
     "TruncationError",
-    "annihilation_op",
     "creation_exponential",
     "thermal_occupation",
     "thermal_state",
-    "photon_exchange_indices",
     "TriDiagonalWillieState",
     "tensor",
     "beamsplitter_unitary",
@@ -161,29 +160,19 @@ class DensityOperator:
         m = np.ascontiguousarray(self.entries, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {m.shape}")
-        sectors = _photon_number_sectors(self.num_modes, self.cutoff.max_photons)
-        values = m[sectors[1], sectors[2]]
+        idx = _sectors(self.num_modes, self.cutoff.max_photons)
+        rows, cols, inside = _cells(idx)
+        blocks = np.where(inside, m[rows, cols], 0.0)
         # Every nonzero entry lies in a sector iff the sectors hold as many
         # nonzero parts (real and imaginary counted apart) as the matrix.
-        if np.count_nonzero(values.view(float)) != np.count_nonzero(m.view(float)):
-            sectors, values = _whole_space(dim), m.ravel()
+        if np.count_nonzero(blocks.view(float)) != np.count_nonzero(m.view(float)):
+            idx, blocks = np.arange(dim)[None], m[None]
         # A NaN counts as nonzero, so a non-finite entry off the sectors has
-        # already made the whole space one block: checking the in-block
-        # values checks every entry.
-        if not np.isfinite(values).all():
+        # already made the whole space one block: checking the blocks checks
+        # every entry.
+        if not np.isfinite(blocks).all():
             raise StateValidationError("operator has non-finite entries")
-        # Private: the block map and the in-block entries it selects.
-        object.__setattr__(self, "_sectors", sectors)
-        object.__setattr__(self, "_values", values)
-        for block in _blocks(self):
-            if np.max(np.abs(block - block.conj().T)) > _HERMITICITY_TOL:
-                raise StateValidationError("operator is not Hermitian to 1e-12")
-            # Cholesky of the shifted block succeeds iff every eigenvalue
-            # exceeds -_PSD_TOL, several times cheaper than an eigensolver.
-            try:
-                np.linalg.cholesky(block + _PSD_TOL * np.eye(len(block)))
-            except np.linalg.LinAlgError:
-                _refuse_negative(block)
+        _check_blocks(blocks, idx)
         tr = float(np.trace(m).real)
         if not (1.0 - self.truncation_leak - _TRACE_TOL <= tr <= 1.0 + _TRACE_TOL):
             raise StateValidationError(
@@ -191,17 +180,15 @@ class DensityOperator:
                 f"{self.truncation_leak!r}"
             )
         m.setflags(write=False)
-        values.setflags(write=False)
+        blocks.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        # Private: the photon-number table and the block stack on it.
+        object.__setattr__(self, "_idx", idx)
+        object.__setattr__(self, "_blocks", blocks)
 
     @property
     def dim(self) -> int:
         return self.cutoff.dim ** self.num_modes
-
-
-def annihilation_op(cutoff: FockCutoff) -> np.ndarray:
-    """Single-mode annihilation operator: a|k> = sqrt(k)|k-1>."""
-    return np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1).astype(complex)
 
 
 def creation_exponential(w: complex | np.ndarray, cutoff: FockCutoff) -> np.ndarray:
@@ -243,21 +230,6 @@ def thermal_state(nbar: float, cutoff: FockCutoff) -> DensityOperator:
     return DensityOperator(1, cutoff, np.diag(diag).astype(complex), leak)
 
 
-def photon_exchange_indices(cutoff: FockCutoff) -> tuple[np.ndarray, np.ndarray]:
-    """Flat two-mode indices (i, j) of every single-photon exchange
-    |f, g> -> |f+1, g-1> inside the cutoff: i = f d + g and j = (f+1) d + g-1
-    for g >= 1 and f < max_photons, in increasing i.
-
-    With the diagonal, these pairs and their transposes are the support of
-    a tri-diagonal two-mode state such as the warden's output; f + g is the
-    same at both ends of each pair.
-    """
-    d = cutoff.dim
-    f, g = np.divmod(np.arange(d * d), d)
-    i = np.flatnonzero((g >= 1) & (f + 1 < d))
-    return i, i + d - 1
-
-
 @dataclass(frozen=True)
 class TriDiagonalWillieState:
     """Sparse tri-diagonal representation of the warden-side output state.
@@ -294,48 +266,52 @@ class TriDiagonalWillieState:
         # <fg|rho|fg> - its conjugate, as DensityOperator measures it.
         if 2.0 * np.max(np.abs(np.imag(diag))) > _HERMITICITY_TOL:
             raise StateValidationError("operator is not Hermitian to 1e-12")
-        diag = np.array(np.real(diag), dtype=float)
-        upper = np.array(upper, dtype=complex)
-        _check_layout_psd(diag, upper)
-        tr = float(diag.sum())
-        if not 0.0 <= tr <= 1.0 + _TRACE_TOL:
-            raise StateValidationError(f"trace {tr!r} outside [0, 1 + 1e-12]")
-        for name, a in (("diag", diag), ("upper", upper)):
+        for name, a in (("diag", np.array(np.real(diag), dtype=float)),
+                        ("upper", np.array(upper, dtype=complex))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        # Private, as in DensityOperator: the block map, sectors of f + g.
-        object.__setattr__(self, "_sectors", _photon_number_sectors(2, d - 1))
+        # Private, as in DensityOperator: the table of the sectors of f + g.
+        object.__setattr__(self, "_idx", _sectors(2, d - 1))
+        if not _pivots_positive(self.diag, self.upper, self._idx):
+            _check_blocks(self._blocks, self._idx)
+        tr = float(self.diag.sum())
+        if not 0.0 <= tr <= 1.0 + _TRACE_TOL:
+            raise StateValidationError(f"trace {tr!r} outside [0, 1 + 1e-12]")
 
     @cached_property
-    def _values(self) -> np.ndarray:
-        """The in-block entries: diagonal, exchange pairs, conjugates, zeros."""
-        pairs, where, *_ = _layout_coordinates(self.cutoff.max_photons)
-        upper = self.upper.ravel()[pairs]
-        values = np.zeros(len(self._sectors[1]), dtype=complex)
-        values[where] = np.concatenate([self.diag.ravel(), upper, upper.conj()])
-        values.setflags(write=False)
-        return values
+    def _blocks(self) -> np.ndarray:
+        """The sectors as a padded stack: ``diag`` on the diagonal of each,
+        ``upper`` above it and its conjugate below, zero on the padding."""
+        pad = self._idx < 0
+        b = np.where(pad, 0.0, self.upper.ravel()[self._idx])[:, :-1]
+        i = np.arange(pad.shape[1])
+        blocks = np.zeros(pad.shape + pad.shape[1:], dtype=complex)
+        blocks[:, i, i] = np.where(pad, 0.0, self.diag.ravel()[self._idx])
+        blocks[:, i[:-1], i[1:]] = b
+        blocks[:, i[1:], i[:-1]] = b.conj()
+        blocks.setflags(write=False)
+        return blocks
 
     @property
     def truncation_leak(self) -> float:
         return float(max(0.0, 1.0 - self.diag.sum()))
 
     def dense(self) -> np.ndarray:
-        return _scatter(self)
+        return _scatter(self._blocks, self._idx)
 
     def to_density_operator(self) -> DensityOperator:
         return DensityOperator(2, self.cutoff, self.dense(), self.truncation_leak)
 
 
-def _check_layout_psd(diag: np.ndarray, upper: np.ndarray) -> None:
-    """Refuse a layout with a sector that has an eigenvalue below -1e-10.
+def _pivots_positive(diag: np.ndarray, upper: np.ndarray, idx: np.ndarray) -> bool:
+    """Whether every sector of a layout on table ``idx`` stays positive
+    definite when shifted by 1e-10.
 
     Sector K is tri-diagonal with a_i = diag and b_i = upper at its i-th
-    state (f_0 + i, K - f_0 - i).  Its shift by 1e-10 is positive definite
-    iff every pivot p_0 = a_0 + 1e-10, p_i = a_i + 1e-10 - |b_(i-1)|^2 /
-    p_(i-1) is positive: the shifted Cholesky of :class:`DensityOperator`
-    on all sectors at once, with an eigendecomposition only on failure."""
-    idx = _chains(-1, len(diag) - 1)[0]
+    state (f_0 + i, K - f_0 - i).  Its shift is positive definite iff every
+    pivot p_0 = a_0 + 1e-10, p_i = a_i + 1e-10 - |b_(i-1)|^2 / p_(i-1) is
+    positive: the shifted Cholesky of :func:`_check_blocks` on all sectors
+    at once, in O(d^2)."""
     pad = idx < 0
     # Padding continues each sector with a decoupled unit entry.
     a = np.where(pad, 1.0, diag.ravel()[idx]) + _PSD_TOL
@@ -346,109 +322,87 @@ def _check_layout_psd(diag: np.ndarray, upper: np.ndarray) -> None:
         for i in range(1, a.shape[1]):
             p = a[:, i] - b2[:, i - 1] / p
             ok &= p > 0.0
-    for k in np.flatnonzero(~ok):
-        cells = idx[k, ~pad[k]]
-        b = upper.ravel()[cells][:-1]
-        _refuse_negative(np.diag(diag.ravel()[cells]) + np.diag(b, 1) + np.diag(b.conj(), -1))
+    return bool(ok.all())
 
 
-def _refuse_negative(block: np.ndarray) -> None:
-    """Refuse a Hermitian block with an eigenvalue below -1e-10, never
-    clipped: such an eigenvalue means an upstream bug."""
-    low = np.linalg.eigvalsh(block)[0]
-    if low < -_PSD_TOL:
-        raise StateValidationError(f"operator has eigenvalue {low:.3e} < -1e-10") from None
-
-
-@lru_cache(maxsize=8)
-def _layout_coordinates(max_photons: int) -> tuple:
-    """The flat positions in ``upper`` of the exchange pairs, then the
-    positions among the sectors' in-block entries of a layout's diagonal,
-    pairs and their transposes, and the :func:`_block_coordinates` there."""
-    rows, cols = photon_exchange_indices(FockCutoff(max_photons))
-    diagonal = np.arange((max_photons + 1) ** 2)
-    bra = np.concatenate([diagonal, rows, cols])
-    ket = np.concatenate([diagonal, cols, rows])
-    _, chain, position = _chains(-1, max_photons)
-    sizes = np.bincount(chain)
-    start = np.cumsum(sizes**2) - sizes**2
-    where = start[chain[bra]] + sizes[chain[bra]] * position[bra] + position[ket]
-    out = (rows, where, *(a[where] for a in _block_coordinates(max_photons, False)))
-    for a in out:
+def _table(key: np.ndarray) -> tuple:
+    """(idx, group, position) grouping the flat indices i by equal
+    ``key[i]``: the groups in increasing key, each in increasing index.  Row
+    g of ``idx`` lists group g padded with -1, and index i sits at
+    idx[group[i], position[i]].  Every block structure here is such a table,
+    and a block stack on it is (groups, width, width), zero on the padding."""
+    order = np.argsort(key, kind="stable")
+    _, group, sizes = np.unique(key, return_inverse=True, return_counts=True)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(key)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    idx = np.full((len(sizes), sizes.max()), -1)
+    idx[group, position] = np.arange(len(key))
+    for a in (idx, group, position):
         a.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=4)
-def _block_coordinates(max_photons: int, whole: bool) -> tuple:
-    """(f, g, fp, gp, low) of every in-block entry <f g|rho|fp gp> of the
-    two-mode sectors or, with ``whole``, of the whole space; ``low`` marks
-    those inside cutoff N - 2."""
-    d = max_photons + 1
-    _, rows, cols = _whole_space(d * d) if whole else _photon_number_sectors(2, max_photons)
-    out = (*np.divmod(rows, d), *np.divmod(cols, d))
-    out += (np.max(out, axis=0) <= max_photons - 2,)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-# A block map is (sizes, rows, cols): the sizes of the diagonal blocks of a
-# matrix, and the row and column of every entry inside a block, block by
-# block and row-major within each.
+    return idx, group, position
 
 
 @lru_cache(maxsize=16)
-def _photon_number_sectors(num_modes: int, max_photons: int) -> tuple:
-    """Block map of the sectors of equal total photon number of a
-    ``num_modes``-mode space, in increasing photon number, each in
-    increasing basis index."""
+def _sectors(num_modes: int, max_photons: int) -> np.ndarray:
+    """Table of the sectors of equal total photon number of a
+    ``num_modes``-mode space."""
     d = max_photons + 1
-    total = np.indices((d,) * num_modes).sum(axis=0).ravel()
-    order = np.argsort(total, kind="stable")
-    sizes = np.bincount(total)
-    sectors = np.split(order, np.cumsum(sizes)[:-1])
-    rows = np.concatenate([np.repeat(s, len(s)) for s in sectors])
-    cols = np.concatenate([np.tile(s, len(s)) for s in sectors])
-    for a in (rows, cols):
-        a.setflags(write=False)
-    return tuple(sizes.tolist()), rows, cols
+    return _table(np.indices((d,) * num_modes).sum(axis=0).ravel())[0]
 
 
-@lru_cache(maxsize=2)
-def _whole_space(dim: int) -> tuple:
-    """Block map of the whole space as one block."""
-    rows, cols = np.divmod(np.arange(dim * dim), dim)
-    for a in (rows, cols):
-        a.setflags(write=False)
-    return (dim,), rows, cols
+@lru_cache(maxsize=8)
+def _chains(step: int, max_photons: int) -> tuple:
+    """:func:`_table` of the 2N+1 chains of constant g - ``step`` f of a
+    two-mode space, f d + g its flat index; step -1 gives the sectors of
+    equal f + g."""
+    f, g = np.divmod(np.arange((max_photons + 1) ** 2), max_photons + 1)
+    return _table(g - step * f)
 
 
-def _blocks(state: "DensityOperator") -> Iterable[np.ndarray]:
-    """The diagonal blocks of a state, as views of its in-block entries."""
-    start = 0
-    for s in state._sectors[0]:
-        yield state._values[start:start + s * s].reshape(s, s)
-        start += s * s
+def _cells(idx: np.ndarray) -> tuple:
+    """(rows, cols, inside) of a block stack on table ``idx``: the matrix
+    row and column of each cell, and whether it lies off the padding."""
+    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+    return rows, cols, (rows >= 0) & (cols >= 0)
 
 
-def _paired_blocks(a: "DensityOperator", b: "DensityOperator"):
-    """Matching diagonal blocks of two states on one space: their shared
-    block map, or the whole matrices when the maps differ."""
+def _scatter(blocks: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The matrix of a block stack on table ``idx``, zero off the blocks."""
+    rows, cols, inside = _cells(idx)
+    m = np.zeros((idx.max() + 1,) * 2, dtype=complex)
+    m[rows[inside], cols[inside]] = blocks[inside]
+    return m
+
+
+def _check_blocks(blocks: np.ndarray, idx: np.ndarray) -> None:
+    """Refuse a block stack on table ``idx`` that is not Hermitian to 1e-12
+    or has an eigenvalue below -1e-10, naming the lowest over all blocks.
+    Such an eigenvalue means an upstream bug and is never clipped."""
+    if np.max(np.abs(blocks - blocks.conj().swapaxes(1, 2))) > _HERMITICITY_TOL:
+        raise StateValidationError("operator is not Hermitian to 1e-12")
+    # Cholesky of the shifted blocks succeeds iff every eigenvalue exceeds
+    # -_PSD_TOL, several times cheaper than an eigensolver; the padding is
+    # shifted to the identity.
+    shift = np.where(idx < 0, 1.0, _PSD_TOL)[:, :, None] * np.eye(idx.shape[1])
+    try:
+        np.linalg.cholesky(blocks + shift)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(blocks).min()
+        if low < -_PSD_TOL:
+            raise StateValidationError(
+                f"operator has eigenvalue {low:.3e} < -1e-10") from None
+
+
+def _paired_blocks(a: "DensityOperator", b: "DensityOperator") -> list:
+    """Matching blocks of two states on one space, trimmed of padding:
+    block by block on their shared table, or the whole matrices when one
+    of them is a single block and the other is not."""
     if a.num_modes != b.num_modes or a.cutoff != b.cutoff:
         raise ValueError("operators live on different truncated spaces")
-    if a._sectors[0] == b._sectors[0]:  # on one space, equal sizes: one map
-        return zip(_blocks(a), _blocks(b))
-    return [(_scatter(a), _scatter(b))]
-
-
-def _scatter(state) -> np.ndarray:
-    """A state's matrix: its in-block entries in place, zero elsewhere."""
-    _, rows, cols = state._sectors
-    dim = state.cutoff.dim ** state.num_modes
-    m = np.zeros((dim, dim), dtype=complex)
-    m[rows, cols] = state._values
-    return m
+    if a._idx.shape != b._idx.shape:  # sectors against the whole space
+        return [(_scatter(a._blocks, a._idx), _scatter(b._blocks, b._idx))]
+    sizes = np.count_nonzero(a._idx >= 0, axis=1)
+    return [(x[:n, :n], y[:n, :n]) for x, y, n in zip(a._blocks, b._blocks, sizes)]
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -459,24 +413,6 @@ def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
     return DensityOperator(
         a.num_modes + b.num_modes, a.cutoff, np.kron(a.entries, b.entries), leak
     )
-
-
-@lru_cache(maxsize=8)
-def _chains(step: int, max_photons: int) -> tuple:
-    """(idx, chain, position) of the 2N+1 chains of constant g - ``step`` f,
-    in increasing g - step f: row c of ``idx`` lists chain c's flat indices
-    f d + g by increasing f, padded with -1, and index i sits at
-    idx[chain[i], position[i]].  Step -1 gives the sectors of equal f + g."""
-    d = max_photons + 1
-    f, g = np.divmod(np.arange(d * d), d)
-    chain = g - step * f + (max_photons if step == 1 else 0)
-    # A chain starts at f = 0 or at the edge g = 0 (step +1), g = N (step -1).
-    position = np.minimum(f, g if step == 1 else max_photons - g)
-    idx = np.full((2 * d - 1, d), -1)
-    idx[chain, position] = np.arange(d * d)
-    for a in (idx, chain, position):
-        a.setflags(write=False)
-    return idx, chain, position
 
 
 # i^k, exactly: the similarity D = diag(i^k) that makes a sector's generator
@@ -541,17 +477,6 @@ def _amplifier_blocks(gain: float, max_photons: int) -> tuple:
     return _sector_blocks(np.arccosh(np.sqrt(gain)), 1, max_photons), 1
 
 
-def _unitary(blocks: np.ndarray, step: int) -> np.ndarray:
-    """The dense two-mode matrix with ``blocks`` on the chains of ``step``."""
-    d = blocks.shape[1]
-    idx = _chains(step, d - 1)[0]
-    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-    inside = (rows >= 0) & (cols >= 0)
-    u = np.zeros((d * d, d * d), dtype=complex)
-    u[rows[inside], cols[inside]] = blocks[inside]
-    return u
-
-
 def _check_two_mode(mode_a: int, mode_b: int, num_modes: int) -> None:
     if (mode_a, mode_b, num_modes) != (0, 1, 2):
         raise ValueError(
@@ -583,7 +508,8 @@ def beamsplitter_unitary(
     parity map exactly.  It is exact on any state supported below the cutoff.
     """
     _check_two_mode(mode_a, mode_b, num_modes)
-    return _unitary(*_beamsplitter_blocks(eta, cutoff.max_photons))
+    blocks, step = _beamsplitter_blocks(eta, cutoff.max_photons)
+    return _scatter(blocks, _chains(step, cutoff.max_photons)[0])
 
 
 def two_mode_amplifier_unitary(
@@ -603,7 +529,8 @@ def two_mode_amplifier_unitary(
     to 1.
     """
     _check_two_mode(mode_a, mode_b, num_modes)
-    return _unitary(*_amplifier_blocks(gain, cutoff.max_photons))
+    blocks, step = _amplifier_blocks(gain, cutoff.max_photons)
+    return _scatter(blocks, _chains(step, cutoff.max_photons)[0])
 
 
 @lru_cache(maxsize=512)
@@ -625,11 +552,11 @@ def anti_normal_char_fn(
         tr[rho exp(-z1* a1) exp(z1 a1^dag) exp(-z2* a2) exp(z2 a2^dag)]
 
     ``state`` is a two-mode :class:`DensityOperator` or a
-    :class:`TriDiagonalWillieState`; both reduce to a list of entries with
-    their photon numbers (the in-block entries of the former, the diagonal
-    and exchange coherences of the latter, no dense matrix), and only those
-    enter the trace.  The displacement factors are the exact exponentials
-    of the truncated ladder operators (:func:`creation_exponential`).
+    :class:`TriDiagonalWillieState`: the trace runs over the entries of the
+    former's blocks, or over the latter's diagonal and exchange coherences,
+    each weighted by its photon numbers, with no dense matrix.  The
+    displacement factors are the exact exponentials of the truncated ladder
+    operators (:func:`creation_exponential`).
     Convergence is estimated by recomputing with the cutoff lowered by two;
     if the two values differ by more than 1e-6 the result is rejected with
     :class:`TruncationError`, as is any cutoff below 3, which leaves no
@@ -642,16 +569,15 @@ def anti_normal_char_fn(
     n = state.cutoff.max_photons
     if n < 3:  # no cutoff n - 2 >= 1 to compare with
         raise TruncationError(f"characteristic function unchecked at N={n} < 3")
-    values = state._values
-    if isinstance(state, TriDiagonalWillieState):  # its pattern entries only
-        _, where, *coordinates = _layout_coordinates(n)
-        values = values[where]
+    if isinstance(state, TriDiagonalWillieState):
+        value, ref = (_layout_trace(state.diag, state.upper, m, zeta1, zeta2)
+                      for m in (n, n - 2))
     else:
-        coordinates = _block_coordinates(n, len(state._sectors[0]) == 1)
-    f, g, fp, gp, low = coordinates
-    value = _char_fn_trace(values, f, g, fp, gp, n, zeta1, zeta2)
-    ref = _char_fn_trace(values[low], f[low], g[low], fp[low], gp[low],
-                         n - 2, zeta1, zeta2)
+        inside, *coordinates, low = _block_coordinates(n, len(state._idx) == 1)
+        values = state._blocks[inside]
+        value = _char_fn_trace(values, *coordinates, n, zeta1, zeta2)
+        ref = _char_fn_trace(values[low], *(c[low] for c in coordinates),
+                             n - 2, zeta1, zeta2)
     if abs(value - ref) > _CHAR_FN_TOL:
         raise TruncationError(
             f"characteristic function not converged at N={n}: "
@@ -666,6 +592,35 @@ def _char_fn_trace(values, f, g, fp, gp, max_photons, zeta1, zeta2) -> complex:
     k1 = _char_fn_ops_cached(complex(zeta1), max_photons)
     k2 = _char_fn_ops_cached(complex(zeta2), max_photons)
     return complex(np.sum(values * k1[fp, f] * k2[gp, g]))
+
+
+@lru_cache(maxsize=4)
+def _block_coordinates(max_photons: int, whole: bool) -> tuple:
+    """(inside, f, g, fp, gp, low) of the two-mode sectors' block stack or,
+    with ``whole``, of the whole space as one block: the non-padding mask,
+    the photon numbers of each entry <f g|rho|fp gp> it selects, and
+    ``low`` marking those inside cutoff N - 2."""
+    d = max_photons + 1
+    idx = np.arange(d * d)[None] if whole else _sectors(2, max_photons)
+    rows, cols, inside = _cells(idx)
+    out = (*np.divmod(rows[inside], d), *np.divmod(cols[inside], d))
+    out = (inside, *out, np.max(out, axis=0) <= max_photons - 2)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _layout_trace(diag, upper, max_photons, zeta1, zeta2) -> complex:
+    # The same sum over a layout's entries inside the cutoff: its diagonal,
+    # then the pairs <f g|rho|f+1 g-1> and their conjugates, whose factors
+    # K1[f+1, f] K2[g-1, g] and K1[f, f+1] K2[g, g-1] lie on off-diagonals.
+    k1 = _char_fn_ops_cached(complex(zeta1), max_photons)
+    k2 = _char_fn_ops_cached(complex(zeta2), max_photons)
+    d = max_photons + 1
+    pair = upper[:d - 1, 1:d]
+    terms = [x * np.diag(k1, k)[:, None] * np.diag(k2, -k)[None, :]
+             for x, k in ((diag[:d, :d], 0), (pair, -1), (pair.conj(), 1))]
+    return complex(np.sum(np.concatenate([t.ravel() for t in terms])))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -16,7 +16,12 @@ from typing import Iterable
 import numpy as np
 
 from covert_bosonic.closed_form import LogicalQubit
-from covert_bosonic.fock_core import DensityOperator, FockCutoff, annihilation_op
+from covert_bosonic.fock_core import DensityOperator, FockCutoff
+
+
+def annihilation_op(cutoff: FockCutoff) -> np.ndarray:
+    """Single-mode annihilation operator: a|k> = sqrt(k)|k-1>."""
+    return np.diag(np.sqrt(np.arange(1.0, cutoff.dim)), 1).astype(complex)
 
 
 def mode_annihilation_op(mode: int, num_modes: int, cutoff: FockCutoff) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -53,6 +54,16 @@ class TestCovertnessConstant:
             delta = 0.05
             q = q_max(FIG2, delta, n)
             assert qre_bound(FIG2, q, n) == pytest.approx(delta, abs=1e-12)
+
+    @pytest.mark.parametrize("q, n, message", [
+        (math.nan, 1e6, "q must be finite and in"), (math.inf, 1e6, "q must be"),
+        (2.0, 1e6, "q must be"), (-0.1, 1e6, "q must be"),
+        (0.1, math.nan, "n must be finite"), (0.1, math.inf, "n must be finite"),
+        (0.1, -1.0, "n must be >= 1"), (0.1, 0.5, "n must be >= 1"),
+    ])
+    def test_qre_bound_rejects_bad_inputs(self, q, n, message):
+        with pytest.raises(ValueError, match=message):
+            qre_bound(FIG2, q, n)
 
     def test_q_max_rejects_bad_inputs(self):
         for n in (0.5, math.nan, math.inf):
@@ -234,6 +245,35 @@ class TestBoundsCurve:
     def test_seconds_omitted_without_rate(self):
         pts = bounds_curve(FIG2, 0.05, [1e6])
         assert pts[0].seconds is None
+
+
+class TestUnboundedConverse:
+    """At eta = 1 with delta > 0, c_cov and so nbar_s_max are infinite:
+    covertness sets no power limit, and the converse is unbounded.  It is
+    refused rather than reported as 0 below the achievable count."""
+
+    def test_sweep_is_refused(self):
+        with pytest.raises(ValueError, match="converse is unbounded"):
+            bounds_curve(ChannelParams(1.0, 0.12), 0.05, [1e6])
+
+    def test_upper_bound_is_refused(self):
+        with pytest.raises(ValueError, match="converse is unbounded"):
+            upper_bound_qubits(ChannelParams(1.0, 0.12), 0.05, 1e6)
+
+    @pytest.mark.parametrize("nbar_s", [math.nan, math.inf])
+    def test_capacity_refuses_non_finite_nbar_s(self, nbar_s):
+        with pytest.raises(ValueError, match="nbar_s must be finite"):
+            converse_capacity(FIG2, nbar_s)
+
+    @pytest.mark.parametrize("command", ["bounds", "eb-report"])
+    def test_cli_exits_2(self, command, capsys):
+        from covert_bosonic import cli
+
+        code = cli.main([command, "--eta", "1", "--nbar-b", "0.1", "--delta", "0.05",
+                         "--n", "1e6"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "converse is unbounded" in json.loads(captured.err)["message"]
 
 
 class TestZeroBudget:

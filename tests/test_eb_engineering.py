@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,12 @@ class TestAmplificationPlan:
     def test_infeasible_without_background(self):
         with pytest.raises(EbInfeasibleError):
             plan_lemma2(ChannelParams(0.4, 0.0))
+
+    @pytest.mark.parametrize("params", [BREAKING, NOT_BREAKING])
+    @pytest.mark.parametrize("nbar_prime", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_is_refused_by_name(self, params, nbar_prime):
+        with pytest.raises(ValueError, match="nbar_prime must be finite"):
+            plan_lemma2(params, nbar_prime)
 
     def test_result_breaks_entanglement(self):
         for eta in (0.2, 0.5, 0.7):

@@ -14,7 +14,6 @@ from covert_bosonic.fock_core import (
     StateValidationError,
     TriDiagonalWillieState,
     TruncationError,
-    annihilation_op,
     anti_normal_char_fn,
     beamsplitter_unitary,
     chi2_numeric,
@@ -29,6 +28,7 @@ from covert_bosonic.fock_core import (
 from covert_bosonic import fock_core
 from covert_bosonic.closed_form import LogicalQubit
 from dense_reference import (
+    annihilation_op,
     apply_unitary,
     dual_rail_density,
     embed,
@@ -563,9 +563,10 @@ class TestSectorBlocks:
 
     def test_block_choice(self):
         d2 = self.CUT.dim**2
-        assert self.bell_mixture()._sectors[0] == (d2,)
-        sectored = self.dual_rail_mixture()._sectors[0]
-        assert len(sectored) == 2 * self.CUT.max_photons + 1 and sum(sectored) == d2
+        assert self.bell_mixture()._idx.shape == (1, d2)
+        sectored = self.dual_rail_mixture()._idx
+        assert len(sectored) == 2 * self.CUT.max_photons + 1
+        assert np.array_equal(np.sort(sectored[sectored >= 0]), np.arange(d2))
 
     @pytest.mark.parametrize("state", ["bell_mixture", "dual_rail_mixture"])
     def test_divergences_match_dense_algebra(self, state):
@@ -588,30 +589,84 @@ class TestSectorBlocks:
         with pytest.raises(StateValidationError, match="-1.000e-01"):
             DensityOperator(2, cut, m)
 
+    def test_lowest_eigenvalue_over_all_sectors_is_named(self):
+        cut = FockCutoff(2)
+        d = cut.dim
+        m = np.zeros((d * d, d * d), dtype=complex)
+        m[1, 1] = m[d, d] = 0.25  # |01>, |10>: eigenvalues -0.1 and 0.6
+        m[1, d] = m[d, 1] = 0.35
+        m[2, 2] = m[d + 1, d + 1] = 0.25  # |02>, |11>: eigenvalues -0.2 and 0.7
+        m[2, d + 1] = m[d + 1, 2] = 0.45
+        with pytest.raises(StateValidationError, match="-2.000e-01"):
+            DensityOperator(2, cut, m)
+
     def test_tiny_off_sector_entry_makes_one_block(self):
         m = self.quiet().entries.copy()
         d = self.CUT.dim
         m[0, d + 1] = m[d + 1, 0] = 1e-300  # |00><11|
         state = DensityOperator(2, self.CUT, m, self.quiet().truncation_leak)
-        assert state._sectors[0] == (d * d,)
+        assert state._idx.shape == (1, d * d)
         assert trace_distance(state, self.quiet()) < 1e-299
 
     @pytest.mark.parametrize("state", ["quiet", "bell_mixture", "dual_rail_mixture"])
     def test_char_fn_reads_cached_coordinates(self, state):
         """The char fn equals, bit for bit, the trace over coordinates
-        recomputed from the block map on every call, and a second call on
-        the same block map reuses the cached coordinates."""
+        recomputed from the state's table on every call, and a second call on
+        the same table reuses the cached coordinates."""
         rho = getattr(self, state)()
         n, d = self.CUT.max_photons, self.CUT.dim
-        _, rows, cols = rho._sectors
-        f, g = np.divmod(rows, d)
-        fp, gp = np.divmod(cols, d)
+        rows, cols = np.broadcast_arrays(rho._idx[:, :, None], rho._idx[:, None, :])
+        inside = (rows >= 0) & (cols >= 0)
+        f, g = np.divmod(rows[inside], d)
+        fp, gp = np.divmod(cols[inside], d)
         fock_core._block_coordinates.cache_clear()
         for z1, z2 in [(0.3, 0.1j), (0.3 + 0.2j, -0.4j), (-0.2j, 0.25)]:
-            want = fock_core._char_fn_trace(rho._values, f, g, fp, gp, n, z1, z2)
+            want = fock_core._char_fn_trace(rho._blocks[inside], f, g, fp, gp, n, z1, z2)
             assert anti_normal_char_fn(rho, z1, z2) == want
         info = fock_core._block_coordinates.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+
+
+def reference_chains(step, max_photons):
+    """The chain table by hand: chain g - step f (shifted to start at 0),
+    and the position counted from where the chain enters the square."""
+    d = max_photons + 1
+    f, g = np.divmod(np.arange(d * d), d)
+    chain = g - step * f + (max_photons if step == 1 else 0)
+    position = np.minimum(f, g if step == 1 else max_photons - g)
+    idx = np.full((2 * d - 1, d), -1)
+    idx[chain, position] = np.arange(d * d)
+    return idx, chain, position
+
+
+def reference_sectors(num_modes, max_photons):
+    """The sectors of equal total photon number by a stable argsort, split
+    at the sector sizes and padded with -1."""
+    d = max_photons + 1
+    total = np.indices((d,) * num_modes).sum(axis=0).ravel()
+    sectors = np.split(np.argsort(total, kind="stable"), np.cumsum(np.bincount(total))[:-1])
+    idx = np.full((len(sectors), max(map(len, sectors))), -1)
+    for k, sector in enumerate(sectors):
+        idx[k, :len(sector)] = sector
+    return idx
+
+
+class TestPhotonNumberTable:
+    """Every chain and sector table is built by one grouping routine; it
+    reproduces the hand-written arithmetic exactly."""
+
+    @pytest.mark.parametrize("max_photons", [1, 3, 10, 30])
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_chains_match_the_formulas(self, step, max_photons):
+        got = fock_core._chains(step, max_photons)
+        for a, b in zip(got, reference_chains(step, max_photons)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("max_photons", [1, 3, 10, 30])
+    @pytest.mark.parametrize("num_modes", [1, 2, 3])
+    def test_sectors_match_argsort_and_split(self, num_modes, max_photons):
+        assert np.array_equal(fock_core._sectors(num_modes, max_photons),
+                              reference_sectors(num_modes, max_photons))
 
 
 def layout_matrix(cutoff, diag, upper):
@@ -735,13 +790,15 @@ class TestTriDiagonalLayout:
         cut = FockCutoff(5)
         diag, upper = random_layout(4, 5, indefinite=False)
         state = TriDiagonalWillieState(cut, diag, upper)
-        _, rows, cols = state._sectors
-        assert np.array_equal(state._values, layout_matrix(cut, diag, upper)[rows, cols])
+        dense = DensityOperator(2, cut, layout_matrix(cut, diag, upper),
+                                state.truncation_leak)
+        assert np.array_equal(state._idx, dense._idx)
+        assert np.array_equal(state._blocks, dense._blocks)
 
     @pytest.mark.parametrize("measure", [chi2_numeric, qre, trace_distance])
     def test_divergences_read_the_layout(self, measure):
         """A layout, its DensityOperator and every mixed pair give the same
-        value bit for bit, against a reference on the same block map and
+        value bit for bit, against a reference on the same sector table and
         against one on the whole space."""
         cut = FockCutoff(5)
         diag, upper = random_layout(5, 5, indefinite=False)
@@ -756,8 +813,39 @@ class TestTriDiagonalLayout:
         m = product.entries.copy()
         m[0, cut.dim + 1] = m[cut.dim + 1, 0] = 1e-3  # |00><11|
         whole = DensityOperator(2, cut, m, product.truncation_leak)
-        assert whole._sectors[0] == (cut.dim**2,)
+        assert whole._idx.shape == (1, cut.dim**2)
         assert measure(state, whole) == measure(dense, whole)
+
+    @pytest.mark.parametrize("max_photons", [5, 30])
+    def test_char_fn_is_the_exchange_pair_trace(self, max_photons):
+        """The char fn read from the two arrays equals, bit for bit, the
+        trace over the diagonal, the exchange pairs (i, j) = (f d + g,
+        (f+1) d + g-1) and their transposes, at both cutoffs it compares."""
+        cut = FockCutoff(max_photons)
+        diag, upper = random_layout(max_photons, max_photons, indefinite=False)
+        state = TriDiagonalWillieState(cut, diag, upper * 0.5)
+        d = cut.dim
+        f, g = np.divmod(np.arange(d * d), d)
+        i = np.flatnonzero((g >= 1) & (f + 1 < d))
+        bra = np.concatenate([np.arange(d * d), i, i + d - 1])
+        ket = np.concatenate([np.arange(d * d), i + d - 1, i])
+        pairs = state.upper.ravel()[i]
+        values = np.concatenate([state.diag.ravel(), pairs, pairs.conj()])
+        (fb, gb), (fk, gk) = np.divmod(bra, d), np.divmod(ket, d)
+        rng = np.random.default_rng(max_photons)
+        for _ in range(6):
+            z1, z2 = rng.uniform(0.0, 2.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+            for n in (max_photons, max_photons - 2):
+                keep = np.max([fb, gb, fk, gk], axis=0) <= n
+                want = fock_core._char_fn_trace(values[keep], fb[keep], gb[keep],
+                                                fk[keep], gk[keep], n, z1, z2)
+                got = fock_core._layout_trace(state.diag, state.upper, n, z1, z2)
+                assert got == want
+        p = thermal_occupation(np.arange(d), 0.01)  # converged at N - 2
+        quiet = TriDiagonalWillieState(cut, np.outer(p, p), np.zeros((d, d)))
+        z1, z2 = 0.2j, 0.1 - 0.1j
+        want = fock_core._layout_trace(quiet.diag, quiet.upper, max_photons, z1, z2)
+        assert anti_normal_char_fn(quiet, z1, z2) == want
 
     def test_dense_is_the_scattered_layout(self):
         cut = FockCutoff(5)
