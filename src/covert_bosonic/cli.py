@@ -6,11 +6,18 @@ configuration: numbers are serialized with Python's shortest round-trip
 ``repr``, CSV uses ',' delimiters with '.' decimals and a header row with
 units, and nothing time- or host-dependent is emitted.
 
+JSON is strict: a non-finite top-level value (``c_cov`` at eta = 1) is
+written as null, while CSV writes ``inf``.
+
 Exit codes: 0 success, 1 usage error, 2 validation/physics error,
 3 verification failure.  Configuration may come from flags or a JSON config
-file (``--config``); flags win over the file.  ``willie-state`` alone takes
-a Fock cutoff, an integer: ``--cutoff``, then the file, then the
-``COVERT_BOSONIC_CUTOFF`` environment variable, then the built-in default.
+file (``--config``); flags win over the file.  Each config value is handed
+to the parser as the flag it names (``{"nbar_b": 0.1}`` as
+``--nbar-b=0.1``), so it gets that flag's conversion and choices and the
+same usage error; null means unset, and keys the subcommand does not take
+are ignored.  ``willie-state`` alone takes a Fock cutoff, an integer from 1
+to 90: ``--cutoff``, then the file, then the ``COVERT_BOSONIC_CUTOFF``
+environment variable, then the built-in default.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +44,7 @@ EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
 CUTOFF_ENV_VAR = "COVERT_BOSONIC_CUTOFF"
+MAX_CUTOFF = 90
 
 
 class UsageError(Exception):
@@ -83,9 +93,8 @@ def _parse_n_range(spec: str) -> list[float]:
     return [float(x) for x in np.geomspace(start, stop, points)]
 
 
-def _parse_delta(value) -> float:
+def _parse_delta(delta: float) -> float:
     """Covertness budget, which must lie in [0, 1/2)."""
-    delta = float(value)
     if not 0.0 <= delta < 0.5:
         raise ValueError(f"delta must be in [0, 1/2), got {delta}")
     return delta
@@ -123,13 +132,13 @@ def _load_config(path: Optional[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or a huge integer
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    # Values go through the same conversions as flags, so each must be a
-    # JSON scalar (null means unset); "qubit" and "out" are strings and
-    # "check" is a list of strings.
+    # Values are handed to the parser as flag text, so each must be a JSON
+    # scalar (null means unset); "qubit" and "out" are strings and "check"
+    # is a list of strings.
     for key, val in cfg.items():
         if key == "check":
             ok = isinstance(val, list) and all(isinstance(c, str) for c in val)
@@ -140,38 +149,40 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, default=None):
-    """Flag value if given, else config file value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
+def _config_tokens(args) -> list[str]:
+    """The config file as '--key=value' flags, for each key the subcommand
+    declares and the command line left unset; one flag per "check" entry.
+    The '=' form keeps a value starting with '-' from reading as a flag."""
+    tokens = []
+    for key, val in _load_config(args.config).items():
+        if val is not None and getattr(args, key, 0) is None:
+            flag = "--" + key.replace("_", "-")
+            tokens += [f"{flag}={v}" for v in (val if key == "check" else [val])]
+    return tokens
 
 
-def _resolve_cutoff(args, cfg: dict) -> FockCutoff:
-    val = _setting(args, cfg, "cutoff")
+def _resolve_cutoff(args) -> FockCutoff:
+    """``--cutoff`` (or the config file), then the environment variable,
+    then the default; outside 1..MAX_CUTOFF from any source is refused."""
+    val = args.cutoff
     if val is None:
-        env = os.environ.get(CUTOFF_ENV_VAR)
-        if env is not None:
-            try:
-                val = int(env)
-            except ValueError:
-                raise UsageError(
-                    f"{CUTOFF_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-    if val is None:
-        val = DEFAULT_MAX_PHOTONS
-    if isinstance(val, str):  # a config string converts as the flag does
+        env = os.environ.get(CUTOFF_ENV_VAR, str(DEFAULT_MAX_PHOTONS))
         try:
-            val = int(val)
+            val = int(env)
         except ValueError:
-            pass
-    # Never rounded or truncated: 2.7 or true is refused, not run at 2 or 1.
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise UsageError(f"cutoff must be an integer, got {val!r}")
+            raise UsageError(f"{CUTOFF_ENV_VAR} must be an integer, got {env!r}") from None
+    if not 1 <= val <= MAX_CUTOFF:  # the dense dump takes ~1 GB at 90
+        raise UsageError(f"cutoff must be from 1 to {MAX_CUTOFF}, got {val}")
     return FockCutoff(val)
+
+
+def _channel(args, command: str, *more: str) -> ChannelParams:
+    """The channel of ``args``, which must also set each setting in ``more``."""
+    names = ("eta", "nbar_b", *more)
+    if any(getattr(args, name) is None for name in names):
+        flags = ["--" + name.replace("_", "-") for name in names]
+        raise UsageError(f"{command} requires {', '.join(flags[:-1])} and {flags[-1]}")
+    return ChannelParams(args.eta, args.nbar_b)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -185,6 +196,18 @@ def _write_out(text: str, out: Optional[str]) -> None:
         raise UsageError(f"cannot write {out!r}: {exc}") from None
 
 
+def _emit(args, default_format: str, doc: dict, csv_lines: Iterable[str]) -> None:
+    """Write ``doc`` as strict JSON (a non-finite top-level float becomes
+    null) or ``csv_lines``, by ``--format`` or the command's default."""
+    if (args.format or default_format) == "csv":
+        text = "\n".join(csv_lines)
+    else:
+        doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+               for k, v in doc.items()}
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    _write_out(text + "\n", args.out)
+
+
 def _fmt(x) -> str:
     """Shortest round-trip decimal serialization of a float."""
     return repr(float(x))
@@ -194,72 +217,43 @@ def _fmt(x) -> str:
 # bounds
 # ---------------------------------------------------------------------------
 
-_BOUNDS_HEADER = [
-    "n[rounds]",
-    "seconds[s]",
-    "lower_qubits[qubits]",
-    "upper_qubits[qubits]",
-    "assisted_lower_qubits[qubits]",
-    "rate_R[qubits/round]",
-    "capacity_C[qubits/mode]",
-    "q[1]",
-    "nbar_s[photons]",
-]
+# (CSV header, BoundsPoint field) of each column, in output order.
+_BOUNDS_COLUMNS = (
+    ("n[rounds]", "n"),
+    ("seconds[s]", "seconds"),
+    ("lower_qubits[qubits]", "lower_qubits"),
+    ("upper_qubits[qubits]", "upper_qubits"),
+    ("assisted_lower_qubits[qubits]", "assisted_lower_qubits"),
+    ("rate_R[qubits/round]", "rate_R"),
+    ("capacity_C[qubits/mode]", "capacity_C"),
+    ("q[1]", "q"),
+    ("nbar_s[photons]", "nbar_s"),
+)
+_BOUNDS_HEADER = [header for header, _ in _BOUNDS_COLUMNS]
+_bounds_row = operator.attrgetter(*(field for _, field in _BOUNDS_COLUMNS))
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args.config)
-    eta = _setting(args, cfg, "eta")
-    nbar_b = _setting(args, cfg, "nbar_b")
-    delta = _setting(args, cfg, "delta")
-    n_spec = _setting(args, cfg, "n")
-    if eta is None or nbar_b is None or delta is None or n_spec is None:
-        raise UsageError("bounds requires --eta, --nbar-b, --delta and --n")
-    modes_per_sec = _setting(args, cfg, "modes_per_sec")
-    fmt = _setting(args, cfg, "format", "csv")
-    out = _setting(args, cfg, "out")
-    params = ChannelParams(float(eta), float(nbar_b))
-    delta = _parse_delta(delta)
-    n_values = _parse_n_range(str(n_spec))
-    points = cb.bounds_curve(
-        params, delta, n_values,
-        float(modes_per_sec) if modes_per_sec is not None else None,
-    )
+    params = _channel(args, "bounds", "delta", "n")
+    delta = _parse_delta(args.delta)
+    points = cb.bounds_curve(params, delta, _parse_n_range(args.n), args.modes_per_sec)
     for pt in points:
         if pt.upper_qubits < pt.lower_qubits:
             raise ValueError(
                 f"converse below achievability at n={pt.n!r}: "
                 f"upper={pt.upper_qubits!r} < lower={pt.lower_qubits!r}"
             )
-    rows = [
-        [pt.n, pt.seconds if pt.seconds is not None else "",
-         pt.lower_qubits, pt.upper_qubits, pt.assisted_lower_qubits,
-         pt.rate_R, pt.capacity_C, pt.q, pt.nbar_s]
-        for pt in points
-    ]
-    if fmt == "csv":
-        lines = [
-            "# eta=" + _fmt(params.eta) + " nbar_b=" + _fmt(params.nbar_b)
-            + " delta=" + _fmt(delta)
-            + (" modes_per_sec=" + _fmt(modes_per_sec)
-               if modes_per_sec is not None else ""),
-            ",".join(_BOUNDS_HEADER),
-        ]
-        for row in rows:
-            lines.append(",".join("" if v == "" else _fmt(v) for v in row))
-        _write_out("\n".join(lines) + "\n", out)
-    elif fmt == "json":
-        doc = {
-            "eta": params.eta,
-            "nbar_b": params.nbar_b,
-            "delta": delta,
-            "modes_per_sec": float(modes_per_sec) if modes_per_sec is not None else None,
-            "columns": _BOUNDS_HEADER,
-            "rows": [[None if v == "" else float(v) for v in row] for row in rows],
-        }
-        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
+    rows = list(map(_bounds_row, points))
+    comment = ("# eta=" + _fmt(params.eta) + " nbar_b=" + _fmt(params.nbar_b)
+               + " delta=" + _fmt(delta)
+               + ("" if args.modes_per_sec is None
+                  else " modes_per_sec=" + _fmt(args.modes_per_sec)))
+    doc = {"eta": params.eta, "nbar_b": params.nbar_b, "delta": delta,
+           "modes_per_sec": args.modes_per_sec, "columns": _BOUNDS_HEADER,
+           "rows": rows}
+    _emit(args, "csv", doc, chain(
+        [comment, ",".join(_BOUNDS_HEADER)],
+        (",".join("" if v is None else _fmt(v) for v in row) for row in rows)))
     return EXIT_OK
 
 
@@ -271,11 +265,8 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     from . import oracle
 
-    cfg = _load_config(args.config)
-    out = _setting(args, cfg, "out")
-    checks = args.check or cfg.get("check") or None
-    reports = oracle.run_all_checks(checks)
-    _write_out("".join(r.to_json() + "\n" for r in reports), out)
+    reports = oracle.run_all_checks(args.check)
+    _write_out("".join(r.to_json() + "\n" for r in reports), args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION
 
 
@@ -285,57 +276,39 @@ def cmd_verify(args) -> int:
 
 
 def cmd_willie_state(args) -> int:
-    cfg = _load_config(args.config)
-    eta = _setting(args, cfg, "eta")
-    nbar_b = _setting(args, cfg, "nbar_b")
-    if eta is None or nbar_b is None:
-        raise UsageError("willie-state requires --eta and --nbar-b")
-    params = ChannelParams(float(eta), float(nbar_b))
-    qubit = _parse_qubit(_setting(args, cfg, "qubit", "plus"))
-    cutoff = _resolve_cutoff(args, cfg)
-    source = _setting(args, cfg, "source", "closed")
-    fmt = _setting(args, cfg, "format", "csv")
-    out = _setting(args, cfg, "out")
+    params = _channel(args, "willie-state")
+    qubit = _parse_qubit(args.qubit or "plus")
+    cutoff = _resolve_cutoff(args)
+    source = args.source or "closed"
     if source == "closed":
         state = cf.willie_state_closed(qubit, params, cutoff)
         entries, leak = state.dense(), state.truncation_leak
-    elif source == "numeric":
+    else:
         from . import oracle
 
         rho = oracle.willie_state_numeric(qubit, params, cutoff)
         entries, leak = rho.entries, rho.truncation_leak
-    else:
-        raise UsageError(f"--source must be closed or numeric, got {source!r}")
     d = cutoff.dim
     rows, cols = np.nonzero(entries)  # row-major order
     vals = entries[rows, cols]
     records = list(zip(*(a.tolist() for a in (
         rows // d, rows % d, cols // d, cols % d, vals.real, vals.imag))))
-    if fmt == "csv":
-        lines = [
-            "# eta=" + _fmt(params.eta) + " nbar_b=" + _fmt(params.nbar_b)
-            + " cutoff=" + str(cutoff.max_photons)
-            + " truncation_leak=" + _fmt(leak),
-            "f[photons],g[photons],f_prime[photons],g_prime[photons],re[1],im[1]",
-        ]
-        for f, g, fp, gp, re, im in records:
-            lines.append(f"{f},{g},{fp},{gp},{_fmt(re)},{_fmt(im)}")
-        _write_out("\n".join(lines) + "\n", out)
-    elif fmt == "json":
-        doc = {
-            "eta": params.eta,
-            "nbar_b": params.nbar_b,
-            "cutoff": cutoff.max_photons,
-            "source": source,
-            "qubit": {"alpha_sq": qubit.alpha_sq, "beta_sq": qubit.beta_sq,
-                      "gamma_re": qubit.gamma.real, "gamma_im": qubit.gamma.imag},
-            "truncation_leak": leak,
-            "columns": ["f", "g", "f_prime", "g_prime", "re", "im"],
-            "entries": [list(r) for r in records],
-        }
-        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
+    doc = {
+        "eta": params.eta,
+        "nbar_b": params.nbar_b,
+        "cutoff": cutoff.max_photons,
+        "source": source,
+        "qubit": {"alpha_sq": qubit.alpha_sq, "beta_sq": qubit.beta_sq,
+                  "gamma_re": qubit.gamma.real, "gamma_im": qubit.gamma.imag},
+        "truncation_leak": leak,
+        "columns": ["f", "g", "f_prime", "g_prime", "re", "im"],
+        "entries": records,
+    }
+    _emit(args, "csv", doc, chain(
+        ["# eta=" + _fmt(params.eta) + " nbar_b=" + _fmt(params.nbar_b)
+         + " cutoff=" + str(cutoff.max_photons) + " truncation_leak=" + _fmt(leak),
+         "f[photons],g[photons],f_prime[photons],g_prime[photons],re[1],im[1]"],
+        (f"{f},{g},{fp},{gp},{_fmt(re)},{_fmt(im)}" for f, g, fp, gp, re, im in records)))
     return EXIT_OK
 
 
@@ -344,27 +317,25 @@ def cmd_willie_state(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _key_value_lines(doc: dict) -> Iterator[str]:
+    """One 'key,value' CSV line per entry of ``doc``, nested keys dotted."""
+    yield "key,value"
+    for k, v in sorted(doc.items()):
+        if isinstance(v, dict):
+            yield from (f"{k}.{kk},{_fmt(v[kk])}" for kk in sorted(v))
+        elif isinstance(v, bool):
+            yield f"{k},{str(v).lower()}"
+        else:
+            yield f"{k},{_fmt(v) if isinstance(v, float) else v}"
+
+
 def cmd_eb_report(args) -> int:
-    cfg = _load_config(args.config)
-    eta = _setting(args, cfg, "eta")
-    nbar_b = _setting(args, cfg, "nbar_b")
-    if eta is None or nbar_b is None:
-        raise UsageError("eb-report requires --eta and --nbar-b")
-    params = ChannelParams(float(eta), float(nbar_b))
-    mechanism = _setting(args, cfg, "mechanism", "attenuate")
-    if mechanism == "attenuate":
-        margin = _setting(args, cfg, "margin")
-        plan = (eb.plan_lemma1(params, float(margin)) if margin is not None
-                else eb.plan_lemma1(params))
-    elif mechanism == "amplify":
-        nbar_prime = _setting(args, cfg, "nbar_prime")
-        plan = eb.plan_lemma2(
-            params, float(nbar_prime) if nbar_prime is not None else None
-        )
+    params = _channel(args, "eb-report")
+    if (args.mechanism or "attenuate") == "attenuate":
+        plan = eb.plan_lemma1(params, eb.DEFAULT_MARGIN if args.margin is None
+                              else args.margin)
     else:
-        raise UsageError(
-            f"--mechanism must be attenuate or amplify, got {mechanism!r}"
-        )
+        plan = eb.plan_lemma2(params, args.nbar_prime)
     cov = plan.effective_covert_params
     rate = plan.effective_rate_params
     doc = {
@@ -383,41 +354,16 @@ def cmd_eb_report(args) -> int:
         "rate_R_effective": cb.hashing_rate(rate),
         "assisted_rate_effective": cb.assisted_rate(rate),
     }
-    delta = _setting(args, cfg, "delta")
-    n_spec = _setting(args, cfg, "n")
-    if (delta is None) != (n_spec is None):
+    if (args.delta is None) != (args.n is None):
         raise UsageError("eb-report takes --delta and --n together")
-    if delta is not None:
-        try:
-            n = float(n_spec)
-        except ValueError:
-            raise UsageError(f"--n must be one round count, got {n_spec!r}") from None
-        delta = _parse_delta(delta)
-        doc["n"], doc["delta"] = n, delta
+    if args.delta is not None:
+        delta = _parse_delta(args.delta)
+        doc["n"], doc["delta"] = args.n, delta
         doc["lower_qubits_effective"] = float(
-            cb.achievable_qubits(cov, delta, n, cb.hashing_rate(rate))
+            cb.achievable_qubits(cov, delta, args.n, cb.hashing_rate(rate))
         )
-        doc["upper_qubits_effective"] = cb.upper_bound_qubits(cov, delta, n)
-    fmt = _setting(args, cfg, "format", "json")
-    out = _setting(args, cfg, "out")
-    if fmt == "json":
-        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
-    elif fmt == "csv":
-        lines = ["key,value"]
-        for k in sorted(doc):
-            v = doc[k]
-            if isinstance(v, dict):
-                for kk in sorted(v):
-                    lines.append(f"{k}.{kk},{_fmt(v[kk])}")
-            elif isinstance(v, bool):
-                lines.append(f"{k},{str(v).lower()}")
-            elif isinstance(v, float):
-                lines.append(f"{k},{_fmt(v)}")
-            else:
-                lines.append(f"{k},{v}")
-        _write_out("\n".join(lines) + "\n", out)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
+        doc["upper_qubits_effective"] = cb.upper_bound_qubits(cov, delta, args.n)
+    _emit(args, "json", doc, _key_value_lines(doc))
     return EXIT_OK
 
 
@@ -461,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("willie-state", help="dump the warden's output state")
     _add_common(p)
     p.add_argument("--cutoff", type=int,
-                   help="Fock cutoff (max photons per mode)")
+                   help=f"Fock cutoff (max photons per mode), 1 to {MAX_CUTOFF}")
     p.add_argument("--qubit",
                    help="named state or alpha_sq:beta_sq[:gamma_re[:gamma_im]]")
     p.add_argument("--source", choices=("closed", "numeric"),
@@ -479,19 +425,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="added thermal photons for the amplify mechanism")
     p.add_argument("--delta", type=float,
                    help="covertness budget in [0, 1/2); needs --n")
-    p.add_argument("--n", help="one round count for the recomputed bounds; "
-                               "needs --delta")
+    p.add_argument("--n", type=float,
+                   help="one round count for the recomputed bounds; needs --delta")
     p.set_defaults(func=cmd_eb_report)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise UsageError("a subcommand is required "
                              "(bounds, verify, willie-state, eb-report)")
+        # Parse again with the config values as flags, so each gets its
+        # flag's conversion and choices.
+        tokens = _config_tokens(args)
+        if tokens:
+            args = parser.parse_args(argv + tokens)
         return args.func(args)
     except UsageError as exc:
         _emit_error("usage", str(exc))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -317,6 +318,235 @@ class TestEbReport:
             ["eb-report", "--eta", "0.5", "--nbar-b", "0",
              "--mechanism", "amplify"], capsys)
         assert code == 2
+
+
+# Settings of each command as (JSON config value, a value that changes the
+# output wherever it is used); the flag form of a value is its str(), one
+# flag per list entry.
+_PARITY_BASES = {
+    "bounds": ("bounds", {
+        "eta": (0.9, 0.7), "nbar_b": (0.12, 0.2), "delta": (0.05, 0.1),
+        "n": ("1e4:1e8:3", "1e5"), "modes_per_sec": (1e8, 1e6),
+        "format": ("json", "csv")}),
+    "willie-state": ("willie-state", {
+        "eta": (0.9, 0.7), "nbar_b": (0.12, 0.2), "qubit": ("0.3:0.7:0.1:0.2", "minus"),
+        "source": ("numeric", "closed"), "cutoff": (8, 10), "format": ("json", "csv")}),
+    "eb-report-attenuate": ("eb-report", {
+        "eta": (0.5, 0.7), "nbar_b": (0.5, 0.2), "mechanism": ("attenuate", "amplify"),
+        "margin": (0.8, 0.5), "delta": (0.05, 0.1), "n": (1e6, 1e7),
+        "format": ("csv", "json")}),
+    "eb-report-amplify": ("eb-report", {
+        "eta": (0.5, 0.7), "nbar_b": (0.5, 0.2), "mechanism": ("amplify", "attenuate"),
+        "nbar_prime": (0.6, 0.3)}),
+    "verify": ("verify", {
+        "check": (["laguerre_diag", "laguerre_offdiag"], ["laguerre_offdiag"])}),
+}
+_PARITY_CASES = [(base, key) for base, (_, settings) in _PARITY_BASES.items()
+                 for key in settings]
+
+
+def _flags(settings):
+    return [tok for key, (val, _) in settings.items()
+            for v in (val if isinstance(val, list) else [val])
+            for tok in ("--" + key.replace("_", "-"), str(v))]
+
+
+def _assert_same(out, expected):
+    # Compared first, so that a failure skips pytest's diff of two state
+    # dumps, which takes minutes.
+    same = out == expected
+    assert same, f"outputs differ ({len(out)} and {len(expected)} characters)"
+
+
+@pytest.fixture
+def no_cutoff_env(monkeypatch):
+    monkeypatch.delenv(cli.CUTOFF_ENV_VAR, raising=False)
+
+
+@pytest.mark.usefixtures("no_cutoff_env")
+class TestConfigParity:
+    """A config value is parsed exactly as its flag: same conversions, same
+    choices, same exit code, and a flag given on the command line wins."""
+
+    @staticmethod
+    def _run_with_config(argv, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_cli(argv + ["--config", str(path)], capsys)
+
+    @pytest.mark.parametrize("base,key", _PARITY_CASES)
+    def test_config_value_matches_flag(self, base, key, tmp_path, capsys):
+        command, settings = _PARITY_BASES[base]
+        code, by_flag, _ = run_cli([command] + _flags(settings), capsys)
+        assert code == 0
+        rest = {k: v for k, v in settings.items() if k != key}
+        code, by_config, err = self._run_with_config(
+            [command] + _flags(rest), {key: settings[key][0]}, tmp_path, capsys)
+        assert (code, err) == (0, "")
+        _assert_same(by_config, by_flag)
+
+    @pytest.mark.parametrize("base,key", _PARITY_CASES)
+    def test_flag_beats_config(self, base, key, tmp_path, capsys):
+        command, settings = _PARITY_BASES[base]
+        argv = [command] + _flags(settings)
+        _, by_flag, _ = run_cli(argv, capsys)
+        code, out, _ = self._run_with_config(
+            argv, {key: settings[key][1]}, tmp_path, capsys)
+        assert code == 0
+        _assert_same(out, by_flag)
+
+    @pytest.mark.parametrize("base,key,bad", [
+        ("willie-state", "eta", "abc"),
+        ("eb-report-attenuate", "margin", "x"),
+        ("bounds", "eta", True),
+        ("bounds", "format", "xml"),
+        ("eb-report-amplify", "mechanism", "boost"),
+        ("willie-state", "source", "dense"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_bad_value_is_usage_error_by_either_route(self, base, key, bad, route,
+                                                      tmp_path, capsys):
+        # At the parent a config "abc", "x" or true for a number exited 2 or
+        # ran at 1.0, where the same flag exited 1.
+        command, settings = _PARITY_BASES[base]
+        rest = {k: v for k, v in settings.items() if k != key}
+        if route == "flag":
+            text = json.dumps(bad) if isinstance(bad, bool) else bad
+            code, out, err = run_cli(
+                [command] + _flags(rest) + ["--" + key.replace("_", "-"), text], capsys)
+        else:
+            code, out, err = self._run_with_config(
+                [command] + _flags(rest), {key: bad}, tmp_path, capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert doc["message"].startswith("argument --" + key.replace("_", "-"))
+
+    def test_negative_config_value_is_read_as_a_value(self, tmp_path, capsys):
+        # '-1e-05' would read as an unknown flag if it were a separate token.
+        code, out, err = self._run_with_config(
+            ["bounds", "--nbar-b", "0.12", "--delta", "0.05", "--n", "1e6"],
+            {"eta": -1e-05}, tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert "eta" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("text", ["{", '{"eta": ' + "9" * 5000 + "}"])
+    def test_unreadable_config_is_usage_error(self, text, tmp_path, capsys):
+        # An integer of more digits than int() converts used to exit 2.
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, out, err = run_cli(["eb-report", "--nbar-b", "0.5", "--config", str(path)],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["message"].startswith("cannot read config")
+
+    def test_null_and_unknown_keys_are_ignored(self, tmp_path, capsys):
+        argv = ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+                "--n", "1e6"]
+        _, by_flag, _ = run_cli(argv, capsys)
+        code, out, _ = self._run_with_config(
+            argv, {"modes_per_sec": None, "cutoff": 5, "margin": 0.5, "bogus": 1},
+            tmp_path, capsys)
+        assert code == 0 and out == by_flag
+
+
+@pytest.mark.usefixtures("no_cutoff_env")
+class TestCutoffRange:
+    """A cutoff outside 1..90 is a usage error from every source: the dense
+    dump grows as (N+1)^4, and at 3000 numpy's allocation error used to
+    escape as a traceback."""
+
+    ARGV = ["willie-state", "--eta", "0.9", "--nbar-b", "0.12"]
+
+    @staticmethod
+    def _assert_refused(code, out, err, cutoff):
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "usage"
+        assert doc["message"] == f"cutoff must be from 1 to 90, got {cutoff}"
+
+    @pytest.mark.parametrize("cutoff", [0, 91, 3000, 100000])
+    def test_flag_outside_range(self, cutoff, capsys):
+        self._assert_refused(*run_cli(self.ARGV + ["--cutoff", str(cutoff)], capsys),
+                             cutoff)
+
+    def test_config_outside_range(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cutoff": 91}))
+        self._assert_refused(*run_cli(self.ARGV + ["--config", str(path)], capsys), 91)
+
+    def test_env_outside_range(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.CUTOFF_ENV_VAR, "91")
+        self._assert_refused(*run_cli(self.ARGV, capsys), 91)
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+         "--n", "1e4:1e8:3", "--format", "json"],
+        ["willie-state", "--eta", "0.9", "--nbar-b", "0.12", "--cutoff", "4",
+         "--format", "json"],
+        ["eb-report", "--eta", "0.5", "--nbar-b", "0.5", "--delta", "0.05", "--n", "1e6"],
+        ["eb-report", "--eta", "1", "--nbar-b", "0.1"],
+        ["eb-report", "--eta", "1", "--nbar-b", "0.1", "--mechanism", "amplify"],
+    ])
+    def test_json_output_is_strict(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        _strict_json(out)
+
+    def test_verify_lines_are_strict(self, capsys):
+        code, out, _ = run_cli(["verify", "--check", "laguerre_diag"], capsys)
+        assert code == 0
+        for line in out.splitlines():
+            _strict_json(line)
+
+    def test_infinite_covertness_constant_is_null_in_json_and_inf_in_csv(self, capsys):
+        # At eta = 1 the warden sees nothing and c_cov is infinite; the parent
+        # printed the non-standard token Infinity.
+        argv = ["eb-report", "--eta", "1", "--nbar-b", "0.1"]
+        _, out, _ = run_cli(argv, capsys)
+        doc = _strict_json(out)
+        assert doc["c_cov"] is None and doc["c_cov_effective"] is None
+        _, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert "c_cov,inf" in out.splitlines()
+
+    def test_non_finite_nested_value_is_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.cb, "hashing_rate", lambda params: math.nan)
+        code, out, err = run_cli(["bounds", "--eta", "0.9", "--nbar-b", "0.12",
+                                  "--delta", "0.05", "--n", "1e6", "--format", "json"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "not JSON compliant" in json.loads(err)["message"]
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [" ".join(cmd.split()) for cmd in block.replace("\\\n", " ").splitlines()
+            if cmd.startswith("covert-bosonic ")]
+
+
+@pytest.mark.usefixtures("no_cutoff_env")
+@pytest.mark.parametrize("command", _readme_cli_commands())
+def test_readme_cli_example_runs(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(shlex.split(command)[1:], capsys)
+    assert code == 0, err
+
+
+def test_readme_cli_block_is_found():
+    assert len(_readme_cli_commands()) >= 5
 
 
 def _modules_loaded_by(module, prefixes, run="pass"):
