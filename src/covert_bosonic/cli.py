@@ -33,10 +33,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import closed_form as cf
 from . import covert_bounds as cb
 from . import eb_engineering as eb
-from .fock_core import DEFAULT_MAX_PHOTONS, ChannelParams, FockCutoff
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,9 +98,11 @@ def _parse_delta(delta: float) -> float:
     return delta
 
 
-def _parse_qubit(spec: str) -> cf.LogicalQubit:
+def _parse_qubit(spec: str):
     """Qubit spec: a named state ('zero', 'one', 'plus', 'minus') or
     'alpha_sq:beta_sq:gamma_re:gamma_im'."""
+    from . import closed_form as cf
+
     named = {
         "zero": cf.LogicalQubit(1.0, 0.0),
         "one": cf.LogicalQubit(0.0, 1.0),
@@ -161,9 +161,11 @@ def _config_tokens(args) -> list[str]:
     return tokens
 
 
-def _resolve_cutoff(args) -> FockCutoff:
+def _resolve_cutoff(args):
     """``--cutoff`` (or the config file), then the environment variable,
     then the default; outside 1..MAX_CUTOFF from any source is refused."""
+    from .fock_core import DEFAULT_MAX_PHOTONS, FockCutoff
+
     val = args.cutoff
     if val is None:
         env = os.environ.get(CUTOFF_ENV_VAR, str(DEFAULT_MAX_PHOTONS))
@@ -176,13 +178,13 @@ def _resolve_cutoff(args) -> FockCutoff:
     return FockCutoff(val)
 
 
-def _channel(args, command: str, *more: str) -> ChannelParams:
+def _channel(args, command: str, *more: str) -> cb.ChannelParams:
     """The channel of ``args``, which must also set each setting in ``more``."""
     names = ("eta", "nbar_b", *more)
     if any(getattr(args, name) is None for name in names):
         flags = ["--" + name.replace("_", "-") for name in names]
         raise UsageError(f"{command} requires {', '.join(flags[:-1])} and {flags[-1]}")
-    return ChannelParams(args.eta, args.nbar_b)
+    return cb.ChannelParams(args.eta, args.nbar_b)
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -276,6 +278,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_willie_state(args) -> int:
+    # The Fock-space modules load here only, so the bound commands never
+    # load them.
+    from . import closed_form as cf
+
     params = _channel(args, "willie-state")
     qubit = _parse_qubit(args.qubit or "plus")
     cutoff = _resolve_cutoff(args)

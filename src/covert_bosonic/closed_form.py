@@ -6,12 +6,13 @@ Fock basis: population terms |fg><fg| plus single-excitation-exchange
 coherences |fg><f+1,g-1| and |fg><f-1,g+1| (total photon number is
 conserved across the two modes of the support pattern).  This module
 evaluates those coefficients, the matching anti-normally ordered
-characteristic function, the chi-squared divergence against the quiet
-(thermal product) state, and the projection/depolarizing parameters of
-the receiver-side reduction.  Everything is cross-checked entrywise by
-the brute-force channel simulation in :mod:`covert_bosonic.oracle`.  The
+characteristic function and the chi-squared divergence against the quiet
+(thermal product) state.  Everything is cross-checked entrywise by the
+brute-force channel simulation in :mod:`covert_bosonic.oracle`.  The
 states come as :class:`TriDiagonalWillieState`, defined in ``fock_core``
-(the oracle fills the same layout without this module) and re-exported.
+(the oracle fills the same layout without this module).  The channel
+model and the receiver's dual-rail projection parameters live in
+:mod:`covert_bosonic.covert_bounds`, which needs no Fock space.
 
 Conventions fixed by that numeric cross-check (the relevant algebra
 admits cheap transposition/sign typos, so the simulation is treated as
@@ -21,9 +22,7 @@ authoritative):
   |gamma|^2`` (an exponent of 4 fails the equality case |gamma| =
   |alpha beta| and disagrees with the numeric divergence);
 * the coherence <fg|rho^W|f+1,g-1> equals ``+gamma * w2(g, f)``, i.e.
-  the argument order is swapped relative to the diagonal convention;
-* the projection failure probability is ``1 - <01|rho^B|01> -
-  <10|rho^B|10>`` (both populations subtracted).
+  the argument order is swapped relative to the diagonal convention.
 """
 
 from __future__ import annotations
@@ -33,32 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import (
-    ChannelParams,
-    FockCutoff,
-    TriDiagonalWillieState,
-    thermal_occupation,
-)
+from .covert_bounds import ChannelParams, DivergenceUndefinedError
+from .fock_core import FockCutoff, TriDiagonalWillieState, thermal_occupation
 
 __all__ = [
     "LogicalQubit",
-    "TriDiagonalWillieState",
-    "DivergenceUndefinedError",
     "willie_state_closed",
     "bob_state_closed",
     "willie_char_fn_closed",
     "chi2_closed",
     "chi2_bound",
-    "p_fail",
-    "p_prime",
-    "p_total",
 ]
 
 _NORM_TOL = 1e-12
-
-
-class DivergenceUndefinedError(ValueError):
-    """The divergence diverges: the quiet state is not full rank (nbar=0)."""
 
 
 @dataclass(frozen=True)
@@ -218,35 +204,3 @@ def chi2_bound(params: ChannelParams) -> float:
         )
     n = params.eta * params.nbar_b
     return float((1.0 - params.eta) ** 2 / (n * (1.0 + n)))
-
-
-def p_fail(params: ChannelParams) -> float:
-    """Probability that projecting the receiver's two modes onto the
-    dual-rail basis {|01>, |10>} fails:
-
-        1 - (2 nbar_b (1+nbar_b)(1-eta)^2 + eta) / (1 + (1-eta) nbar_b)^4
-
-    Independent of the transmitted logical state.
-    """
-    eta, nb = params.eta, params.nbar_b
-    return float(
-        1.0 - (2.0 * nb * (1.0 + nb) * (1.0 - eta) ** 2 + eta)
-        / (1.0 + (1.0 - eta) * nb) ** 4
-    )
-
-
-def p_prime(params: ChannelParams) -> float:
-    """Depolarizing parameter of the channel restricted to the projected
-    dual-rail subspace."""
-    eta, nb = params.eta, params.nbar_b
-    x = 2.0 * (1.0 - eta) ** 2 * nb * (1.0 + nb)
-    return float(x / (eta + x))
-
-
-def p_total(params: ChannelParams) -> float:
-    """Overall depolarizing parameter seen by the decoder,
-
-        p = p' + (1 - p') p_fail = 1 - eta / (1 + (1-eta) nbar_b)^4.
-    """
-    eta, nb = params.eta, params.nbar_b
-    return float(1.0 - eta / (1.0 + (1.0 - eta) * nb) ** 4)

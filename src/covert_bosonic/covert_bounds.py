@@ -12,6 +12,12 @@ mean-photon-number constraint.
 All logarithms in reported quantities are base 2 (bits/qubits); the [x]+
 clamp is always max(x, 0) applied after evaluating the full expression.
 Every function here is pure, so curve sweeps may fan out freely.
+
+This module is the home of the channel model, :class:`ChannelParams`, and
+of the receiver's dual-rail parameters (``p_fail``, ``p_prime``,
+``p_total``): closed-form scalar arithmetic that needs no Fock space.  It
+imports nothing from the package, so the bound pipeline loads no
+Fock-space code; every other module takes these names from here.
 """
 
 from __future__ import annotations
@@ -23,10 +29,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .closed_form import DivergenceUndefinedError, p_fail, p_prime, p_total
-from .fock_core import ChannelParams
-
 __all__ = [
+    "ChannelParams",
+    "DivergenceUndefinedError",
+    "p_fail",
+    "p_prime",
+    "p_total",
     "BoundsPoint",
     "GainDecompositionError",
     "c_cov",
@@ -45,6 +53,26 @@ __all__ = [
     "upper_bound_srl_coefficient",
     "bounds_curve",
 ]
+
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """Lossy thermal-noise bosonic channel: a beamsplitter of transmittance
+    ``eta`` mixing the signal with a thermal state of mean photon number
+    ``nbar_b``."""
+
+    eta: float
+    nbar_b: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        if not (math.isfinite(self.nbar_b) and self.nbar_b >= 0.0):
+            raise ValueError(f"nbar_b must be finite and >= 0, got {self.nbar_b}")
+
+
+class DivergenceUndefinedError(ValueError):
+    """The divergence diverges: the quiet state is not full rank (nbar=0)."""
 
 
 class GainDecompositionError(ValueError):
@@ -78,6 +106,44 @@ def c_cov(params: ChannelParams) -> float:
         return math.inf
     n = params.eta * params.nbar_b
     return math.sqrt(2.0 * n * (1.0 + n)) / (1.0 - params.eta)
+
+
+def p_fail(params: ChannelParams) -> float:
+    """Probability that projecting the receiver's two modes onto the
+    dual-rail basis {|01>, |10>} fails:
+
+        1 - (2 nbar_b (1+nbar_b)(1-eta)^2 + eta) / (1 + (1-eta) nbar_b)^4
+
+    Independent of the transmitted logical state.  Both populations
+    <01|rho^B|01> and <10|rho^B|10> are subtracted, the convention fixed by
+    the oracle's numeric receiver state.
+    """
+    eta, nb = params.eta, params.nbar_b
+    return float(
+        1.0 - (2.0 * nb * (1.0 + nb) * (1.0 - eta) ** 2 + eta)
+        / (1.0 + (1.0 - eta) * nb) ** 4
+    )
+
+
+def p_prime(params: ChannelParams) -> float:
+    """Depolarizing parameter of the channel restricted to the projected
+    dual-rail subspace.  Undefined at eta = nbar_b = 0, where the projection
+    never succeeds (p_fail = 1)."""
+    eta, nb = params.eta, params.nbar_b
+    x = 2.0 * (1.0 - eta) ** 2 * nb * (1.0 + nb)
+    if eta + x == 0.0:
+        raise ValueError("p_prime is undefined at eta = nbar_b = 0: "
+                         "the dual-rail projection never succeeds (p_fail = 1)")
+    return float(x / (eta + x))
+
+
+def p_total(params: ChannelParams) -> float:
+    """Overall depolarizing parameter seen by the decoder,
+
+        p = p' + (1 - p') p_fail = 1 - eta / (1 + (1-eta) nbar_b)^4.
+    """
+    eta, nb = params.eta, params.nbar_b
+    return float(1.0 - eta / (1.0 + (1.0 - eta) * nb) ** 4)
 
 
 # The array functions below evaluate a whole sweep for bounds_curve; the
@@ -208,7 +274,10 @@ def lower_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
 def assisted_rate(params: ChannelParams) -> float:
     """Qubit rate with a two-way classical side channel: the receiver
     reports which projections succeeded and the parties distill
-    entanglement on those rounds, giving (1 - p_fail)[1 - H(p'_vec)]+."""
+    entanglement on those rounds, giving (1 - p_fail)[1 - H(p'_vec)]+;
+    exactly 0 where no projection succeeds."""
+    if p_fail(params) == 1.0:
+        return 0.0
     return (1.0 - p_fail(params)) * _depolarizing_hashing(p_prime(params))
 
 
@@ -251,8 +320,6 @@ def nbar_s_max(params: ChannelParams, delta: float, n: float) -> float:
 
 def upper_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
     """Converse: at most 2 n C(nbar_s_max) covert qubits over n rounds."""
-    if delta == 0.0:
-        return 0.0
     return float(_converse(params, delta, n)[1])
 
 

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .fock_core import ChannelParams
+from .covert_bounds import ChannelParams
 
 __all__ = [
     "EbMechanism",

@@ -40,6 +40,10 @@ no general matrix exponential is needed and numpy suffices.
 All objects are immutable after construction and all operations are pure
 functions, so evaluations are safe to run in parallel over parameter
 grids.
+
+:class:`ChannelParams` is defined in :mod:`covert_bosonic.covert_bounds`
+and re-exported here, the package's one re-export, because the benchmark
+builds its channels through this module.
 """
 
 from __future__ import annotations
@@ -50,6 +54,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+# Re-exported only because the benchmark builds channels as
+# fock_core.ChannelParams; a change to the benchmark can drop it.
+from .covert_bounds import ChannelParams
 
 __all__ = [
     "DEFAULT_MAX_PHOTONS",
@@ -112,22 +120,6 @@ class FockCutoff:
     @property
     def dim(self) -> int:
         return self.max_photons + 1
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Lossy thermal-noise bosonic channel: a beamsplitter of transmittance
-    ``eta`` mixing the signal with a thermal state of mean photon number
-    ``nbar_b``."""
-
-    eta: float
-    nbar_b: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        if not (math.isfinite(self.nbar_b) and self.nbar_b >= 0.0):
-            raise ValueError(f"nbar_b must be finite and >= 0, got {self.nbar_b}")
 
 
 @dataclass(frozen=True)

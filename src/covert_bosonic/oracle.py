@@ -1,8 +1,9 @@
 """Brute-force verification of every closed form in this package.
 
-The closed-form expressions in :mod:`covert_bosonic.closed_form` involve
-enough index bookkeeping that transposition or sign typos are cheap to
-make and expensive to notice.  This module re-derives every quantity
+The closed-form expressions in :mod:`covert_bosonic.closed_form` (and the
+receiver's dual-rail parameters in :mod:`covert_bosonic.covert_bounds`)
+involve enough index bookkeeping that transposition or sign typos are
+cheap to make and expensive to notice.  This module re-derives every quantity
 numerically from :mod:`covert_bosonic.fock_core` primitives alone --
 the sector blocks of truncated beamsplitter/amplifier unitaries, truncated
 ladder exponentials and the periodic trapezoid rule -- and reports the
@@ -64,9 +65,10 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import closed_form as cf
+from . import covert_bounds as cb
+from .covert_bounds import ChannelParams
 from .eb_engineering import EbPlan, plan_lemma1, plan_lemma2
 from .fock_core import (
-    ChannelParams,
     DensityOperator,
     FockCutoff,
     TriDiagonalWillieState,
@@ -539,27 +541,26 @@ def verify_depolarizing_reduction(
     depolarizing channel of parameter p = 1 - eta/(1 + (1-eta) nbar_b)^4
     acting on the input.  This also audits the p' closed form, since
     p = p' + (1-p') p_fail.  The 2x2 block is read from the receiver's
-    tri-diagonal layout; no dense two-mode state is built."""
+    checked tri-diagonal layout; no dense two-mode state is built."""
     channel_grid = list(channel_grid or default_channel_grid())
     qubits = list(qubits or default_qubit_set())
     cutoff = DEFAULT_ORACLE_CUTOFF
 
     def errors():
         for params in channel_grid:
-            p = cf.p_total(params)
-            rail = _rail_images(_channel(params, _SIGNAL), cutoff.max_photons)
+            p = cb.p_total(params)
+            stages = _channel(params, _SIGNAL)
             for qubit in qubits:
-                diag, upper = _tri_diagonal(qubit, rail)
-                _checked_leak(diag.sum())
+                state = _assemble_two_mode(qubit, stages, cutoff)
                 # <01|rho|01>, <01|rho|10> and <10|rho|10>.
-                block = np.array([[diag[0, 1], upper[0, 1]],
-                                  [np.conj(upper[0, 1]), diag[1, 0]]])
+                block = np.array([[state.diag[0, 1], state.upper[0, 1]],
+                                  [np.conj(state.upper[0, 1]), state.diag[1, 0]]])
                 fail_weight = 1.0 - float(np.trace(block).real)
                 projected = block + fail_weight * np.eye(2) / 2.0
                 target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
                 err = float(np.max(np.abs(projected - target)))
                 # p_fail closed form vs the projected weight itself.
-                yield (max(err, abs(fail_weight - cf.p_fail(params))),
+                yield (max(err, abs(fail_weight - cb.p_fail(params))),
                        _inputs(params, qubit))
 
     return _report("depolarizing_reduction", errors(), _TOLERANCE)

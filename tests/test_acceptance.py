@@ -16,7 +16,8 @@ from covert_bosonic import cli
 from covert_bosonic import covert_bounds as cb
 from covert_bosonic import eb_engineering as eb
 from covert_bosonic import oracle
-from covert_bosonic.closed_form import LogicalQubit, p_total
+from covert_bosonic.closed_form import LogicalQubit
+from covert_bosonic.covert_bounds import p_total
 from covert_bosonic.fock_core import ChannelParams, FockCutoff
 
 FIG2 = ChannelParams(0.9, 0.12)

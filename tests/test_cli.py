@@ -567,6 +567,20 @@ def test_cli_import_loads_neither_scipy_nor_oracle():
                               ("scipy", "covert_bosonic.oracle")) == "[]"
 
 
+def test_bound_commands_load_no_fock_space_module():
+    run = ("covert_bosonic.cli.main(['bounds', '--eta', '0.9', '--nbar-b', '0.12', "
+           "'--delta', '0.05', '--n', '1e4:1e8:5']); "
+           "covert_bosonic.cli.main(['eb-report', '--eta', '0.9', '--nbar-b', "
+           "'0.12', '--delta', '0.05', '--n', '1e6'])")
+    fock_stack = ("covert_bosonic.fock_core", "covert_bosonic.closed_form",
+                  "covert_bosonic.oracle")
+    assert _modules_loaded_by("covert_bosonic.cli", fock_stack, run) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    assert _modules_loaded_by("covert_bosonic", ("covert_bosonic.",)) == "[]"
+
+
 def test_oracle_import_loads_no_quadrature_modules():
     # The package needs numpy alone: the ring integrals use the periodic
     # trapezoid rule and every exponential is computed with numpy.

@@ -11,12 +11,10 @@ from covert_bosonic.closed_form import (
     bob_state_closed,
     chi2_bound,
     chi2_closed,
-    p_fail,
-    p_prime,
-    p_total,
     willie_char_fn_closed,
     willie_state_closed,
 )
+from covert_bosonic.covert_bounds import p_fail, p_prime, p_total
 from covert_bosonic.fock_core import (
     ChannelParams,
     FockCutoff,

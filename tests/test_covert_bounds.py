@@ -18,12 +18,14 @@ from covert_bosonic.covert_bounds import (
     hashing_rate,
     lower_bound_qubits,
     nbar_s_max,
+    p_fail,
+    p_prime,
+    p_total,
     q_max,
     qre_bound,
     upper_bound_qubits,
     upper_bound_srl_coefficient,
 )
-from covert_bosonic.closed_form import p_total
 from covert_bosonic.fock_core import ChannelParams
 
 FIG2 = ChannelParams(0.9, 0.12)
@@ -304,3 +306,54 @@ class TestZeroBudget:
         assert code == 0
         row = out.strip().splitlines()[-1].split(",")
         assert [float(row[i]) for i in (2, 3, 4, 7, 8)] == [0.0] * 5
+
+    @pytest.mark.parametrize("n, message", [(-5.0, ">= 1"), (0.5, ">= 1"),
+                                            (math.nan, "finite")])
+    def test_upper_bound_refuses_bad_n(self, n, message):
+        for bound in (lower_bound_qubits, upper_bound_qubits):
+            with pytest.raises(ValueError, match=message):
+                bound(FIG2, 0.0, n)
+
+    def test_undefined_converse_is_refused_as_by_the_sweep(self):
+        params = ChannelParams(0.1, 10.0)
+        with pytest.raises(GainDecompositionError):
+            bounds_curve(params, 0.0, [1e6])
+        with pytest.raises(GainDecompositionError):
+            upper_bound_qubits(params, 0.0, 1e6)
+
+    def test_cli_eb_report_refuses_undefined_converse(self, capsys):
+        from covert_bosonic import cli
+
+        code = cli.main(["eb-report", "--eta", "0.1", "--nbar-b", "10", "--delta", "0",
+                         "--n", "1e6"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "GainDecompositionError"
+
+
+class TestNoProjection:
+    """At eta = nbar_b = 0 nothing reaches the receiver: the dual-rail
+    projection never succeeds, p' is undefined and the assisted rate is 0."""
+
+    PARAMS = ChannelParams(0.0, 0.0)
+
+    def test_library_values(self):
+        assert p_fail(self.PARAMS) == 1.0
+        assert assisted_rate(self.PARAMS) == 0.0
+        with pytest.raises(ValueError, match="projection never succeeds"):
+            p_prime(self.PARAMS)
+
+    def test_sweep_reaches_the_converse_refusal(self):
+        with pytest.raises(GainDecompositionError):
+            bounds_curve(self.PARAMS, 0.05, [1e6])
+
+    def test_cli_exits_2_with_the_converse_refusal(self, capsys):
+        from covert_bosonic import cli
+
+        code = cli.main(["bounds", "--eta", "0", "--nbar-b", "0", "--delta", "0.05",
+                         "--n", "1e6"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "GainDecompositionError"
+        assert "eta - (1-eta) nbar_b/2 = 0.0" in err["message"]

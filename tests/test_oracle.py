@@ -282,6 +282,11 @@ class TestImageChecks:
         with pytest.raises(ValueError, match="off its band"):
             oracle._assemble_two_mode(self.QUBIT, stages, self.CUT)
 
+    def test_off_band_entry_is_refused_by_depolarizing_reduction(self, monkeypatch):
+        self.plant_off_band_entry(monkeypatch)
+        with pytest.raises(ValueError, match="off its band"):
+            oracle.verify_depolarizing_reduction([self.PARAMS], [self.QUBIT])
+
     def test_layout_is_shared_with_closed_form(self):
         from covert_bosonic import fock_core
 
@@ -346,8 +351,10 @@ def test_checks_build_no_dense_unitary_or_state(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense unitary or state built")
 
+    # The package serves fock_core's own objects on each access, so it needs
+    # no patch of its own (one would restore the patched value on undo).
     for name in ("beamsplitter_unitary", "two_mode_amplifier_unitary"):
-        for mod in (fock_core, oracle, sys.modules["covert_bosonic"]):
+        for mod in (fock_core, oracle):
             monkeypatch.setattr(mod, name, refuse, raising=False)
     monkeypatch.setattr(TriDiagonalWillieState, "dense", refuse)
     monkeypatch.setattr(DensityOperator, "__post_init__", refuse)
