@@ -27,7 +27,6 @@ authoritative):
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +60,24 @@ class LogicalQubit:
     gamma: complex = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha_sq <= 1.0 and 0.0 <= self.beta_sq <= 1.0):
+        self._check(self.alpha_sq, self.beta_sq, self.gamma)
+
+    @staticmethod
+    def _check(alpha_sq, beta_sq, gamma) -> None:
+        """Refuse what no qubit may hold, elementwise over arrays of one
+        shape (``ValueError``, naming the first offending value)."""
+        a, b, g = np.asarray(alpha_sq), np.asarray(beta_sq), np.asarray(gamma)
+        if not np.all((0.0 <= a) & (a <= 1.0) & (0.0 <= b) & (b <= 1.0)):
             raise ValueError("populations must lie in [0, 1]")
-        if abs(self.alpha_sq + self.beta_sq - 1.0) > _NORM_TOL:
+        total = a + b
+        off = np.abs(total - 1.0) > _NORM_TOL
+        if np.any(off):
             raise ValueError(
-                f"populations must sum to 1, got {self.alpha_sq + self.beta_sq!r}"
-            )
-        if not cmath.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
-        if abs(self.gamma) ** 2 > self.alpha_sq * self.beta_sq + _NORM_TOL:
+                f"populations must sum to 1, got {np.extract(off, total)[0].item()!r}")
+        finite = np.isfinite(g)
+        if not np.all(finite):
+            raise ValueError(f"gamma must be finite, got {np.extract(~finite, g)[0].item()!r}")
+        if np.any(np.square(np.abs(g)) > a * b + _NORM_TOL):
             raise ValueError("|gamma|^2 exceeds alpha_sq * beta_sq (not PSD)")
 
     @classmethod
@@ -185,13 +193,16 @@ def chi2_closed(qubit: LogicalQubit, params: ChannelParams) -> float:
         raise DivergenceUndefinedError(
             "quiet state is not full rank at nbar_b = 0; divergence is infinite"
         )
+    return float(_chi2(params, qubit.alpha_sq, qubit.beta_sq, qubit.gamma))
+
+
+def _chi2(params: ChannelParams, alpha_sq, beta_sq, gamma) -> np.ndarray:
+    """The formula of :func:`chi2_closed`, elementwise over arrays of one
+    shape of qubit entries (unchecked; eta < 1 and nbar_b > 0), each value
+    equal bit for bit to the scalar call."""
     n = params.eta * params.nbar_b
-    pops = qubit.alpha_sq**2 + qubit.beta_sq**2
-    return float(
-        (1.0 - params.eta) ** 2
-        * (pops + 2.0 * abs(qubit.gamma) ** 2)
-        / (n * (1.0 + n))
-    )
+    pops = np.square(alpha_sq) + np.square(beta_sq)
+    return (1.0 - params.eta) ** 2 * (pops + 2.0 * np.square(np.abs(gamma))) / (n * (1.0 + n))
 
 
 def chi2_bound(params: ChannelParams) -> float:

@@ -25,9 +25,11 @@ photon number of a state.  A state holds its blocks as one padded stack on
 its table: the sectors when its matrix vanishes off them (every state the
 optics here produce), otherwise the whole space as one block.  Validation,
 the divergences and the characteristic function then read only those
-blocks.  A dual-rail input leaves such a channel's two-mode output
-tri-diagonal, a diagonal and one photon-exchange coherence per (f, g); the
-closed forms and the oracle's numeric states alike fill that layout,
+blocks; a reference state diagonalizes each block once, on first use,
+and keeps the eigensystems.  A dual-rail input leaves such a channel's
+two-mode output tri-diagonal, a diagonal and one photon-exchange coherence
+per (f, g); the closed forms and the oracle's numeric states alike fill
+that layout,
 :class:`TriDiagonalWillieState`.  The layout is a checked state in its own
 right: it validates each sector as a tri-diagonal matrix, the
 characteristic function reads its two arrays directly, and the divergences
@@ -35,7 +37,9 @@ read its blocks.  Only ``dense()`` makes its matrix.
 
 The characteristic function's displacement factors are exponentials of
 nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
-no general matrix exponential is needed and numpy suffices.
+no general matrix exponential is needed and numpy suffices.  It takes
+arrays of points as well as scalars, with its kernels built stacked and
+cached per tuple of points.
 
 All objects are immutable after construction and all operations are pure
 functions, so evaluations are safe to run in parallel over parameter
@@ -48,7 +52,6 @@ builds its channels through this module.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -182,6 +185,12 @@ class DensityOperator:
     def dim(self) -> int:
         return self.cutoff.dim ** self.num_modes
 
+    @cached_property
+    def _eigensystems(self) -> tuple:
+        """The eigensystem of each block, computed once (see
+        :func:`_block_eigensystems`)."""
+        return _block_eigensystems(self._blocks, self._idx)
+
 
 def creation_exponential(w: complex | np.ndarray, cutoff: FockCutoff) -> np.ndarray:
     """exp(w a^dag) on the truncated single-mode space, for a scalar ``w``
@@ -283,6 +292,11 @@ class TriDiagonalWillieState:
         blocks[:, i[1:], i[:-1]] = b.conj()
         blocks.setflags(write=False)
         return blocks
+
+    @cached_property
+    def _eigensystems(self) -> tuple:
+        """As :attr:`DensityOperator._eigensystems`, on the sectors."""
+        return _block_eigensystems(self._blocks, self._idx)
 
     @property
     def truncation_leak(self) -> float:
@@ -395,6 +409,18 @@ def _paired_blocks(a: "DensityOperator", b: "DensityOperator") -> list:
         return [(_scatter(a._blocks, a._idx), _scatter(b._blocks, b._idx))]
     sizes = np.count_nonzero(a._idx >= 0, axis=1)
     return [(x[:n, :n], y[:n, :n]) for x, y, n in zip(a._blocks, b._blocks, sizes)]
+
+
+def _block_eigensystems(blocks: np.ndarray, idx: np.ndarray) -> tuple:
+    """Read-only (eigenvalues, eigenvectors) of each block of a stack on
+    table ``idx``, trimmed of padding."""
+    out = []
+    for y, n in zip(blocks, np.count_nonzero(idx >= 0, axis=1)):
+        w, v = np.linalg.eigh(y[:n, :n])
+        for x in (w, v):
+            x.setflags(write=False)
+        out.append((w, v))
+    return tuple(out)
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -525,20 +551,24 @@ def two_mode_amplifier_unitary(
     return _scatter(blocks, _chains(step, cutoff.max_photons)[0])
 
 
-@lru_cache(maxsize=512)
-def _char_fn_ops_cached(z: complex, max_photons: int) -> np.ndarray:
-    """Single-mode factor exp(-z* a) exp(z a^dag) of the anti-normally
-    ordered characteristic function kernel; exp(-z* a) is the adjoint of
-    exp(-z a^dag)."""
+@lru_cache(maxsize=64)
+def _char_fn_kernels(zetas: tuple, max_photons: int) -> np.ndarray:
+    """Single-mode factors exp(-z* a) exp(z a^dag) of the anti-normally
+    ordered characteristic function kernel, stacked over the points z of
+    ``zetas``; exp(-z* a) is the adjoint of exp(-z a^dag)."""
     cutoff = FockCutoff(max_photons)
-    out = creation_exponential(-z, cutoff).conj().T @ creation_exponential(z, cutoff)
+    z = np.array(zetas, dtype=complex)
+    out = (creation_exponential(-z, cutoff).conj().swapaxes(-1, -2)
+           @ creation_exponential(z, cutoff))
     out.setflags(write=False)
     return out
 
 
 def anti_normal_char_fn(
-    state: DensityOperator | TriDiagonalWillieState, zeta1: complex, zeta2: complex
-) -> complex:
+    state: DensityOperator | TriDiagonalWillieState,
+    zeta1: complex | np.ndarray,
+    zeta2: complex | np.ndarray,
+) -> complex | np.ndarray:
     """Anti-normally ordered characteristic function of a two-mode state:
 
         tr[rho exp(-z1* a1) exp(z1 a1^dag) exp(-z2* a2) exp(z2 a2^dag)]
@@ -549,41 +579,59 @@ def anti_normal_char_fn(
     each weighted by its photon numbers, with no dense matrix.  The
     displacement factors are the exact exponentials of the truncated ladder
     operators (:func:`creation_exponential`).
-    Convergence is estimated by recomputing with the cutoff lowered by two;
-    if the two values differ by more than 1e-6 the result is rejected with
-    :class:`TruncationError`, as is any cutoff below 3, which leaves no
-    lower cutoff to compare with.
+
+    ``zeta1`` and ``zeta2`` are scalars, giving a ``complex``, or arrays of
+    one shape, giving a complex array of that shape, one value per point
+    (zeta1[i], zeta2[i]), each equal bit for bit to the scalar call there.
+    Every zeta must be finite (``ValueError``).  Convergence is estimated at
+    every point by recomputing with the cutoff lowered by two; if the two
+    values differ by more than 1e-6 at any point the whole evaluation is
+    rejected with :class:`TruncationError`, which names the worst point, as
+    is any cutoff below 3, which leaves no lower cutoff to compare with.
     """
     if state.num_modes != 2:
         raise ValueError("anti_normal_char_fn expects a two-mode state")
-    if not (cmath.isfinite(zeta1) and cmath.isfinite(zeta2)):
+    z1, z2 = np.asarray(zeta1, dtype=complex), np.asarray(zeta2, dtype=complex)
+    if z1.shape != z2.shape:
+        raise ValueError(f"zeta1 and zeta2 must have one shape, got {z1.shape} "
+                         f"and {z2.shape}")
+    if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
         raise ValueError(f"zeta must be finite, got ({zeta1}, {zeta2})")
     n = state.cutoff.max_photons
     if n < 3:  # no cutoff n - 2 >= 1 to compare with
         raise TruncationError(f"characteristic function unchecked at N={n} < 3")
+    points = tuple(z1.ravel().tolist()), tuple(z2.ravel().tolist())
+    kernels = [[_char_fn_kernels(z, m) for z in points] for m in (n, n - 2)]
     if isinstance(state, TriDiagonalWillieState):
-        value, ref = (_layout_trace(state.diag, state.upper, m, zeta1, zeta2)
-                      for m in (n, n - 2))
+        value, ref = (_layout_trace(state.diag, state.upper, *k) for k in kernels)
     else:
         inside, *coordinates, low = _block_coordinates(n, len(state._idx) == 1)
         values = state._blocks[inside]
-        value = _char_fn_trace(values, *coordinates, n, zeta1, zeta2)
-        ref = _char_fn_trace(values[low], *(c[low] for c in coordinates),
-                             n - 2, zeta1, zeta2)
-    if abs(value - ref) > _CHAR_FN_TOL:
+        value = _char_fn_trace(values, *coordinates, *kernels[0])
+        ref = _char_fn_trace(values[low], *(c[low] for c in coordinates), *kernels[1])
+    delta = np.abs(value - ref)
+    if not np.all(delta <= _CHAR_FN_TOL):  # a NaN counts as unconverged
+        worst = int(np.argmax(np.where(np.isnan(delta), np.inf, delta)))
         raise TruncationError(
             f"characteristic function not converged at N={n}: "
-            f"|delta| = {abs(value - ref):.3e} > {_CHAR_FN_TOL:g}"
+            f"|delta| = {delta[worst]:.3e} > {_CHAR_FN_TOL:g} at zeta = "
+            f"({points[0][worst]}, {points[1][worst]})"
         )
-    return complex(value)
+    return complex(value[0]) if z1.ndim == 0 else value.reshape(z1.shape)
 
 
-def _char_fn_trace(values, f, g, fp, gp, max_photons, zeta1, zeta2) -> complex:
+def _char_fn_trace(values, f, g, fp, gp, k1, k2) -> np.ndarray:
     # tr[rho (K1 x K2)] = sum of <f g|rho|fp gp> K1[fp, f] K2[gp, g] over the
-    # given entries; avoids materializing the Kronecker-product kernel.
-    k1 = _char_fn_ops_cached(complex(zeta1), max_photons)
-    k2 = _char_fn_ops_cached(complex(zeta2), max_photons)
-    return complex(np.sum(values * k1[fp, f] * k2[gp, g]))
+    # given entries, one sum per point of the stacked kernels (of the cutoff
+    # the entries lie within); avoids materializing the Kronecker product.
+    return _point_sums(values * k1[:, fp, f] * k2[:, gp, g])
+
+
+def _point_sums(terms: np.ndarray) -> np.ndarray:
+    # Each row summed as a 1-D array, so each point's value does not depend
+    # on the other points: numpy may reduce long rows of a 2-D array along
+    # axis 1 in another order than it sums one row.
+    return np.array([row.sum() for row in terms], dtype=complex)
 
 
 @lru_cache(maxsize=4)
@@ -602,17 +650,18 @@ def _block_coordinates(max_photons: int, whole: bool) -> tuple:
     return out
 
 
-def _layout_trace(diag, upper, max_photons, zeta1, zeta2) -> complex:
-    # The same sum over a layout's entries inside the cutoff: its diagonal,
-    # then the pairs <f g|rho|f+1 g-1> and their conjugates, whose factors
-    # K1[f+1, f] K2[g-1, g] and K1[f, f+1] K2[g, g-1] lie on off-diagonals.
-    k1 = _char_fn_ops_cached(complex(zeta1), max_photons)
-    k2 = _char_fn_ops_cached(complex(zeta2), max_photons)
-    d = max_photons + 1
+def _layout_trace(diag, upper, k1, k2) -> np.ndarray:
+    # The same sums over a layout's entries inside the kernels' cutoff: its
+    # diagonal, then the pairs <f g|rho|f+1 g-1> and their conjugates, whose
+    # factors K1[f+1, f] K2[g-1, g] and K1[f, f+1] K2[g, g-1] lie on
+    # off-diagonals.
+    d = k1.shape[-1]
     pair = upper[:d - 1, 1:d]
-    terms = [x * np.diag(k1, k)[:, None] * np.diag(k2, -k)[None, :]
+    terms = [x * np.diagonal(k1, k, -2, -1)[:, :, None]
+             * np.diagonal(k2, -k, -2, -1)[:, None, :]
              for x, k in ((diag[:d, :d], 0), (pair, -1), (pair.conj(), 1))]
-    return complex(np.sum(np.concatenate([t.ravel() for t in terms])))
+    rows = [t.reshape(len(k1), t.shape[1] * t.shape[2]) for t in terms]
+    return _point_sums(np.concatenate(rows, axis=1))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
@@ -651,8 +700,14 @@ def chi2_numeric(a: DensityOperator, b: DensityOperator) -> float:
 
 def _against_reference(a: DensityOperator, b: DensityOperator) -> list:
     """(block of a, eigenvalues and eigenvectors of the matching block of
-    b) for each shared block; b must be full rank."""
-    pairs = [(x, *np.linalg.eigh(y)) for x, y in _paired_blocks(a, b)]
+    b) for each shared block; b must be full rank.  When the blocks paired
+    are b's own, the eigensystems are the ones b keeps, so a sweep against
+    one reference diagonalizes each of its blocks once."""
+    pairs = _paired_blocks(a, b)
+    if len(pairs) == len(b._idx):
+        pairs = [(x, *e) for (x, _), e in zip(pairs, b._eigensystems)]
+    else:  # b's sectors scattered against a whole-space a
+        pairs = [(x, *np.linalg.eigh(y)) for x, y in pairs]
     low = min(float(wb[0]) for _, wb, _ in pairs)
     if low <= 0.0:
         raise RankDeficiencyError(

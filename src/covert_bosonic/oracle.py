@@ -37,7 +37,7 @@ and :func:`default_qubit_set`); all else is fixed:
 
   check                   grid                                cutoff  tolerance
   willie_state            pattern entries; images off band    30 (*)  1e-8 (*); 1e-10
-  chi2                    chi2_closed, 10^4 qubits, seed 11   20..30  1e-6 relative; 1e-9
+  chi2                    chi2_closed; 10^4 samples, seed 11  20..30  1e-6 relative; 1e-9
   char_fn                 25 zeta points, |zeta| <= 2         30      1e-8
   pinsker_and_detector    q in {0.01, 0.1, 1}                 20      1e-10
   depolarizing_reduction  the logical 2x2 block, from images  30      1e-8
@@ -45,10 +45,18 @@ and :func:`default_qubit_set`); all else is fixed:
   eb_pipelines            3 plans x 25 zeta points            30      1e-8
 
 (*) a default the caller may override.  chi2 raises its cutoff with the
-thermal occupancy; char_fn has 2 random qubits; pinsker_and_detector runs
-at (eta, nbar_b) = (0.9, 0.12) and |+> unless given others; eb_pipelines
-sends 0.8|01> + 0.6i|10> through the attenuate plans at (0.9, 0.12) and
-(0.5, 0.5) and the amplify plan with nbar' = 0.52 at (0.5, 0.5).
+thermal occupancy and compares each numeric chi2 with chi2_closed; its
+bound is checked against the supremum of the closed form over 10^4 seeded
+samples of the logical state space, drawn and evaluated as arrays (the
+formula behind chi2_closed, bit for bit) and held once to LogicalQubit's
+constraints, so a sampler that strays off the state space is refused.
+Each channel's quiet reference diagonalizes its blocks once for all its
+qubits.  char_fn and eb_pipelines evaluate each numeric state's char fn
+once over the whole zeta grid.  char_fn has 2 random qubits;
+pinsker_and_detector runs at (eta, nbar_b) = (0.9, 0.12) and |+> unless
+given others; eb_pipelines sends 0.8|01> + 0.6i|10> through the attenuate
+plans at (0.9, 0.12) and (0.5, 0.5) and the amplify plan with nbar' = 0.52
+at (0.5, 0.5).
 (**) each ring integral by the periodic trapezoid rule on 22 angles, exact
 for the truncated kernel, whose factors are finite Taylor sums
 (:func:`creation_exponential`); the closed forms are finite sums too.
@@ -59,7 +67,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -127,6 +135,7 @@ _ZETA_GRID = tuple(
     for i, r in enumerate((0.1, 0.5, 1.0, 1.5, 2.0))
     for j, phase in enumerate((0.0, 1.1, 2.3, 3.7, 5.2))
 )
+_ZETA_ARRAYS = tuple(np.array(z) for z in zip(*_ZETA_GRID))
 # A naturally breaking channel and one that is not.  Keep the amplifier gain
 # modest: the truncated tail of the amplified state scales as
 # (1 - 1/G)^cutoff and must stay below the tolerance.
@@ -258,15 +267,36 @@ def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
     return out.reshape(d, d)
 
 
+class _Rail(dict):
+    """The images of one rail, keyed by (x, x'), as :func:`_rail_images`
+    builds and caches them; neither the mapping nor its arrays change
+    afterwards."""
+
+    @cached_property
+    def off_band(self) -> float:
+        """Largest entry of any image of |x><x'| off its band row - col =
+        x - x', scanned once per rail."""
+        d = len(self[(0, 0)])
+        band = np.subtract.outer(np.arange(d), np.arange(d))
+        return max(float(np.max(np.abs(op[band != x - xp]), initial=0.0))
+                   for (x, xp), op in self.items())
+
+
+def _off_band(rail: dict) -> float:
+    """:attr:`_Rail.off_band` of any mapping of rail images; a plain dict is
+    scanned on every call."""
+    return (rail if isinstance(rail, _Rail) else _Rail(rail)).off_band
+
+
 @lru_cache(maxsize=256)
-def _rail_images(stages: tuple, max_photons: int) -> dict:
+def _rail_images(stages: tuple, max_photons: int) -> _Rail:
     """Images of the four logical basis operators |x><x'| of one rail
     under a chain of stages.
 
     Qubit-independent, so sweeps over many inputs through the same optics
     reuse these."""
     d = max_photons + 1
-    out = {}
+    out = _Rail()
     for x, xp in _RAIL_BASIS:
         op = np.zeros((d, d), dtype=complex)
         op[x, xp] = 1.0
@@ -316,7 +346,7 @@ def _assemble_two_mode(
     """Two-mode output of both rails passed through ``stages``, as the
     checked layout.  The layout holds only the tri-diagonal pattern, so a
     rail image with weight off its band, which would put weight off the
-    pattern, is refused."""
+    pattern, is refused (each cached rail is scanned once)."""
     rail = _rail_images(stages, cutoff.max_photons)
     off = _off_band(rail)
     if off > 0.0:
@@ -408,15 +438,6 @@ def verify_willie_state(
                    passed=report.passed and off <= _PATTERN_TOLERANCE)
 
 
-def _off_band(rail: dict) -> float:
-    """Largest entry of any rail image of |x><x'| off its band row - col
-    = x - x'."""
-    d = len(rail[(0, 0)])
-    band = np.subtract.outer(np.arange(d), np.arange(d))
-    return max(float(np.max(np.abs(op[band != x - xp]), initial=0.0))
-               for (x, xp), op in rail.items())
-
-
 def verify_chi2(
     channel_grid: Optional[Sequence[ChannelParams]] = None,
     qubits: Optional[Sequence[cf.LogicalQubit]] = None,
@@ -431,13 +452,16 @@ def verify_chi2(
     rng = np.random.default_rng(_CHI2_SEED)
     a2 = rng.uniform(0.0, 1.0, _CHI2_BOUND_SAMPLES)
     coh = rng.uniform(0.0, 1.0, _CHI2_BOUND_SAMPLES) * np.sqrt(a2 * (1.0 - a2))
-    sampled = [cf.LogicalQubit(a, 1.0 - a, c) for a, c in zip(a2.tolist(), coh.tolist())]
+    # The samples as arrays of qubit entries, held once to LogicalQubit's
+    # constraints, so a sampler that strays off the state space is refused.
+    sampled = (a2, 1.0 - a2, coh)
+    cf.LogicalQubit._check(*sampled)
     s = 1.0 / math.sqrt(2.0)
     for params in channels:
         # Sampled supremum over the logical state space vs the bound, then
         # the equality and half-bound identities.
         bound = cf.chi2_bound(params)
-        top = max(cf.chi2_closed(qubit, params) for qubit in sampled)
+        top = float(np.max(cf._chi2(params, *sampled)))
         equality = cf.chi2_closed(cf.LogicalQubit.pure(s, s), params)
         half = cf.chi2_closed(cf.LogicalQubit(0.5, 0.5, 0.0), params)
         identity = max(abs(equality - bound), abs(half - 0.5 * bound))
@@ -494,10 +518,11 @@ def verify_char_fn(
 
 
 def _char_fn_errors(numeric: TriDiagonalWillieState, closed: Callable, inputs: dict):
-    """|numeric - closed| characteristic function at each zeta grid point."""
-    for z1, z2 in _ZETA_GRID:
-        yield (abs(anti_normal_char_fn(numeric, z1, z2) - closed(z1, z2)),
-               {**inputs, "zeta1": str(z1), "zeta2": str(z2)})
+    """|numeric - closed| characteristic function at each zeta grid point,
+    the numeric values from one evaluation over the whole grid."""
+    values = anti_normal_char_fn(numeric, *_ZETA_ARRAYS)
+    for (z1, z2), value in zip(_ZETA_GRID, values.tolist()):
+        yield abs(value - closed(z1, z2)), {**inputs, "zeta1": str(z1), "zeta2": str(z2)}
 
 
 def verify_pinsker_and_detector(

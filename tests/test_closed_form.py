@@ -90,6 +90,22 @@ class TestLogicalQubit:
         with pytest.raises(ValueError, match="finite"):
             LogicalQubit(1.0, 0.0, gamma)
 
+    @pytest.mark.parametrize("column, bad, match", [
+        (0, 1.2, "lie in"), (1, 0.3, "sum to 1, got 0.8"),
+        (2, complex(math.inf, 0.0), "finite, got \\(inf\\+0j\\)"), (2, 0.6j, "exceeds"),
+    ])
+    def test_arrays_are_held_to_the_same_checks(self, column, bad, match):
+        """One bad entry anywhere in arrays of qubit entries is refused as
+        the scalar qubit holding it is."""
+        entries = [np.full(4, 0.5), np.full(4, 0.5), np.full(4, 0.1 + 0.2j)]
+        LogicalQubit._check(*entries)
+        entries[column][2] = bad
+        scalar = [e[2].item() for e in entries]
+        with pytest.raises(ValueError, match=match):
+            LogicalQubit(*scalar)
+        with pytest.raises(ValueError, match=match):
+            LogicalQubit._check(*entries)
+
     def test_pure_constructor(self):
         q = LogicalQubit.pure(0.6, 0.8j)
         assert q.alpha_sq == pytest.approx(0.36)

@@ -444,7 +444,7 @@ class TestCreationExponential:
         # is relative to the largest entry.
         op = annihilation_op(FockCutoff(30))
         ref = expm(-np.conj(z) * op) @ expm(z * op.conj().T)
-        got = fock_core._char_fn_ops_cached(complex(z), 30)
+        got = fock_core._char_fn_kernels((complex(z),), 30)[0]
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -494,6 +494,34 @@ class TestDivergences:
         s = random_state(rng)
         assert chi2_numeric(s, s) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("reference", ["layout", "dense"])
+    def test_reference_eigensystem_is_computed_once(self, reference, monkeypatch):
+        """Repeated divergences against one reference diagonalize each of
+        its blocks once, give what a fresh reference gives, bit for bit,
+        and keep the eigensystems read-only."""
+        cut = FockCutoff(5)
+        p = thermal_occupation(np.arange(cut.dim), 0.3)
+
+        def quiet():
+            layout = TriDiagonalWillieState(cut, np.outer(p, p), np.zeros((cut.dim,) * 2))
+            return layout if reference == "layout" else layout.to_density_operator()
+
+        states = [TriDiagonalWillieState(cut, diag, 0.5 * upper)
+                  for diag, upper in (random_layout(seed, 5, False) for seed in range(3))]
+        fresh = [(chi2_numeric(s, quiet()), qre(s, quiet())) for s in states]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ref = quiet()
+        assert [(chi2_numeric(s, ref), qre(s, ref)) for s in states] == fresh
+        assert len(calls) == len(ref._idx) == 2 * cut.max_photons + 1
+        assert all(not a.flags.writeable for pair in ref._eigensystems for a in pair)
+
     def test_space_mismatch_rejected(self):
         a = thermal_state(0.4, CUT)
         b = thermal_state(0.4, FockCutoff(4))
@@ -533,6 +561,12 @@ def dense_divergences(a, b, zetas):
     kernel = [expm(-np.conj(z) * op) @ expm(z * op.conj().T) for z in zetas]
     char = np.trace(a.entries @ np.kron(*kernel))
     return qre_bits, chi2, td, char
+
+
+def kernels(z1, z2, max_photons):
+    """The char fn's single-mode kernels at the one point (z1, z2), each
+    stacked over that point, at cutoff max_photons."""
+    return tuple(fock_core._char_fn_kernels((complex(z),), max_photons) for z in (z1, z2))
 
 
 class TestSectorBlocks:
@@ -621,7 +655,8 @@ class TestSectorBlocks:
         fp, gp = np.divmod(cols[inside], d)
         fock_core._block_coordinates.cache_clear()
         for z1, z2 in [(0.3, 0.1j), (0.3 + 0.2j, -0.4j), (-0.2j, 0.25)]:
-            want = fock_core._char_fn_trace(rho._blocks[inside], f, g, fp, gp, n, z1, z2)
+            want = fock_core._char_fn_trace(rho._blocks[inside], f, g, fp, gp,
+                                            *kernels(z1, z2, n))[0]
             assert anti_normal_char_fn(rho, z1, z2) == want
         info = fock_core._block_coordinates.cache_info()
         assert (info.misses, info.hits) == (1, 2)
@@ -838,13 +873,13 @@ class TestTriDiagonalLayout:
             for n in (max_photons, max_photons - 2):
                 keep = np.max([fb, gb, fk, gk], axis=0) <= n
                 want = fock_core._char_fn_trace(values[keep], fb[keep], gb[keep],
-                                                fk[keep], gk[keep], n, z1, z2)
-                got = fock_core._layout_trace(state.diag, state.upper, n, z1, z2)
+                                                fk[keep], gk[keep], *kernels(z1, z2, n))
+                got = fock_core._layout_trace(state.diag, state.upper, *kernels(z1, z2, n))
                 assert got == want
         p = thermal_occupation(np.arange(d), 0.01)  # converged at N - 2
         quiet = TriDiagonalWillieState(cut, np.outer(p, p), np.zeros((d, d)))
         z1, z2 = 0.2j, 0.1 - 0.1j
-        want = fock_core._layout_trace(quiet.diag, quiet.upper, max_photons, z1, z2)
+        want = fock_core._layout_trace(quiet.diag, quiet.upper, *kernels(z1, z2, max_photons))
         assert anti_normal_char_fn(quiet, z1, z2) == want
 
     def test_dense_is_the_scattered_layout(self):

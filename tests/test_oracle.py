@@ -1,9 +1,10 @@
 import inspect
 import json
 import math
+import re
 import sys
 import tracemalloc
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ class TestMemory:
     @pytest.fixture(autouse=True)
     def cold_caches(self):
         for cached in (oracle._stage_transfer, oracle._rail_images,
-                       fock_core._sector_eigensystems):
+                       fock_core._sector_eigensystems, fock_core._char_fn_kernels):
             cached.cache_clear()
 
     def test_stage_build_at_n60(self):
@@ -287,6 +288,24 @@ class TestImageChecks:
         with pytest.raises(ValueError, match="off its band"):
             oracle.verify_depolarizing_reduction([self.PARAMS], [self.QUBIT])
 
+    def test_band_scan_runs_once_per_rail(self, monkeypatch):
+        scans = []
+        scan = oracle._Rail.off_band.func
+
+        def counted(rail):
+            scans.append(rail)
+            return scan(rail)
+
+        prop = cached_property(counted)
+        prop.__set_name__(oracle._Rail, "off_band")
+        monkeypatch.setattr(oracle._Rail, "off_band", prop)
+        oracle._rail_images.cache_clear()
+        stages = oracle._channel(self.PARAMS, oracle._ANCILLA)
+        for qubit in (self.QUBIT, LogicalQubit(1.0, 0.0), LogicalQubit(0.5, 0.5, 0.5j)):
+            oracle._assemble_two_mode(qubit, stages, self.CUT)
+        assert verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT).passed
+        assert scans == [oracle._rail_images(stages, self.CUT.max_photons)]
+
     def test_layout_is_shared_with_closed_form(self):
         from covert_bosonic import fock_core
 
@@ -344,6 +363,68 @@ class TestLayoutCharFn:
             anti_normal_char_fn(layout, *zetas)
 
 
+class TestCharFnArrays:
+    """The char fn over arrays of zeta is the scalar call at each point, bit
+    for bit, and refuses the whole batch for one bad point."""
+
+    PARAMS = ChannelParams(0.7, 0.05)
+    QUBIT = LogicalQubit(0.3, 0.7, 0.2 - 0.3j)
+
+    def state(self, n, kind):
+        layout = oracle._assemble_two_mode(
+            self.QUBIT, oracle._channel(self.PARAMS, oracle._ANCILLA), FockCutoff(n))
+        return layout if kind == "layout" else layout.to_density_operator()
+
+    @pytest.mark.parametrize("n", [8, 30])
+    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    def test_array_is_the_scalar_calls(self, n, kind):
+        state = self.state(n, kind)
+        points = [p for p in oracle._ZETA_GRID
+                  if TestLayoutCharFn.outcome(state, *p) is not None]
+        assert len(points) == (4 if n == 8 else len(oracle._ZETA_GRID))
+        z1, z2 = (np.array(z) for z in zip(*points))
+        got = anti_normal_char_fn(state, z1, z2)
+        assert got.shape == z1.shape and got.dtype == complex
+        assert got.tolist() == [anti_normal_char_fn(state, *p) for p in points]
+        # Any shape: one value per point, in place.
+        grid = anti_normal_char_fn(state, z1[::-1, None], z2[::-1, None])
+        assert grid.tolist() == got[::-1, None].tolist()
+
+    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    def test_one_unconverged_point_refuses_the_batch(self, kind):
+        state = self.state(8, kind)
+        bad = oracle._ZETA_GRID[-1]  # |zeta1| = 2
+        assert TestLayoutCharFn.outcome(state, *bad) is None
+        points = list(oracle._ZETA_GRID[:3]) + [bad]
+        z1, z2 = (np.array(z) for z in zip(*points))
+        named = re.escape(f"at zeta = ({bad[0]}, {bad[1]})")
+        with pytest.raises(TruncationError, match=named):
+            anti_normal_char_fn(state, z1, z2)
+
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_non_finite_point_anywhere_is_refused(self, where):
+        state = self.state(8, "layout")
+        z1, z2 = np.array([0.1, 0.2j, 0.3]), np.array([0.1j, 0.2, -0.1])
+        (z1 if where else z2)[where] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError, match="zeta must be finite"):
+            anti_normal_char_fn(state, z1, z2)
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ValueError, match="one shape"):
+            anti_normal_char_fn(self.state(8, "layout"), np.array([0.1, 0.2]), 0.1)
+
+    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    def test_scalar_input_returns_complex(self, kind):
+        state = self.state(8, kind)
+        assert type(anti_normal_char_fn(state, 0.1, 0.2j)) is complex
+        assert type(anti_normal_char_fn(state, np.complex128(0.1), 0.2j)) is complex
+
+    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    def test_empty_arrays_give_an_empty_array(self, kind):
+        empty = anti_normal_char_fn(self.state(8, kind), np.zeros((0, 2)), np.zeros((0, 2)))
+        assert empty.shape == (0, 2) and empty.dtype == complex
+
+
 def test_checks_build_no_dense_unitary_or_state(monkeypatch):
     """Every check passes on a 1 x 1 grid, from cold caches, while the
     dense unitaries, a layout's matrix and every DensityOperator raise:
@@ -358,7 +439,7 @@ def test_checks_build_no_dense_unitary_or_state(monkeypatch):
             monkeypatch.setattr(mod, name, refuse, raising=False)
     monkeypatch.setattr(TriDiagonalWillieState, "dense", refuse)
     monkeypatch.setattr(DensityOperator, "__post_init__", refuse)
-    for cached in (oracle._stage_transfer, oracle._rail_images):
+    for cached in (oracle._stage_transfer, oracle._rail_images, fock_core._char_fn_kernels):
         cached.cache_clear()
     with pytest.raises(AssertionError, match="dense"):
         fock_core.two_mode_amplifier_unitary(1.5, 0, 1, 2, FockCutoff(3))
@@ -424,19 +505,53 @@ def test_numeric_states_use_no_closed_form(monkeypatch):
 
 
 def test_chi2_check_bounds_the_closed_form_itself(monkeypatch):
-    """The sampled-bound step evaluates chi2_closed, so a closed form that
-    exceeds the bound only on part of the state space is caught, away from
-    the identity points (alpha_sq = 1/2) and the grid's one qubit."""
-    closed = closed_form.chi2_closed
+    """The sampled-bound step evaluates the one formula behind chi2_closed,
+    over arrays, so a closed form that exceeds the bound only on part of the
+    state space is caught, away from the identity points (alpha_sq = 1/2)
+    and the grid's one qubit."""
+    closed = closed_form._chi2
 
-    def wrong(qubit, params):
-        value = closed(qubit, params)
-        return 2.0 * value if 0.2 < qubit.alpha_sq < 0.4 else value
+    def wrong(params, alpha_sq, beta_sq, gamma):
+        value = closed(params, alpha_sq, beta_sq, gamma)
+        return np.where((0.2 < alpha_sq) & (alpha_sq < 0.4), 2.0 * value, value)
 
-    monkeypatch.setattr(closed_form, "chi2_closed", wrong)
+    monkeypatch.setattr(closed_form, "_chi2", wrong)
     report = verify_chi2([ChannelParams(0.9, 0.12)], [LogicalQubit(0.5, 0.5, 0.0)])
     assert not report.passed
     assert report.worst_case_inputs["violation"] == "sampled value exceeds bound"
+
+
+def chi2_samples():
+    """The chi2 check's seeded samples, as arrays of qubit entries."""
+    rng = np.random.default_rng(oracle._CHI2_SEED)
+    a2 = rng.uniform(0.0, 1.0, oracle._CHI2_BOUND_SAMPLES)
+    coh = rng.uniform(0.0, 1.0, oracle._CHI2_BOUND_SAMPLES) * np.sqrt(a2 * (1.0 - a2))
+    return a2, 1.0 - a2, coh
+
+
+@pytest.mark.parametrize("params", [ChannelParams(0.9, 0.12), ChannelParams(0.1, 0.01)])
+def test_chi2_array_formula_is_chi2_closed(params):
+    a2, b2, coh = chi2_samples()
+    phase = np.exp(1j * np.linspace(0.0, 6.0, len(coh)))
+    for gamma in (coh, coh * phase):
+        got = closed_form._chi2(params, a2, b2, gamma)
+        want = [closed_form.chi2_closed(LogicalQubit(a, b, g), params)
+                for a, b, g in zip(a2.tolist(), b2.tolist(), gamma.tolist())]
+        assert got.tolist() == want
+
+
+def test_chi2_samples_are_held_to_the_qubit_constraints(monkeypatch):
+    """A sampler whose coherences stray beyond |alpha beta| is refused."""
+    class Straying:
+        def __init__(self, seed):
+            self.draws = iter((0.5, 1.5))
+
+        def uniform(self, low, high, size):
+            return np.full(size, low + (high - low) * next(self.draws))
+
+    monkeypatch.setattr(np.random, "default_rng", Straying)
+    with pytest.raises(ValueError, match="exceeds alpha_sq"):
+        verify_chi2([ChannelParams(0.9, 0.12)], [LogicalQubit(0.5, 0.5, 0.0)])
 
 
 class TestCutoffRobustness:
