@@ -1,10 +1,10 @@
 """Truncated Fock-space linear algebra for small bosonic systems.
 
-Operators are exchanged as dense complex matrices over the photon-number
-basis |0>, ..., |N> of each mode, with multi-mode states indexed in
-row-major mode order (the first mode is the slowest index).  States carry
-an explicit ``truncation_leak`` so callers can tell how much probability
-mass fell above the cutoff and escalate N when needed.
+States are exchanged as dense complex matrices and unitaries as dense real
+ones, over the photon-number basis |0>, ..., |N> of each mode, with multi-mode
+states indexed in row-major mode order (the first mode is the slowest index).
+States carry an explicit ``truncation_leak`` so callers can tell how much
+probability mass fell above the cutoff and escalate N when needed.
 
 Every optical stage the package simulates couples one signal mode with one
 ancilla, so the beamsplitter and amplifier unitaries are built on modes
@@ -29,11 +29,10 @@ blocks; a reference state diagonalizes each block once, on first use,
 and keeps the eigensystems.  A dual-rail input leaves such a channel's
 two-mode output tri-diagonal, a diagonal and one photon-exchange coherence
 per (f, g); the closed forms and the oracle's numeric states alike fill
-that layout,
-:class:`TriDiagonalWillieState`.  The layout is a checked state in its own
-right: it validates each sector as a tri-diagonal matrix, the
-characteristic function reads its two arrays directly, and the divergences
-read its blocks.  Only ``dense()`` makes its matrix.
+that layout, :class:`TriDiagonalWillieState`.  The layout is a checked
+state in its own right: it validates each sector as a tri-diagonal matrix,
+the characteristic function reads its two arrays directly, and the
+divergences read its blocks.  Only ``dense()`` makes its matrix.
 
 The characteristic function's displacement factors are exponentials of
 nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
@@ -47,7 +46,7 @@ grids.
 
 :class:`ChannelParams` is defined in :mod:`covert_bosonic.covert_bounds`
 and re-exported here, the package's one re-export, because the benchmark
-builds its channels through this module.
+builds its channels through this module; a benchmark change can drop it.
 """
 
 from __future__ import annotations
@@ -58,8 +57,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-# Re-exported only because the benchmark builds channels as
-# fock_core.ChannelParams; a change to the benchmark can drop it.
 from .covert_bounds import ChannelParams
 
 __all__ = [
@@ -156,8 +153,9 @@ class DensityOperator:
         if m.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {m.shape}")
         idx = _sectors(self.num_modes, self.cutoff.max_photons)
-        rows, cols, inside = _cells(idx)
-        blocks = np.where(inside, m[rows, cols], 0.0)
+        src, dst, _ = _cells(idx)
+        blocks = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
+        blocks.put(src, m.take(dst))
         # Every nonzero entry lies in a sector iff the sectors hold as many
         # nonzero parts (real and imaginary counted apart) as the matrix.
         if np.count_nonzero(blocks.view(float)) != np.count_nonzero(m.view(float)):
@@ -165,21 +163,22 @@ class DensityOperator:
         # A NaN counts as nonzero, so a non-finite entry off the sectors has
         # already made the whole space one block: checking the blocks checks
         # every entry.
-        if not np.isfinite(blocks).all():
-            raise StateValidationError("operator has non-finite entries")
-        _check_blocks(blocks, idx)
-        tr = float(np.trace(m).real)
-        if not (1.0 - self.truncation_leak - _TRACE_TOL <= tr <= 1.0 + _TRACE_TOL):
-            raise StateValidationError(
-                f"trace {tr!r} outside [1 - leak, 1 + 1e-12] with leak "
-                f"{self.truncation_leak!r}"
-            )
+        _check_state(m, idx, blocks, leak)
         m.setflags(write=False)
         blocks.setflags(write=False)
-        object.__setattr__(self, "entries", m)
         # Private: the photon-number table and the block stack on it.
-        object.__setattr__(self, "_idx", idx)
-        object.__setattr__(self, "_blocks", blocks)
+        vars(self).update(entries=m, _idx=idx, _blocks=blocks)
+
+    @classmethod
+    def _checked(cls, num_modes, cutoff, entries, idx, blocks, leak) -> "DensityOperator":
+        """The state of a block stack on table ``idx`` that passes every check
+        above, and of its scatter ``entries``, taken as they are."""
+        self = object.__new__(cls)
+        entries.setflags(write=False)
+        blocks.setflags(write=False)
+        vars(self).update(num_modes=num_modes, cutoff=cutoff, entries=entries,
+                          truncation_leak=leak, _idx=idx, _blocks=blocks)
+        return self
 
     @property
     def dim(self) -> int:
@@ -306,7 +305,8 @@ class TriDiagonalWillieState:
         return _scatter(self._blocks, self._idx)
 
     def to_density_operator(self) -> DensityOperator:
-        return DensityOperator(2, self.cutoff, self.dense(), self.truncation_leak)
+        return DensityOperator._checked(2, self.cutoff, self.dense(), self._idx,
+                                        self._blocks, self.truncation_leak)
 
 
 def _pivots_positive(diag: np.ndarray, upper: np.ndarray, idx: np.ndarray) -> bool:
@@ -366,17 +366,27 @@ def _chains(step: int, max_photons: int) -> tuple:
 
 
 def _cells(idx: np.ndarray) -> tuple:
-    """(rows, cols, inside) of a block stack on table ``idx``: the matrix
-    row and column of each cell, and whether it lies off the padding."""
-    rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-    return rows, cols, (rows >= 0) & (cols >= 0)
+    """(src, dst, dim): the flat positions in a block stack on table ``idx`` of
+    its cells off the padding, and of their entries in the dim x dim matrix."""
+    return _cell_positions(idx.dtype.str, idx.shape, idx.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _cell_positions(dtype: str, shape: tuple, table: bytes) -> tuple:
+    """:func:`_cells`, cached per table, keyed by its contents."""
+    idx = np.frombuffer(table, dtype=dtype).reshape(shape)
+    dim, inside = int(idx.max()) + 1, (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
+    out = np.flatnonzero(inside), (idx[:, :, None] * dim + idx[:, None, :])[inside], dim
+    for a in out[:2]:
+        a.setflags(write=False)
+    return out
 
 
 def _scatter(blocks: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The matrix of a block stack on table ``idx``, zero off the blocks."""
-    rows, cols, inside = _cells(idx)
-    m = np.zeros((idx.max() + 1,) * 2, dtype=complex)
-    m[rows[inside], cols[inside]] = blocks[inside]
+    """The matrix of a block stack on table ``idx``, zero off the blocks, in its dtype."""
+    src, dst, dim = _cells(idx)
+    m = np.zeros((dim, dim), dtype=blocks.dtype)
+    m.put(dst, blocks.take(src))
     return m
 
 
@@ -397,6 +407,18 @@ def _check_blocks(blocks: np.ndarray, idx: np.ndarray) -> None:
         if low < -_PSD_TOL:
             raise StateValidationError(
                 f"operator has eigenvalue {low:.3e} < -1e-10") from None
+
+
+def _check_state(m: np.ndarray, idx: np.ndarray, blocks: np.ndarray, leak: float) -> None:
+    """Refuse a state of matrix ``m`` and blocks on table ``idx`` that are not
+    finite, fail :func:`_check_blocks`, or have trace outside [1 - leak, 1 + 1e-12]."""
+    if not np.isfinite(blocks).all():
+        raise StateValidationError("operator has non-finite entries")
+    _check_blocks(blocks, idx)
+    tr = float(np.trace(m).real)
+    if not (1.0 - leak - _TRACE_TOL <= tr <= 1.0 + _TRACE_TOL):
+        raise StateValidationError(
+            f"trace {tr!r} outside [1 - leak, 1 + 1e-12] with leak {leak!r}")
 
 
 def _paired_blocks(a: "DensityOperator", b: "DensityOperator") -> list:
@@ -424,13 +446,22 @@ def _block_eigensystems(blocks: np.ndarray, idx: np.ndarray) -> tuple:
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product of two states; mode counts add."""
+    """Kronecker product of two states; mode counts add.  The products
+    a_ij b_kl are gathered into the blocks of the joint sectors (of the whole
+    space if either state is one block), checked, and scattered once."""
     if a.cutoff != b.cutoff:
         raise ValueError("cutoff mismatch in tensor product")
+    modes = a.num_modes + b.num_modes
+    whole = len(a._idx) == 1 or len(b._idx) == 1
+    idx = np.arange(a.dim * b.dim)[None] if whole else _sectors(modes, a.cutoff.max_photons)
+    src, dst, dim = _cells(idx)
+    (r1, r2), (c1, c2) = (np.divmod(x, b.dim) for x in np.divmod(dst, dim))
+    blocks = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
+    blocks.put(src, a.entries[r1, c1] * b.entries[r2, c2])
+    m = _scatter(blocks, idx)
     leak = 1.0 - (1.0 - a.truncation_leak) * (1.0 - b.truncation_leak)
-    return DensityOperator(
-        a.num_modes + b.num_modes, a.cutoff, np.kron(a.entries, b.entries), leak
-    )
+    _check_state(m, idx, blocks, leak)
+    return DensityOperator._checked(modes, a.cutoff, m, idx, blocks, leak)
 
 
 # i^k, exactly: the similarity D = diag(i^k) that makes a sector's generator
@@ -522,8 +553,8 @@ def beamsplitter_unitary(
     rotation exp(theta (a^dag b - a b^dag)) with a photon-number parity on
     mode 1; a plain rotation alone cannot produce this det = -1 mode map.
     The rotation conserves n_a + n_b: it is the scatter of its blocks on
-    the sectors of equal n_a + n_b.  At eta = 1 (theta = 0) it is the
-    parity map exactly.  It is exact on any state supported below the cutoff.
+    the sectors of equal n_a + n_b, as float64.  At eta = 1 (theta = 0) it is
+    the parity map exactly.  It is exact on any state supported below the cutoff.
     """
     _check_two_mode(mode_a, mode_b, num_modes)
     blocks, step = _beamsplitter_blocks(eta, cutoff.max_photons)
@@ -540,7 +571,7 @@ def two_mode_amplifier_unitary(
     Heisenberg map: mode 0 out = sqrt(G) a + sqrt(G-1) b^dag, with
     cosh(r) = sqrt(G).  The generator r (a^dag b^dag - a b) conserves
     n_a - n_b: the unitary is the scatter of its blocks on the sectors of
-    equal n_a - n_b; at G = 1 it is the identity exactly.
+    equal n_a - n_b, as float64; at G = 1 it is the identity exactly.
     Every block is unitary on the truncated space, but the physical map
     does not conserve photon number; callers should check the output
     state's weight near the cutoff (its truncation leak) for G not close
@@ -605,8 +636,8 @@ def anti_normal_char_fn(
     if isinstance(state, TriDiagonalWillieState):
         value, ref = (_layout_trace(state.diag, state.upper, *k) for k in kernels)
     else:
-        inside, *coordinates, low = _block_coordinates(n, len(state._idx) == 1)
-        values = state._blocks[inside]
+        src, *coordinates, low = _block_coordinates(n, len(state._idx) == 1)
+        values = state._blocks.take(src)
         value = _char_fn_trace(values, *coordinates, *kernels[0])
         ref = _char_fn_trace(values[low], *(c[low] for c in coordinates), *kernels[1])
     delta = np.abs(value - ref)
@@ -636,15 +667,14 @@ def _point_sums(terms: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _block_coordinates(max_photons: int, whole: bool) -> tuple:
-    """(inside, f, g, fp, gp, low) of the two-mode sectors' block stack or,
-    with ``whole``, of the whole space as one block: the non-padding mask,
-    the photon numbers of each entry <f g|rho|fp gp> it selects, and
-    ``low`` marking those inside cutoff N - 2."""
+    """(src, f, g, fp, gp, low) of the two-mode sectors' block stack or, with
+    ``whole``, of the whole space as one block: :func:`_cells`' src, the photon
+    numbers of each entry <f g|rho|fp gp> it selects, and ``low``, those within N - 2."""
     d = max_photons + 1
     idx = np.arange(d * d)[None] if whole else _sectors(2, max_photons)
-    rows, cols, inside = _cells(idx)
-    out = (*np.divmod(rows[inside], d), *np.divmod(cols[inside], d))
-    out = (inside, *out, np.max(out, axis=0) <= max_photons - 2)
+    src, dst, _ = _cells(idx)
+    (f, fp), (g, gp) = np.divmod(np.divmod(dst, d * d), d)
+    out = (src, f, g, fp, gp, np.max([f, g, fp, gp], axis=0) <= max_photons - 2)
     for a in out:
         a.setflags(write=False)
     return out

@@ -25,8 +25,8 @@ from covert_bosonic.fock_core import (
     trace_distance,
     two_mode_amplifier_unitary,
 )
-from covert_bosonic import fock_core
-from covert_bosonic.closed_form import LogicalQubit
+from covert_bosonic import fock_core, oracle
+from covert_bosonic.closed_form import LogicalQubit, willie_state_closed
 from dense_reference import (
     annihilation_op,
     apply_unitary,
@@ -888,3 +888,106 @@ class TestTriDiagonalLayout:
         upper *= 0.5  # coherences up to 0.35 of the mean: positive definite
         state = TriDiagonalWillieState(cut, diag, upper)
         assert np.array_equal(state.dense(), layout_matrix(cut, diag, upper))
+
+
+def assert_same_state(got, want, entries_bytes=True):
+    """``got`` holds what the validating constructor gave ``want``: the same
+    entries (byte for byte, or up to the sign of zeros), sector table,
+    blocks and leak."""
+    assert got.num_modes == want.num_modes and got.cutoff == want.cutoff
+    assert got.entries.dtype == want.entries.dtype == complex
+    if entries_bytes:
+        assert got.entries.tobytes() == want.entries.tobytes()
+    assert np.array_equal(got.entries, want.entries)
+    assert got._idx.dtype == want._idx.dtype and np.array_equal(got._idx, want._idx)
+    assert np.array_equal(got._blocks, want._blocks)
+    assert got.truncation_leak == want.truncation_leak
+    assert not (got.entries.flags.writeable or got._blocks.flags.writeable)
+
+
+class TestCheckedConstructions:
+    """``to_density_operator`` and ``tensor`` wrap blocks they have checked,
+    without the scan of the public constructor, and give what it gives."""
+
+    PARAMS = ChannelParams(0.8, 0.01)
+    QUBITS = {"pure": LogicalQubit(0.5, 0.5, 0.5), "mixed": LogicalQubit(0.3, 0.7, 0.1 - 0.2j)}
+
+    def layout(self, source, case, cut):
+        if case == "leaky":
+            diag, upper = random_layout(cut.max_photons, cut.max_photons, indefinite=False)
+            return TriDiagonalWillieState(cut, diag, upper * 0.5)  # positive definite
+        qubit = self.QUBITS[case]
+        if source == "closed":
+            return willie_state_closed(qubit, self.PARAMS, cut)
+        stages = oracle._channel(self.PARAMS, oracle._ANCILLA)
+        return oracle._assemble_two_mode(qubit, stages, cut)
+
+    @pytest.mark.parametrize("max_photons", [3, 10, 30])
+    @pytest.mark.parametrize("source, case", [
+        ("closed", "pure"), ("closed", "mixed"), ("numeric", "pure"), ("numeric", "mixed"),
+        ("random", "leaky"),
+    ])
+    def test_layout_wraps_as_the_validating_constructor(self, source, case, max_photons):
+        cut = FockCutoff(max_photons)
+        layout = self.layout(source, case, cut)
+        if case == "leaky":
+            assert layout.truncation_leak > 0.0
+        want = DensityOperator(2, cut, layout.dense(), layout.truncation_leak)
+        assert_same_state(layout.to_density_operator(), want)
+
+    def pair(self, kind, cut):
+        rng = np.random.default_rng(cut.max_photons)
+        thermal = thermal_state(0.3, cut)
+        if kind == "thermal":
+            return thermal_state(0.7, cut), thermal
+        if kind == "diagonal":
+            p = rng.uniform(0.1, 1.0, cut.dim)
+            return DensityOperator(1, cut, np.diag(p / p.sum())), thermal
+        if kind == "layout":
+            return willie_state_closed(self.QUBITS["mixed"], self.PARAMS, cut).to_density_operator(), thermal
+        m = thermal.entries.copy()  # "whole": one coherence off the sectors
+        m[0, 1] = m[1, 0] = 1e-14
+        whole = DensityOperator(1, cut, m, thermal.truncation_leak)
+        assert whole._idx.shape == (1, cut.dim)
+        return thermal, whole
+
+    @pytest.mark.parametrize("max_photons", [3, 10])
+    @pytest.mark.parametrize("kind", ["thermal", "diagonal", "layout", "whole"])
+    def test_tensor_is_the_validated_kron(self, kind, max_photons):
+        cut = FockCutoff(max_photons)
+        a, b = self.pair(kind, cut)
+        leak = 1.0 - (1.0 - a.truncation_leak) * (1.0 - b.truncation_leak)
+        want = DensityOperator(a.num_modes + b.num_modes, cut, np.kron(a.entries, b.entries), leak)
+        # Off the sectors np.kron can form -0.0 where the gather leaves 0.0.
+        assert_same_state(tensor(a, b), want, entries_bytes=False)
+
+    def test_tensor_refuses_a_cutoff_mismatch(self):
+        with pytest.raises(ValueError, match="cutoff mismatch"):
+            tensor(thermal_state(0.4, CUT), thermal_state(0.4, FockCutoff(4)))
+
+    def test_tensor_checks_the_product_trace(self):
+        m = np.diag([0.5 + 1e-12, 0.5]).astype(complex)
+        a = DensityOperator(1, FockCutoff(1), m)  # trace 1 + 1e-12, at the limit
+        with pytest.raises(StateValidationError, match="trace"):
+            tensor(a, a)
+
+    @pytest.mark.parametrize("kind, param", [
+        ("beamsplitter", 0.0), ("beamsplitter", 0.37), ("beamsplitter", 1.0),
+        ("amplifier", 1.0), ("amplifier", 1.8),
+    ])
+    def test_unitaries_are_real(self, kind, param):
+        """Each unitary is float64 and equals its blocks scattered, one by
+        one, into a complex matrix."""
+        n = 8
+        if kind == "beamsplitter":
+            u, (blocks, step) = (beamsplitter_unitary(param, 0, 1, 2, FockCutoff(n)),
+                                 fock_core._beamsplitter_blocks(param, n))
+        else:
+            u, (blocks, step) = (two_mode_amplifier_unitary(param, 0, 1, 2, FockCutoff(n)),
+                                 fock_core._amplifier_blocks(param, n))
+        assert u.dtype == np.float64
+        ref = np.zeros(u.shape, dtype=complex)
+        for block, row in zip(blocks, fock_core._chains(step, n)[0]):
+            k = np.count_nonzero(row >= 0)
+            ref[np.ix_(row[:k], row[:k])] = block[:k, :k]
+        assert np.array_equal(u, ref)

@@ -30,6 +30,15 @@ CASES = {
     "willie_state_mixed.json": [
         "willie-state", "--eta", "0.5", "--nbar-b", "0.5", "--source", "closed",
         "--cutoff", "4", "--qubit", "0.3:0.7:0.1:0.2", "--format", "json"],
+    # The cutoff-ladder benchmark's cold-start dump (seed 1), and the numeric
+    # state at the oracle's default cutoff.
+    "willie_state_numeric_n10.csv": [
+        "willie-state", "--eta", "0.3228038487151627", "--nbar-b", "0.08993097119573537",
+        "--qubit", "0.29392613375026005:0.7060738662497399:-0.25713869705489617:"
+        "-0.22497404316160344", "--source", "numeric", "--cutoff", "10", "--format", "csv"],
+    "willie_state_numeric_n30.json": [
+        "willie-state", "--eta", "0.9", "--nbar-b", "0.12", "--source", "numeric",
+        "--cutoff", "30", "--qubit", "0.3:0.7:0.1:-0.2", "--format", "json"],
     "eb_report_attenuate.json": _EB + ["--mechanism", "attenuate"],
     "eb_report_amplify.json": _EB + ["--mechanism", "amplify"],
     # Positive achievable count computed from distinct covert and rate params.

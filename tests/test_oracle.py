@@ -217,8 +217,28 @@ class TestMemory:
     @pytest.fixture(autouse=True)
     def cold_caches(self):
         for cached in (oracle._stage_transfer, oracle._rail_images,
-                       fock_core._sector_eigensystems, fock_core._char_fn_kernels):
+                       fock_core._sector_eigensystems, fock_core._char_fn_kernels,
+                       fock_core._cell_positions):
             cached.cache_clear()
+
+    @pytest.mark.parametrize("build", ["layout", "tensor", "beamsplitter", "amplifier"])
+    def test_dense_objects_peak_near_their_size(self, build):
+        """At N = 30 each dense object costs one scatter: its allocation
+        peak stays under 1.5 times its own bytes."""
+        cut = FockCutoff(30)
+        layout = willie_state_closed(LogicalQubit(0.3, 0.7, 0.2), ChannelParams(0.9, 0.12), cut)
+        thermal = thermal_state(0.1, cut)
+        calls = {
+            "layout": layout.to_density_operator,
+            "tensor": lambda: tensor(thermal, thermal),
+            "beamsplitter": lambda: beamsplitter_unitary(0.9, 0, 1, 2, cut),
+            "amplifier": lambda: two_mode_amplifier_unitary(1.5, 0, 1, 2, cut),
+        }
+        out = []
+        peak = traced_peak_mb(lambda: out.append(calls[build]()))
+        result = getattr(out[0], "entries", out[0])
+        assert result.shape == (cut.dim**2,) * 2
+        assert peak < 1.5 * result.nbytes / 1e6
 
     def test_stage_build_at_n60(self):
         # A dense d^4 complex unitary alone is 16 * 61^4 bytes = 221 MB.
@@ -439,7 +459,9 @@ def test_checks_build_no_dense_unitary_or_state(monkeypatch):
             monkeypatch.setattr(mod, name, refuse, raising=False)
     monkeypatch.setattr(TriDiagonalWillieState, "dense", refuse)
     monkeypatch.setattr(DensityOperator, "__post_init__", refuse)
-    for cached in (oracle._stage_transfer, oracle._rail_images, fock_core._char_fn_kernels):
+    monkeypatch.setattr(DensityOperator, "_checked", refuse)
+    for cached in (oracle._stage_transfer, oracle._rail_images, fock_core._char_fn_kernels,
+                   fock_core._cell_positions):
         cached.cache_clear()
     with pytest.raises(AssertionError, match="dense"):
         fock_core.two_mode_amplifier_unitary(1.5, 0, 1, 2, FockCutoff(3))
