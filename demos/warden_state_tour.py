@@ -43,7 +43,7 @@ print(f"input-independent chi^2 ceiling: {chi2_bound(params):.6e}")
 print()
 print(f"{'input':>22} {'|closed - numeric|':>20} {'chi^2':>14} {'chi^2/ceiling':>14}")
 for name, qubit in qubits.items():
-    closed = willie_state_closed(qubit, params, cutoff).dense()
+    closed = willie_state_closed(qubit, params, cutoff).entries
     numeric = willie_state_numeric(qubit, params, cutoff).entries
     err = float(np.max(np.abs(closed - numeric)))
     chi2 = chi2_closed(qubit, params)

@@ -288,12 +288,11 @@ def cmd_willie_state(args) -> int:
     source = args.source or "closed"
     if source == "closed":
         state = cf.willie_state_closed(qubit, params, cutoff)
-        entries, leak = state.dense(), state.truncation_leak
     else:
         from . import oracle
 
-        rho = oracle.willie_state_numeric(qubit, params, cutoff)
-        entries, leak = rho.entries, rho.truncation_leak
+        state = oracle.willie_state_numeric(qubit, params, cutoff)
+    entries, leak = state.entries, state.truncation_leak
     d = cutoff.dim
     rows, cols = np.nonzero(entries)  # row-major order
     vals = entries[rows, cols]

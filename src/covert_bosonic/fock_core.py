@@ -23,16 +23,17 @@ the flat basis indices by a conserved number, describes every such
 structure: the chains of each unitary, and the sectors of equal total
 photon number of a state.  A state holds its blocks as one padded stack on
 its table: the sectors when its matrix vanishes off them (every state the
-optics here produce), otherwise the whole space as one block.  Validation,
-the divergences and the characteristic function then read only those
-blocks; a reference state diagonalizes each block once, on first use,
-and keeps the eigensystems.  A dual-rail input leaves such a channel's
-two-mode output tri-diagonal, a diagonal and one photon-exchange coherence
-per (f, g); the closed forms and the oracle's numeric states alike fill
-that layout, :class:`TriDiagonalWillieState`.  The layout is a checked
-state in its own right: it validates each sector as a tri-diagonal matrix,
-the characteristic function reads its two arrays directly, and the
-divergences read its blocks.  Only ``dense()`` makes its matrix.
+optics here produce), otherwise the whole space as one block.  Validation
+and the divergences then read only those blocks; a reference state
+diagonalizes each block once, on first use, and keeps the eigensystems.
+A dual-rail input leaves such a channel's two-mode output tri-diagonal, a
+diagonal and one photon-exchange coherence per (f, g); the closed forms
+and the oracle's numeric states alike are that layout,
+:class:`TriDiagonalWillieState`.  The layout is a checked state in its own
+right: it validates each sector as a tri-diagonal matrix, the divergences
+read its blocks, and the characteristic function, which takes no other
+state, reads its two arrays directly.  Only its ``entries`` property makes
+its matrix, scattered anew on each read and not kept.
 
 The characteristic function's displacement factors are exponentials of
 nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
@@ -301,11 +302,14 @@ class TriDiagonalWillieState:
     def truncation_leak(self) -> float:
         return float(max(0.0, 1.0 - self.diag.sum()))
 
-    def dense(self) -> np.ndarray:
+    @property
+    def entries(self) -> np.ndarray:
+        """The (N+1)^2 x (N+1)^2 matrix, as :attr:`DensityOperator.entries`;
+        scattered on each read, so the layout never keeps it."""
         return _scatter(self._blocks, self._idx)
 
     def to_density_operator(self) -> DensityOperator:
-        return DensityOperator._checked(2, self.cutoff, self.dense(), self._idx,
+        return DensityOperator._checked(2, self.cutoff, self.entries, self._idx,
                                         self._blocks, self.truncation_leak)
 
 
@@ -596,7 +600,7 @@ def _char_fn_kernels(zetas: tuple, max_photons: int) -> np.ndarray:
 
 
 def anti_normal_char_fn(
-    state: DensityOperator | TriDiagonalWillieState,
+    state: TriDiagonalWillieState,
     zeta1: complex | np.ndarray,
     zeta2: complex | np.ndarray,
 ) -> complex | np.ndarray:
@@ -604,12 +608,12 @@ def anti_normal_char_fn(
 
         tr[rho exp(-z1* a1) exp(z1 a1^dag) exp(-z2* a2) exp(z2 a2^dag)]
 
-    ``state`` is a two-mode :class:`DensityOperator` or a
-    :class:`TriDiagonalWillieState`: the trace runs over the entries of the
-    former's blocks, or over the latter's diagonal and exchange coherences,
-    each weighted by its photon numbers, with no dense matrix.  The
-    displacement factors are the exact exponentials of the truncated ladder
-    operators (:func:`creation_exponential`).
+    ``state`` is a :class:`TriDiagonalWillieState`: the trace runs over its
+    diagonal and exchange coherences, each weighted by its photon numbers,
+    with no dense matrix.  Any other state, a :class:`DensityOperator`
+    included, raises ``TypeError``.  The displacement factors are the exact
+    exponentials of the truncated ladder operators
+    (:func:`creation_exponential`).
 
     ``zeta1`` and ``zeta2`` are scalars, giving a ``complex``, or arrays of
     one shape, giving a complex array of that shape, one value per point
@@ -620,8 +624,9 @@ def anti_normal_char_fn(
     rejected with :class:`TruncationError`, which names the worst point, as
     is any cutoff below 3, which leaves no lower cutoff to compare with.
     """
-    if state.num_modes != 2:
-        raise ValueError("anti_normal_char_fn expects a two-mode state")
+    if not isinstance(state, TriDiagonalWillieState):
+        raise TypeError("anti_normal_char_fn takes a TriDiagonalWillieState, "
+                        f"got {type(state).__name__}")
     z1, z2 = np.asarray(zeta1, dtype=complex), np.asarray(zeta2, dtype=complex)
     if z1.shape != z2.shape:
         raise ValueError(f"zeta1 and zeta2 must have one shape, got {z1.shape} "
@@ -632,14 +637,9 @@ def anti_normal_char_fn(
     if n < 3:  # no cutoff n - 2 >= 1 to compare with
         raise TruncationError(f"characteristic function unchecked at N={n} < 3")
     points = tuple(z1.ravel().tolist()), tuple(z2.ravel().tolist())
-    kernels = [[_char_fn_kernels(z, m) for z in points] for m in (n, n - 2)]
-    if isinstance(state, TriDiagonalWillieState):
-        value, ref = (_layout_trace(state.diag, state.upper, *k) for k in kernels)
-    else:
-        src, *coordinates, low = _block_coordinates(n, len(state._idx) == 1)
-        values = state._blocks.take(src)
-        value = _char_fn_trace(values, *coordinates, *kernels[0])
-        ref = _char_fn_trace(values[low], *(c[low] for c in coordinates), *kernels[1])
+    value, ref = (_layout_trace(state.diag, state.upper,
+                                *(_char_fn_kernels(z, m) for z in points))
+                  for m in (n, n - 2))
     delta = np.abs(value - ref)
     if not np.all(delta <= _CHAR_FN_TOL):  # a NaN counts as unconverged
         worst = int(np.argmax(np.where(np.isnan(delta), np.inf, delta)))
@@ -651,47 +651,22 @@ def anti_normal_char_fn(
     return complex(value[0]) if z1.ndim == 0 else value.reshape(z1.shape)
 
 
-def _char_fn_trace(values, f, g, fp, gp, k1, k2) -> np.ndarray:
-    # tr[rho (K1 x K2)] = sum of <f g|rho|fp gp> K1[fp, f] K2[gp, g] over the
-    # given entries, one sum per point of the stacked kernels (of the cutoff
-    # the entries lie within); avoids materializing the Kronecker product.
-    return _point_sums(values * k1[:, fp, f] * k2[:, gp, g])
-
-
-def _point_sums(terms: np.ndarray) -> np.ndarray:
-    # Each row summed as a 1-D array, so each point's value does not depend
-    # on the other points: numpy may reduce long rows of a 2-D array along
-    # axis 1 in another order than it sums one row.
-    return np.array([row.sum() for row in terms], dtype=complex)
-
-
-@lru_cache(maxsize=4)
-def _block_coordinates(max_photons: int, whole: bool) -> tuple:
-    """(src, f, g, fp, gp, low) of the two-mode sectors' block stack or, with
-    ``whole``, of the whole space as one block: :func:`_cells`' src, the photon
-    numbers of each entry <f g|rho|fp gp> it selects, and ``low``, those within N - 2."""
-    d = max_photons + 1
-    idx = np.arange(d * d)[None] if whole else _sectors(2, max_photons)
-    src, dst, _ = _cells(idx)
-    (f, fp), (g, gp) = np.divmod(np.divmod(dst, d * d), d)
-    out = (src, f, g, fp, gp, np.max([f, g, fp, gp], axis=0) <= max_photons - 2)
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def _layout_trace(diag, upper, k1, k2) -> np.ndarray:
-    # The same sums over a layout's entries inside the kernels' cutoff: its
-    # diagonal, then the pairs <f g|rho|f+1 g-1> and their conjugates, whose
-    # factors K1[f+1, f] K2[g-1, g] and K1[f, f+1] K2[g, g-1] lie on
-    # off-diagonals.
+    # tr[rho (K1 x K2)] = sum of <f g|rho|fp gp> K1[fp, f] K2[gp, g] over a
+    # layout's entries inside the kernels' cutoff, one sum per point of the
+    # stacked kernels: its diagonal, then the pairs <f g|rho|f+1 g-1> and
+    # their conjugates, whose factors K1[f+1, f] K2[g-1, g] and K1[f, f+1]
+    # K2[g, g-1] lie on off-diagonals.  Avoids the Kronecker product.
     d = k1.shape[-1]
     pair = upper[:d - 1, 1:d]
     terms = [x * np.diagonal(k1, k, -2, -1)[:, :, None]
              * np.diagonal(k2, -k, -2, -1)[:, None, :]
              for x, k in ((diag[:d, :d], 0), (pair, -1), (pair.conj(), 1))]
     rows = [t.reshape(len(k1), t.shape[1] * t.shape[2]) for t in terms]
-    return _point_sums(np.concatenate(rows, axis=1))
+    # Each row summed as a 1-D array, so each point's value does not depend
+    # on the other points: numpy may reduce long rows of a 2-D array along
+    # axis 1 in another order than it sums one row.
+    return np.array([row.sum() for row in np.concatenate(rows, axis=1)], dtype=complex)
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -27,8 +27,9 @@ from the images into the tri-diagonal (diag, upper) layout of
 weight off its band is refused, and the layout checks itself (sector PSD,
 trace) as a :class:`DensityOperator` would.  The checks compare those
 arrays or pass the layout to the characteristic function or, against the
-diagonal layout of the thermal product, to the divergences; only a state
-handed out as a :class:`DensityOperator` (``*_state_numeric``) is dense.
+diagonal layout of the thermal product, to the divergences.  The
+``*_state_numeric`` functions hand out that checked layout too, so no
+numeric state is dense unless a caller reads its ``entries``.
 
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most
@@ -77,7 +78,6 @@ from . import covert_bounds as cb
 from .covert_bounds import ChannelParams
 from .eb_engineering import EbPlan, plan_lemma1, plan_lemma2
 from .fock_core import (
-    DensityOperator,
     FockCutoff,
     TriDiagonalWillieState,
     TruncationError,
@@ -282,12 +282,6 @@ class _Rail(dict):
                    for (x, xp), op in self.items())
 
 
-def _off_band(rail: dict) -> float:
-    """:attr:`_Rail.off_band` of any mapping of rail images; a plain dict is
-    scanned on every call."""
-    return (rail if isinstance(rail, _Rail) else _Rail(rail)).off_band
-
-
 @lru_cache(maxsize=256)
 def _rail_images(stages: tuple, max_photons: int) -> _Rail:
     """Images of the four logical basis operators |x><x'| of one rail
@@ -312,12 +306,12 @@ def _channel(params: ChannelParams, keep: int) -> tuple:
     return ((_beamsplitter_blocks, params.eta, params.nbar_b, keep),)
 
 
-def _tri_diagonal(qubit: cf.LogicalQubit, rail: dict) -> tuple[np.ndarray, np.ndarray]:
+def _tri_diagonal(qubit: cf.LogicalQubit, rail: _Rail) -> tuple[np.ndarray, np.ndarray]:
     """(diag, upper) of :class:`TriDiagonalWillieState` for the two-mode
     output, from one rail's basis-operator images.  Logical |0> = |01> and
     |1> = |10>, so the logical matrix element (x, x') weights image (x, x')
     on the first mode times image (1-x, 1-x') on the second.  Weight off the
-    images' bands is not read; callers check it with :func:`_off_band`."""
+    images' bands is not read; callers check it with :attr:`_Rail.off_band`."""
     d = len(rail[(0, 0)])
     diag = np.zeros((d, d), dtype=complex)
     upper = np.zeros((d, d), dtype=complex)
@@ -348,7 +342,7 @@ def _assemble_two_mode(
     rail image with weight off its band, which would put weight off the
     pattern, is refused (each cached rail is scanned once)."""
     rail = _rail_images(stages, cutoff.max_photons)
-    off = _off_band(rail)
+    off = rail.off_band
     if off > 0.0:
         raise ValueError(f"rail image has weight {off:.3e} off its band; "
                          "the two-mode output is not tri-diagonal")
@@ -361,20 +355,21 @@ def willie_state_numeric(
     qubit: cf.LogicalQubit,
     params: ChannelParams,
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-) -> DensityOperator:
+) -> TriDiagonalWillieState:
     """Warden's two-mode output, simulated from channel primitives: mix each
     rail with its thermal environment on a truncated beamsplitter and keep
-    the reflected ports."""
-    return _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff).to_density_operator()
+    the reflected ports.  The state is the checked layout of
+    :func:`_assemble_two_mode`; its ``entries`` scatter the matrix."""
+    return _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff)
 
 
 def bob_state_numeric(
     qubit: cf.LogicalQubit,
     params: ChannelParams,
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-) -> DensityOperator:
+) -> TriDiagonalWillieState:
     """Receiver's two-mode output: same simulation, transmitted ports kept."""
-    return _assemble_two_mode(qubit, _channel(params, _SIGNAL), cutoff).to_density_operator()
+    return _assemble_two_mode(qubit, _channel(params, _SIGNAL), cutoff)
 
 
 def engineered_willie_state_numeric(
@@ -382,11 +377,11 @@ def engineered_willie_state_numeric(
     plan: EbPlan,
     params: ChannelParams,
     cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-) -> DensityOperator:
+) -> TriDiagonalWillieState:
     """Warden's output through the full entanglement-breaking optical train:
     optional amplifier (vacuum idler), optional pure-loss stage (vacuum
     port), then the physical channel."""
-    return _assemble_two_mode(qubit, _engineered(plan, params), cutoff).to_density_operator()
+    return _assemble_two_mode(qubit, _engineered(plan, params), cutoff)
 
 
 def _engineered(plan: EbPlan, params: ChannelParams) -> tuple:
@@ -423,7 +418,7 @@ def verify_willie_state(
     def errors():
         for params in channel_grid:
             rail = _rail_images(_channel(params, _ANCILLA), cutoff.max_photons)
-            off_band.append(_off_band(rail))
+            off_band.append(rail.off_band)
             for qubit in qubits:
                 closed = cf.willie_state_closed(qubit, params, cutoff)
                 diag, upper = _tri_diagonal(qubit, rail)

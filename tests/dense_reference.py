@@ -4,19 +4,21 @@ The package builds every unitary on modes (0, 1) of a two-mode space and
 never materializes a state of more than two modes.  These helpers do the
 same optics the slow way, over whole multi-mode spaces: spectator modes
 and mode swaps by Kronecker products, conjugation by a dense unitary,
-partial traces, and the two-mode state as one dense product of rail
-images.  Tests compare the package's two-mode and rail-by-rail results
+partial traces, the two-mode state as one dense product of rail images,
+and the characteristic function as a plain trace over the whole matrix.
+Tests compare the package's two-mode, rail-by-rail and layout results
 against them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
 
 from covert_bosonic.closed_form import LogicalQubit
-from covert_bosonic.fock_core import DensityOperator, FockCutoff
+from covert_bosonic.fock_core import DensityOperator, FockCutoff, creation_exponential
 
 
 def annihilation_op(cutoff: FockCutoff) -> np.ndarray:
@@ -109,3 +111,20 @@ def embed(core: np.ndarray, mode_a: int, mode_b: int, num_modes: int,
     axes = np.argsort([mode_a, mode_b, *rest]).tolist()
     t = t.transpose(axes + [num_modes + a for a in axes])
     return t.reshape(d**num_modes, d**num_modes)
+
+
+def char_fn_trace(entries: np.ndarray, zeta1: complex, zeta2: complex,
+                  max_photons: int | None = None) -> complex:
+    """Anti-normally ordered characteristic function of a two-mode matrix as
+    the plain trace tr[rho (K1 x K2)], K = exp(-z* a) exp(z a^dag) built from
+    creation_exponential (exp(-z* a) is the adjoint of exp(-z a^dag)).
+
+    With ``max_photons`` the trace runs on the entries whose photon numbers
+    are all at most it, with the kernels of that cutoff; by default on all."""
+    d = math.isqrt(len(entries))
+    n = d - 1 if max_photons is None else max_photons
+    cut = FockCutoff(n)
+    rho = entries.reshape((d,) * 4)[:n + 1, :n + 1, :n + 1, :n + 1].reshape(cut.dim**2, -1)
+    k1, k2 = (creation_exponential(-z, cut).conj().T @ creation_exponential(z, cut)
+              for z in (zeta1, zeta2))
+    return complex(np.einsum("ij,ji->", rho, np.kron(k1, k2)))

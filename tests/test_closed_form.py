@@ -170,7 +170,7 @@ class TestWillieState:
         state = willie_state_closed(LogicalQubit.pure(0.6, 0.8), params, CUT)
         th = thermal_state(0.12, CUT)
         product = tensor(th, th)
-        assert np.allclose(state.dense(), product.entries, atol=1e-12)
+        assert np.allclose(state.entries, product.entries, atol=1e-12)
 
     def test_is_valid_density_operator(self):
         for q in valid_qubits():
@@ -189,7 +189,7 @@ class TestWillieState:
 
     def test_support_pattern_conserves_total_photon_number(self):
         q = LogicalQubit.pure(0.6, 0.8j)
-        dense = willie_state_closed(q, FIG2, CUT).dense()
+        dense = willie_state_closed(q, FIG2, CUT).entries
         d = CUT.dim
         for row in range(d * d):
             for col in range(d * d):
@@ -199,7 +199,7 @@ class TestWillieState:
     def test_lower_is_conjugate_of_upper(self):
         q = LogicalQubit.pure(0.6, 0.8j)
         state = willie_state_closed(q, FIG2, CUT)
-        dense = state.dense()
+        dense = state.entries
         d = CUT.dim
         for f in range(1, d):
             for g in range(d - 1):
@@ -211,14 +211,14 @@ class TestWillieState:
         q = LogicalQubit(0.3, 0.7, 0.1j)
         swapped = ChannelParams(1.0 - FIG2.eta, FIG2.nbar_b)
         assert np.allclose(
-            bob_state_closed(q, FIG2, CUT).dense(),
-            willie_state_closed(q, swapped, CUT).dense(),
+            bob_state_closed(q, FIG2, CUT).entries,
+            willie_state_closed(q, swapped, CUT).entries,
             atol=1e-15,
         )
 
     def test_bob_lossless_noiseless_returns_input(self):
         q = LogicalQubit(0.3, 0.7, 0.2 + 0.1j)
-        dense = bob_state_closed(q, ChannelParams(1.0, 0.0), CUT).dense()
+        dense = bob_state_closed(q, ChannelParams(1.0, 0.0), CUT).entries
         d = CUT.dim
         assert dense[0 * d + 1, 0 * d + 1] == pytest.approx(0.3)
         assert dense[1 * d + 0, 1 * d + 0] == pytest.approx(0.7)
@@ -324,7 +324,7 @@ class TestDepolarizingParameters:
         d = FockCutoff(20).dim
         for params in (FIG2, ChannelParams(0.5, 0.5), ChannelParams(0.2, 0.05)):
             q = LogicalQubit.pure(0.6, 0.8)
-            dense = bob_state_closed(q, params, FockCutoff(20)).dense()
+            dense = bob_state_closed(q, params, FockCutoff(20)).entries
             kept = dense[0 * d + 1, 0 * d + 1] + dense[1 * d + 0, 1 * d + 0]
             assert 1.0 - kept.real == pytest.approx(p_fail(params), abs=1e-10)
 

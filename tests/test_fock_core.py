@@ -30,6 +30,7 @@ from covert_bosonic.closed_form import LogicalQubit, willie_state_closed
 from dense_reference import (
     annihilation_op,
     apply_unitary,
+    char_fn_trace,
     dual_rail_density,
     embed,
     mode_annihilation_op,
@@ -363,37 +364,42 @@ class TestSpectralBlocks:
 
 
 class TestCharFn:
+    """On the diagonal layout of the thermal product, the one the oracle
+    compares against."""
+
     def test_thermal_product_closed_form(self):
         nbar = 0.25
-        cut = FockCutoff(20)
-        s = tensor(thermal_state(nbar, cut), thermal_state(nbar, cut))
+        s = oracle._quiet(nbar, FockCutoff(20))
         for z1, z2 in [(0.3, 0.1j), (1.0 + 0.5j, -0.2)]:
             val = anti_normal_char_fn(s, z1, z2)
             expected = math.exp(-(1 + nbar) * (abs(z1) ** 2 + abs(z2) ** 2))
             assert val == pytest.approx(expected, abs=1e-10)
 
     def test_truncation_error_raised_when_unconverged(self):
-        s = tensor(thermal_state(1.5, FockCutoff(5)),
-                   thermal_state(1.5, FockCutoff(5)))
-        with pytest.raises(TruncationError):
-            anti_normal_char_fn(s, 2.0, 2.0)
+        with pytest.raises(TruncationError, match="not converged"):
+            anti_normal_char_fn(oracle._quiet(1.5, FockCutoff(5)), 2.0, 2.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_cutoff_without_a_reference_is_refused(self, n):
         # At N = 1 the truncated trace is 0.92, the exact value 2.1e-9.
-        s = tensor(thermal_state(1.5, FockCutoff(n)), thermal_state(1.5, FockCutoff(n)))
         with pytest.raises(TruncationError, match="unchecked"):
-            anti_normal_char_fn(s, 2.0, 2.0)
+            anti_normal_char_fn(oracle._quiet(1.5, FockCutoff(n)), 2.0, 2.0)
 
     @pytest.mark.parametrize("zetas", [(math.nan, 0.1), (0.1, complex(0.0, math.inf))])
     def test_rejects_non_finite_zeta(self, zetas):
-        s = tensor(thermal_state(0.1, CUT), thermal_state(0.1, CUT))
         with pytest.raises(ValueError, match="zeta must be finite"):
-            anti_normal_char_fn(s, *zetas)
+            anti_normal_char_fn(oracle._quiet(0.1, CUT), *zetas)
 
-    def test_requires_two_modes(self):
-        with pytest.raises(ValueError):
-            anti_normal_char_fn(thermal_state(0.1, CUT), 0.1, 0.1)
+    @pytest.mark.parametrize("state", ["one mode", "product", "wrapped layout"])
+    def test_refuses_a_density_operator(self, state):
+        """The char fn reads a layout only: a DensityOperator, even one
+        wrapping a layout, is refused whatever its mode count."""
+        thermal = thermal_state(0.1, CUT)
+        rho = {"one mode": lambda: thermal,
+               "product": lambda: tensor(thermal, thermal),
+               "wrapped layout": lambda: oracle._quiet(0.1, CUT).to_density_operator()}[state]()
+        with pytest.raises(TypeError, match="TriDiagonalWillieState"):
+            anti_normal_char_fn(rho, 0.1, 0.1)
 
 
 def creation_exponential_entries(w, cutoff):
@@ -549,7 +555,8 @@ class TestDivergences:
 
 
 def dense_divergences(a, b, zetas):
-    """qre (bits), chi2, trace distance and char fn from the full matrices."""
+    """qre (bits), chi2, trace distance and char fn from the full matrices,
+    the char fn's kernels by scipy's expm."""
     wa = np.clip(np.linalg.eigvalsh(a.entries), 0.0, None)
     wb, vb = np.linalg.eigh(b.entries)
     log_b = (vb * np.log(wb)) @ vb.conj().T
@@ -604,6 +611,8 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("state", ["bell_mixture", "dual_rail_mixture"])
     def test_divergences_match_dense_algebra(self, state):
+        """The divergences against numpy's, and the char-fn trace the tests
+        hold layouts to against the one with scipy's expm kernels."""
         a = getattr(self, state)()
         b = self.quiet()
         zetas = (0.3 + 0.2j, -0.4j)
@@ -612,7 +621,7 @@ class TestSectorBlocks:
         assert abs(chi2_numeric(a, b) - chi2) < 1e-12
         assert abs(trace_distance(a, b) - td) < 1e-12
         assert abs(trace_distance(b, a) - td) < 1e-12
-        assert abs(anti_normal_char_fn(a, *zetas) - char) < 1e-12
+        assert abs(char_fn_trace(a.entries, *zetas) - char) < 1e-12
 
     def test_negative_eigenvalue_inside_one_sector_is_named(self):
         cut = FockCutoff(2)
@@ -641,25 +650,6 @@ class TestSectorBlocks:
         state = DensityOperator(2, self.CUT, m, self.quiet().truncation_leak)
         assert state._idx.shape == (1, d * d)
         assert trace_distance(state, self.quiet()) < 1e-299
-
-    @pytest.mark.parametrize("state", ["quiet", "bell_mixture", "dual_rail_mixture"])
-    def test_char_fn_reads_cached_coordinates(self, state):
-        """The char fn equals, bit for bit, the trace over coordinates
-        recomputed from the state's table on every call, and a second call on
-        the same table reuses the cached coordinates."""
-        rho = getattr(self, state)()
-        n, d = self.CUT.max_photons, self.CUT.dim
-        rows, cols = np.broadcast_arrays(rho._idx[:, :, None], rho._idx[:, None, :])
-        inside = (rows >= 0) & (cols >= 0)
-        f, g = np.divmod(rows[inside], d)
-        fp, gp = np.divmod(cols[inside], d)
-        fock_core._block_coordinates.cache_clear()
-        for z1, z2 in [(0.3, 0.1j), (0.3 + 0.2j, -0.4j), (-0.2j, 0.25)]:
-            want = fock_core._char_fn_trace(rho._blocks[inside], f, g, fp, gp,
-                                            *kernels(z1, z2, n))[0]
-            assert anti_normal_char_fn(rho, z1, z2) == want
-        info = fock_core._block_coordinates.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
 
 
 def reference_chains(step, max_photons):
@@ -853,29 +843,22 @@ class TestTriDiagonalLayout:
 
     @pytest.mark.parametrize("max_photons", [5, 30])
     def test_char_fn_is_the_exchange_pair_trace(self, max_photons):
-        """The char fn read from the two arrays equals, bit for bit, the
-        trace over the diagonal, the exchange pairs (i, j) = (f d + g,
-        (f+1) d + g-1) and their transposes, at both cutoffs it compares."""
+        """The char fn read from the two arrays is the plain trace
+        tr[rho (K1 x K2)] of the layout's matrix, at both cutoffs it
+        compares, to roundoff on a bound of the terms' magnitudes."""
         cut = FockCutoff(max_photons)
         diag, upper = random_layout(max_photons, max_photons, indefinite=False)
         state = TriDiagonalWillieState(cut, diag, upper * 0.5)
         d = cut.dim
-        f, g = np.divmod(np.arange(d * d), d)
-        i = np.flatnonzero((g >= 1) & (f + 1 < d))
-        bra = np.concatenate([np.arange(d * d), i, i + d - 1])
-        ket = np.concatenate([np.arange(d * d), i + d - 1, i])
-        pairs = state.upper.ravel()[i]
-        values = np.concatenate([state.diag.ravel(), pairs, pairs.conj()])
-        (fb, gb), (fk, gk) = np.divmod(bra, d), np.divmod(ket, d)
+        matrix = layout_matrix(cut, state.diag, state.upper)
         rng = np.random.default_rng(max_photons)
         for _ in range(6):
             z1, z2 = rng.uniform(0.0, 2.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
             for n in (max_photons, max_photons - 2):
-                keep = np.max([fb, gb, fk, gk], axis=0) <= n
-                want = fock_core._char_fn_trace(values[keep], fb[keep], gb[keep],
-                                                fk[keep], gk[keep], *kernels(z1, z2, n))
-                got = fock_core._layout_trace(state.diag, state.upper, *kernels(z1, z2, n))
-                assert got == want
+                k1, k2 = kernels(z1, z2, n)
+                got = fock_core._layout_trace(state.diag, state.upper, k1, k2)
+                scale = np.abs(matrix).sum() * np.abs(k1).max() * np.abs(k2).max()
+                assert abs(got[0] - char_fn_trace(matrix, z1, z2, n)) <= 1e-14 * scale
         p = thermal_occupation(np.arange(d), 0.01)  # converged at N - 2
         quiet = TriDiagonalWillieState(cut, np.outer(p, p), np.zeros((d, d)))
         z1, z2 = 0.2j, 0.1 - 0.1j
@@ -887,7 +870,7 @@ class TestTriDiagonalLayout:
         diag, upper = random_layout(3, 5, indefinite=False)
         upper *= 0.5  # coherences up to 0.35 of the mean: positive definite
         state = TriDiagonalWillieState(cut, diag, upper)
-        assert np.array_equal(state.dense(), layout_matrix(cut, diag, upper))
+        assert np.array_equal(state.entries, layout_matrix(cut, diag, upper))
 
 
 def assert_same_state(got, want, entries_bytes=True):
@@ -932,7 +915,7 @@ class TestCheckedConstructions:
         layout = self.layout(source, case, cut)
         if case == "leaky":
             assert layout.truncation_leak > 0.0
-        want = DensityOperator(2, cut, layout.dense(), layout.truncation_leak)
+        want = DensityOperator(2, cut, layout.entries, layout.truncation_leak)
         assert_same_state(layout.to_density_operator(), want)
 
     def pair(self, kind, cut):

@@ -39,6 +39,10 @@ CASES = {
     "willie_state_numeric_n30.json": [
         "willie-state", "--eta", "0.9", "--nbar-b", "0.12", "--source", "numeric",
         "--cutoff", "30", "--qubit", "0.3:0.7:0.1:-0.2", "--format", "json"],
+    # A third channel for the numeric dump, at the CLI's default cutoff.
+    "willie_state_numeric_n20.json": [
+        "willie-state", "--eta", "0.5", "--nbar-b", "0.5", "--source", "numeric",
+        "--cutoff", "20", "--qubit", "0.6:0.4:0.2:0.3", "--format", "json"],
     "eb_report_attenuate.json": _EB + ["--mechanism", "attenuate"],
     "eb_report_amplify.json": _EB + ["--mechanism", "amplify"],
     # Positive achievable count computed from distinct covert and rate params.

@@ -48,8 +48,8 @@ from covert_bosonic.oracle import (
     verify_willie_state,
     willie_state_numeric,
 )
-from dense_reference import (apply_unitary, dual_rail_density, embed, partial_trace,
-                             two_mode)
+from dense_reference import (apply_unitary, char_fn_trace, dual_rail_density, embed,
+                             partial_trace, two_mode)
 
 
 class TestPairwiseDecomposition:
@@ -268,7 +268,7 @@ class TestImageChecks:
     def test_pattern_entries_match_dense_state(self):
         rail = self.rail(oracle._ANCILLA)
         layout = TriDiagonalWillieState(self.CUT, *oracle._tri_diagonal(self.QUBIT, rail))
-        assert np.max(np.abs(layout.dense() - two_mode(self.QUBIT, rail))) < 1e-13
+        assert np.max(np.abs(layout.entries - two_mode(self.QUBIT, rail))) < 1e-13
 
     def test_logical_block_matches_receiver_state(self):
         rail = self.rail(oracle._SIGNAL)
@@ -282,7 +282,7 @@ class TestImageChecks:
         images = oracle._rail_images
 
         def planted(stages, max_photons):
-            rail = dict(images(stages, max_photons))
+            rail = oracle._Rail(images(stages, max_photons))
             op = rail[(0, 0)].copy()
             op[0, 2] = 1e-9  # band -2 of the image of |0><0|
             rail[(0, 0)] = op
@@ -334,8 +334,9 @@ class TestImageChecks:
 
 
 class TestLayoutCharFn:
-    """The char fn read from a layout equals the one read from its dense
-    DensityOperator, with the same refusals."""
+    """The char fn read from a layout equals the plain trace over its dense
+    matrix, and refuses exactly the points where that trace moves by more
+    than 1e-6 when the cutoff drops by two."""
 
     PARAMS = ChannelParams(0.7, 0.05)
     QUBIT = LogicalQubit(0.3, 0.7, 0.2 - 0.3j)
@@ -354,11 +355,12 @@ class TestLayoutCharFn:
         layout = (willie_state_closed(self.QUBIT, self.PARAMS, cut) if source == "closed"
                   else oracle._assemble_two_mode(
                       self.QUBIT, oracle._channel(self.PARAMS, oracle._ANCILLA), cut))
-        dense = layout.to_density_operator()
+        matrix = layout.entries
         converged = 0
         for z1, z2 in oracle._ZETA_GRID:
-            got, want = self.outcome(layout, z1, z2), self.outcome(dense, z1, z2)
-            assert (got is None) == (want is None)
+            got, want = self.outcome(layout, z1, z2), char_fn_trace(matrix, z1, z2)
+            moved = abs(want - char_fn_trace(matrix, z1, z2, n - 2))
+            assert (got is None) == (moved > 1e-6)
             if got is not None:
                 converged += 1
                 assert abs(got - want) < 1e-13
@@ -385,18 +387,19 @@ class TestLayoutCharFn:
 
 class TestCharFnArrays:
     """The char fn over arrays of zeta is the scalar call at each point, bit
-    for bit, and refuses the whole batch for one bad point."""
+    for bit, and refuses the whole batch for one bad point, on the numeric
+    and the closed-form layout alike."""
 
     PARAMS = ChannelParams(0.7, 0.05)
     QUBIT = LogicalQubit(0.3, 0.7, 0.2 - 0.3j)
 
     def state(self, n, kind):
-        layout = oracle._assemble_two_mode(
-            self.QUBIT, oracle._channel(self.PARAMS, oracle._ANCILLA), FockCutoff(n))
-        return layout if kind == "layout" else layout.to_density_operator()
+        if kind == "closed":
+            return willie_state_closed(self.QUBIT, self.PARAMS, FockCutoff(n))
+        return willie_state_numeric(self.QUBIT, self.PARAMS, FockCutoff(n))
 
     @pytest.mark.parametrize("n", [8, 30])
-    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    @pytest.mark.parametrize("kind", ["numeric", "closed"])
     def test_array_is_the_scalar_calls(self, n, kind):
         state = self.state(n, kind)
         points = [p for p in oracle._ZETA_GRID
@@ -410,7 +413,7 @@ class TestCharFnArrays:
         grid = anti_normal_char_fn(state, z1[::-1, None], z2[::-1, None])
         assert grid.tolist() == got[::-1, None].tolist()
 
-    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    @pytest.mark.parametrize("kind", ["numeric", "closed"])
     def test_one_unconverged_point_refuses_the_batch(self, kind):
         state = self.state(8, kind)
         bad = oracle._ZETA_GRID[-1]  # |zeta1| = 2
@@ -423,7 +426,7 @@ class TestCharFnArrays:
 
     @pytest.mark.parametrize("where", [0, 2])
     def test_non_finite_point_anywhere_is_refused(self, where):
-        state = self.state(8, "layout")
+        state = self.state(8, "numeric")
         z1, z2 = np.array([0.1, 0.2j, 0.3]), np.array([0.1j, 0.2, -0.1])
         (z1 if where else z2)[where] = complex(math.nan, 0.0)
         with pytest.raises(ValueError, match="zeta must be finite"):
@@ -431,15 +434,15 @@ class TestCharFnArrays:
 
     def test_shapes_must_match(self):
         with pytest.raises(ValueError, match="one shape"):
-            anti_normal_char_fn(self.state(8, "layout"), np.array([0.1, 0.2]), 0.1)
+            anti_normal_char_fn(self.state(8, "numeric"), np.array([0.1, 0.2]), 0.1)
 
-    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    @pytest.mark.parametrize("kind", ["numeric", "closed"])
     def test_scalar_input_returns_complex(self, kind):
         state = self.state(8, kind)
         assert type(anti_normal_char_fn(state, 0.1, 0.2j)) is complex
         assert type(anti_normal_char_fn(state, np.complex128(0.1), 0.2j)) is complex
 
-    @pytest.mark.parametrize("kind", ["layout", "dense"])
+    @pytest.mark.parametrize("kind", ["numeric", "closed"])
     def test_empty_arrays_give_an_empty_array(self, kind):
         empty = anti_normal_char_fn(self.state(8, kind), np.zeros((0, 2)), np.zeros((0, 2)))
         assert empty.shape == (0, 2) and empty.dtype == complex
@@ -457,7 +460,7 @@ def test_checks_build_no_dense_unitary_or_state(monkeypatch):
     for name in ("beamsplitter_unitary", "two_mode_amplifier_unitary"):
         for mod in (fock_core, oracle):
             monkeypatch.setattr(mod, name, refuse, raising=False)
-    monkeypatch.setattr(TriDiagonalWillieState, "dense", refuse)
+    monkeypatch.setattr(TriDiagonalWillieState, "entries", property(refuse))
     monkeypatch.setattr(DensityOperator, "__post_init__", refuse)
     monkeypatch.setattr(DensityOperator, "_checked", refuse)
     for cached in (oracle._stage_transfer, oracle._rail_images, fock_core._char_fn_kernels,
@@ -480,14 +483,16 @@ def test_checks_build_no_dense_unitary_or_state(monkeypatch):
 
 
 def test_char_fn_checks_build_no_dense_state(monkeypatch):
-    """char_fn and eb_pipelines read the warden state's layout; making a
-    layout's matrix raises, and both checks still pass."""
+    """char_fn and eb_pipelines read the warden state's layout; reading a
+    layout's matrix raises, and both checks still pass.  willie_state_numeric
+    builds no matrix either: only reading its ``entries`` raises."""
     def refuse(self):
         raise AssertionError("dense two-mode state built")
 
-    monkeypatch.setattr(TriDiagonalWillieState, "dense", refuse)
+    monkeypatch.setattr(TriDiagonalWillieState, "entries", property(refuse))
+    state = willie_state_numeric(LogicalQubit(1.0, 0.0), ChannelParams(0.9, 0.12))
     with pytest.raises(AssertionError, match="dense"):
-        willie_state_numeric(LogicalQubit(1.0, 0.0), ChannelParams(0.9, 0.12))
+        state.entries
     assert verify_char_fn([ChannelParams(0.9, 0.12)], [LogicalQubit(0.3, 0.7, 0.2)]).passed
     assert verify_eb_pipelines().passed
 
@@ -523,7 +528,25 @@ def test_numeric_states_use_no_closed_form(monkeypatch):
         engineered_willie_state_numeric(qubit, plan_lemma1(hard), hard, cut),
         engineered_willie_state_numeric(qubit, plan_lemma2(hard), hard, cut),
     ]
-    assert all(isinstance(s, DensityOperator) for s in states)
+    assert all(isinstance(s, TriDiagonalWillieState) for s in states)
+
+
+@pytest.mark.parametrize("build", [
+    partial(willie_state_numeric, LogicalQubit(0.3, 0.7, 0.2 - 0.3j), ChannelParams(0.7, 0.05)),
+    partial(bob_state_numeric, LogicalQubit.pure(0.6, 0.8j), ChannelParams(0.7, 0.05)),
+    partial(engineered_willie_state_numeric, LogicalQubit(0.3, 0.7, 0.2 - 0.3j),
+            plan_lemma2(ChannelParams(0.9, 0.05)), ChannelParams(0.9, 0.05)),
+], ids=["willie", "bob", "engineered"])
+@pytest.mark.parametrize("n", [5, 30])
+def test_numeric_states_are_checked_layouts(build, n):
+    """Each numeric state is the checked layout itself: its ``entries`` are,
+    bit for bit, those of the DensityOperator it wraps into, and reading
+    them leaves no matrix on the layout."""
+    state = build(FockCutoff(n))
+    assert type(state) is TriDiagonalWillieState
+    entries = state.entries
+    assert entries.tobytes() == state.to_density_operator().entries.tobytes()
+    assert "entries" not in vars(state)
 
 
 def test_chi2_check_bounds_the_closed_form_itself(monkeypatch):
@@ -582,7 +605,7 @@ class TestCutoffRobustness:
         qubit = LogicalQubit.pure(1 / math.sqrt(2), 1 / math.sqrt(2))
         for n in (20, 30):
             cut = FockCutoff(n)
-            closed = willie_state_closed(qubit, params, cut).dense()
+            closed = willie_state_closed(qubit, params, cut).entries
             numeric = willie_state_numeric(qubit, params, cut).entries
             assert np.max(np.abs(closed - numeric)) < 1e-10
 
@@ -601,7 +624,7 @@ class TestCutoffRobustness:
         gamma = coherence * math.sqrt(alpha_sq * (1.0 - alpha_sq)) * np.exp(1j * phase)
         qubit = LogicalQubit(alpha_sq, 1.0 - alpha_sq, complex(gamma))
         cut = FockCutoff(30)
-        closed = willie_state_closed(qubit, params, cut).dense()
+        closed = willie_state_closed(qubit, params, cut).entries
         numeric = willie_state_numeric(qubit, params, cut).entries
         assert np.max(np.abs(closed - numeric)) < 1e-8
 
