@@ -32,10 +32,8 @@ _EXPORTS = {
     "covert_bounds": (
         "ChannelParams", "DivergenceUndefinedError", "p_fail", "p_prime",
         "p_total", "BoundsPoint", "GainDecompositionError", "c_cov", "q_max",
-        "qre_bound", "hashing_rate", "lower_bound_qubits", "assisted_rate",
-        "assisted_lower_bound_qubits", "converse_gain", "g_func",
-        "converse_capacity", "nbar_s_max", "upper_bound_qubits",
-        "upper_bound_srl_coefficient", "bounds_curve",
+        "qre_bound", "hashing_rate", "assisted_rate", "converse_gain",
+        "upper_bound_qubits", "upper_bound_srl_coefficient", "bounds_curve",
     ),
     "eb_engineering": (
         "EbMechanism", "EbPlan", "EbInfeasibleError", "is_entanglement_breaking",

@@ -16,8 +16,7 @@ to the parser as the flag it names (``{"nbar_b": 0.1}`` as
 ``--nbar-b=0.1``), so it gets that flag's conversion and choices and the
 same usage error; null means unset, and keys the subcommand does not take
 are ignored.  ``willie-state`` alone takes a Fock cutoff, an integer from 1
-to 90: ``--cutoff``, then the file, then the ``COVERT_BOSONIC_CUTOFF``
-environment variable, then the built-in default.
+to 90: ``--cutoff``, then the file, then the built-in default.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import argparse
 import json
 import math
 import operator
-import os
 import sys
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
@@ -41,7 +39,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VERIFICATION = 3
 
-CUTOFF_ENV_VAR = "COVERT_BOSONIC_CUTOFF"
 MAX_CUTOFF = 90
 
 
@@ -89,13 +86,6 @@ def _parse_n_range(spec: str) -> list[float]:
     if not 0 < start < stop:
         raise UsageError("--n needs 0 < start < stop")
     return [float(x) for x in np.geomspace(start, stop, points)]
-
-
-def _parse_delta(delta: float) -> float:
-    """Covertness budget, which must lie in [0, 1/2)."""
-    if not 0.0 <= delta < 0.5:
-        raise ValueError(f"delta must be in [0, 1/2), got {delta}")
-    return delta
 
 
 def _parse_qubit(spec: str):
@@ -162,17 +152,11 @@ def _config_tokens(args) -> list[str]:
 
 
 def _resolve_cutoff(args):
-    """``--cutoff`` (or the config file), then the environment variable,
-    then the default; outside 1..MAX_CUTOFF from any source is refused."""
+    """``--cutoff`` (or the config file), else the default; outside
+    1..MAX_CUTOFF is refused."""
     from .fock_core import DEFAULT_MAX_PHOTONS, FockCutoff
 
-    val = args.cutoff
-    if val is None:
-        env = os.environ.get(CUTOFF_ENV_VAR, str(DEFAULT_MAX_PHOTONS))
-        try:
-            val = int(env)
-        except ValueError:
-            raise UsageError(f"{CUTOFF_ENV_VAR} must be an integer, got {env!r}") from None
+    val = DEFAULT_MAX_PHOTONS if args.cutoff is None else args.cutoff
     if not 1 <= val <= MAX_CUTOFF:  # the dense dump takes ~1 GB at 90
         raise UsageError(f"cutoff must be from 1 to {MAX_CUTOFF}, got {val}")
     return FockCutoff(val)
@@ -237,8 +221,8 @@ _bounds_row = operator.attrgetter(*(field for _, field in _BOUNDS_COLUMNS))
 
 def cmd_bounds(args) -> int:
     params = _channel(args, "bounds", "delta", "n")
-    delta = _parse_delta(args.delta)
-    points = cb.bounds_curve(params, delta, _parse_n_range(args.n), args.modes_per_sec)
+    points = cb.bounds_curve(params, args.delta, _parse_n_range(args.n),
+                             args.modes_per_sec)
     for pt in points:
         if pt.upper_qubits < pt.lower_qubits:
             raise ValueError(
@@ -247,10 +231,10 @@ def cmd_bounds(args) -> int:
             )
     rows = list(map(_bounds_row, points))
     comment = ("# eta=" + _fmt(params.eta) + " nbar_b=" + _fmt(params.nbar_b)
-               + " delta=" + _fmt(delta)
+               + " delta=" + _fmt(args.delta)
                + ("" if args.modes_per_sec is None
                   else " modes_per_sec=" + _fmt(args.modes_per_sec)))
-    doc = {"eta": params.eta, "nbar_b": params.nbar_b, "delta": delta,
+    doc = {"eta": params.eta, "nbar_b": params.nbar_b, "delta": args.delta,
            "modes_per_sec": args.modes_per_sec, "columns": _BOUNDS_HEADER,
            "rows": rows}
     _emit(args, "csv", doc, chain(
@@ -362,12 +346,11 @@ def cmd_eb_report(args) -> int:
     if (args.delta is None) != (args.n is None):
         raise UsageError("eb-report takes --delta and --n together")
     if args.delta is not None:
-        delta = _parse_delta(args.delta)
-        doc["n"], doc["delta"] = args.n, delta
+        doc["n"], doc["delta"] = args.n, args.delta
         doc["lower_qubits_effective"] = float(
-            cb.achievable_qubits(cov, delta, args.n, cb.hashing_rate(rate))
+            cb.achievable_qubits(cov, args.delta, args.n, cb.hashing_rate(rate))
         )
-        doc["upper_qubits_effective"] = cb.upper_bound_qubits(cov, delta, args.n)
+        doc["upper_qubits_effective"] = cb.upper_bound_qubits(cov, args.delta, args.n)
     _emit(args, "json", doc, _key_value_lines(doc))
     return EXIT_OK
 

@@ -206,12 +206,6 @@ def _chi2(params: ChannelParams, alpha_sq, beta_sq, gamma) -> np.ndarray:
 
 
 def chi2_bound(params: ChannelParams) -> float:
-    """Input-independent bound (1-eta)^2 / (eta nbar_b (1 + eta nbar_b))."""
-    if params.eta == 1.0:
-        return 0.0
-    if params.nbar_b == 0.0:
-        raise DivergenceUndefinedError(
-            "quiet state is not full rank at nbar_b = 0; divergence is infinite"
-        )
-    n = params.eta * params.nbar_b
-    return float((1.0 - params.eta) ** 2 / (n * (1.0 + n)))
+    """Input-independent bound (1-eta)^2 / (eta nbar_b (1 + eta nbar_b)):
+    the divergence of logical |0>, a pure qubit with |gamma| = |alpha beta|."""
+    return chi2_closed(LogicalQubit(1.0, 0.0), params)

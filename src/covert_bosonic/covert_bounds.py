@@ -42,13 +42,8 @@ __all__ = [
     "qre_bound",
     "hashing_rate",
     "achievable_qubits",
-    "lower_bound_qubits",
     "assisted_rate",
-    "assisted_lower_bound_qubits",
     "converse_gain",
-    "g_func",
-    "converse_capacity",
-    "nbar_s_max",
     "upper_bound_qubits",
     "upper_bound_srl_coefficient",
     "bounds_curve",
@@ -146,16 +141,21 @@ def p_total(params: ChannelParams) -> float:
     return float(1.0 - eta / (1.0 + (1.0 - eta) * nb) ** 4)
 
 
-# The array functions below evaluate a whole sweep for bounds_curve; the
-# scalar functions are 0-d views of them.  They follow scalar float
-# arithmetic: np.fmin/np.fmax match Python's min(1, x)/max(0, x), which
-# return the constant when x is NaN.  c_cov is infinite at eta = 1; q then
-# clamps to 1, and the converse refuses the infinite nbar_s.
+# Every ordinate is an array expression of one quantity, the covertness cap
+# nbar_s = 2 c_cov delta / sqrt(n): q = min(1, nbar_s), the achievable count
+# q n R and the converse 2 n C(nbar_s).  bounds_curve checks a sweep's delta
+# and n once, computes nbar_s once and evaluates each column from it; the
+# other functions evaluate the same expressions at their own n.  They follow
+# scalar float arithmetic: np.fmin/np.fmax match Python's min(1, x)/max(0, x),
+# which return the constant when x is NaN.  c_cov is infinite at eta = 1; q
+# then clamps to 1, and the converse refuses the infinite nbar_s.
 
 
 def _check_delta(delta: float) -> None:
-    if not (math.isfinite(delta) and delta >= 0.0):  # NaN or inf would make q 1
-        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+    # At delta >= 1/2 the criterion (1/4)||rho_1 - rho_0||_1 <= delta holds
+    # for every pair of states; NaN or inf would make q 1.
+    if not 0.0 <= delta < 0.5:
+        raise ValueError(f"delta must be in [0, 1/2), got {delta!r}")
 
 
 def _check_n(n) -> np.ndarray:
@@ -169,16 +169,13 @@ def _check_n(n) -> np.ndarray:
 
 def _nbar_s(params: ChannelParams, delta: float, n) -> np.ndarray:
     """2 c_cov delta / sqrt(n): the covertness cap on the signal photon
-    number, and the transmission probability before clamping to 1."""
-    n = _check_n(n)
+    number, and the transmission probability before clamping to 1.  Checks
+    delta, then n."""
     _check_delta(delta)
+    n = _check_n(n)
     if delta == 0.0:  # no budget, no signal, even where c_cov is infinite
         return np.zeros_like(n)
     return 2.0 * c_cov(params) * delta / np.sqrt(n)
-
-
-def _q(params: ChannelParams, delta: float, n) -> np.ndarray:
-    return np.fmin(1.0, _nbar_s(params, delta, n))
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -190,6 +187,7 @@ def _log2(x: np.ndarray) -> np.ndarray:
 
 
 def _g(x) -> np.ndarray:
+    """Bosonic entropy function g(x) = (1+x) log2(1+x) - x log2(x); g(0) = 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError(f"g is defined for x >= 0, got {x[x < 0][0]}")
@@ -199,6 +197,11 @@ def _g(x) -> np.ndarray:
 
 
 def _capacity(params: ChannelParams, nbar_s) -> np.ndarray:
+    """Qubits per mode through the amplifier component at signal mean photon
+    number nbar_s, which must be finite and >= 0:
+
+        [g(((G+1) nbar_s + Gbar) / 2) - g(Gbar (1 + nbar_s) / 2)]+
+    """
     nbar_s = np.asarray(nbar_s, dtype=float)
     if not np.all(np.isfinite(nbar_s)):
         # g(inf) - g(inf) is NaN, which the [.]+ clamp would turn into 0.
@@ -215,40 +218,30 @@ def _capacity(params: ChannelParams, nbar_s) -> np.ndarray:
     return np.fmax(0.0, val)
 
 
-def _converse(params: ChannelParams, delta: float, n):
-    """(C(nbar_s_max), 2 n C(nbar_s_max)) over an array of n."""
-    cap = _capacity(params, _nbar_s(params, delta, n))
-    return cap, 2.0 * np.asarray(n, dtype=float) * cap
-
-
 def achievable_qubits(params: ChannelParams, delta: float, n, rate: float):
     """Expected covert qubits q_max * n * rate over n rounds, elementwise on
     an array of n.  ``params`` sets the covertness budget; the per-round
     ``rate`` is separate because an engineered channel takes it from
     different effective parameters."""
-    return _q(params, delta, n) * np.asarray(n, dtype=float) * rate
+    return np.fmin(1.0, _nbar_s(params, delta, n)) * np.asarray(n, dtype=float) * rate
 
 
 def q_max(params: ChannelParams, delta: float, n: float) -> float:
     """Largest covert per-round transmission probability,
     min(1, 2 c_cov delta / sqrt(n))."""
-    return float(_q(params, delta, n))
+    return float(np.fmin(1.0, _nbar_s(params, delta, n)))
 
 
 def qre_bound(params: ChannelParams, q: float, n: float) -> float:
-    """Covertness criterion value sqrt(D/8) <= q (1-eta) sqrt(n) /
-    (2 sqrt(2 eta nbar_b (1 + eta nbar_b))); equals delta at q = q_max in
-    the unclamped regime.  ``q`` must lie in [0, 1] and ``n`` be finite and
-    >= 1."""
+    """Covertness criterion value sqrt(D/8) <= q sqrt(n) / (2 c_cov); equals
+    delta at q = q_max in the unclamped regime.  ``q`` must lie in [0, 1]
+    and ``n`` be finite and >= 1."""
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
         raise ValueError(f"q must be finite and in [0, 1], got {q!r}")
     _check_n(n)
     if params.nbar_b == 0.0:
         raise DivergenceUndefinedError("criterion diverges at nbar_b = 0")
-    occ = params.eta * params.nbar_b
-    return q * (1.0 - params.eta) * math.sqrt(n) / (
-        2.0 * math.sqrt(2.0 * occ * (1.0 + occ))
-    )
+    return q * math.sqrt(n) / (2.0 * c_cov(params))
 
 
 def _depolarizing_hashing(p: float) -> float:
@@ -265,12 +258,6 @@ def hashing_rate(params: ChannelParams) -> float:
     return _depolarizing_hashing(p_total(params))
 
 
-def lower_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
-    """Achievable expected covert qubits over n rounds: q_max * n * R,
-    i.e. 2 sqrt(n) c_cov R delta when q_max is unclamped."""
-    return float(achievable_qubits(params, delta, n, hashing_rate(params)))
-
-
 def assisted_rate(params: ChannelParams) -> float:
     """Qubit rate with a two-way classical side channel: the receiver
     reports which projections succeeded and the parties distill
@@ -279,12 +266,6 @@ def assisted_rate(params: ChannelParams) -> float:
     if p_fail(params) == 1.0:
         return 0.0
     return (1.0 - p_fail(params)) * _depolarizing_hashing(p_prime(params))
-
-
-def assisted_lower_bound_qubits(
-    params: ChannelParams, delta: float, n: float
-) -> float:
-    return float(achievable_qubits(params, delta, n, assisted_rate(params)))
 
 
 def converse_gain(params: ChannelParams) -> float:
@@ -299,28 +280,10 @@ def converse_gain(params: ChannelParams) -> float:
     return params.eta / denom
 
 
-def g_func(x: float) -> float:
-    """Bosonic entropy function g(x) = (1+x) log2(1+x) - x log2(x); g(0) = 0."""
-    return float(_g(x))
-
-
-def converse_capacity(params: ChannelParams, nbar_s: float) -> float:
-    """Qubits per mode through the amplifier component at signal mean photon
-    number nbar_s, which must be finite and >= 0:
-
-        [g(((G+1) nbar_s + Gbar) / 2) - g(Gbar (1 + nbar_s) / 2)]+
-    """
-    return float(_capacity(params, nbar_s))
-
-
-def nbar_s_max(params: ChannelParams, delta: float, n: float) -> float:
-    """Covertness cap on the signal mean photon number, 2 c_cov delta / sqrt(n)."""
-    return float(_nbar_s(params, delta, n))
-
-
 def upper_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
-    """Converse: at most 2 n C(nbar_s_max) covert qubits over n rounds."""
-    return float(_converse(params, delta, n)[1])
+    """Converse: at most 2 n C(nbar_s) covert qubits over n rounds."""
+    cap = _capacity(params, _nbar_s(params, delta, n))
+    return float(2.0 * np.asarray(n, dtype=float) * cap)
 
 
 def upper_bound_srl_coefficient(params: ChannelParams, delta: float) -> float:
@@ -338,29 +301,31 @@ def bounds_curve(
     n_values: Sequence[float],
     modes_per_second: Optional[float] = None,
 ) -> list[BoundsPoint]:
-    """Evaluate both bounds over an ascending sweep of finite round counts.
+    """Evaluate both bounds over a strictly ascending sweep of finite round
+    counts n >= 1, in one pass over the checked inputs.
 
     Each round occupies two optical modes, so with a modulation rate (finite
     and positive) the abscissa in seconds is 2 n / modes_per_second.  Output
     order follows input order and every quantity is deterministic.
     """
+    n = np.asarray(list(n_values), dtype=float)
+    nbar_s = _nbar_s(params, delta, n)
+    if np.any(np.diff(n) <= 0):
+        raise ValueError("n_values must be strictly ascending")
     if modes_per_second is not None and not (
         math.isfinite(modes_per_second) and modes_per_second > 0.0
     ):
         raise ValueError(
             f"modes_per_second must be finite and > 0, got {modes_per_second!r}"
         )
-    n = np.asarray(list(n_values), dtype=float)
     if len(n) == 0:
         return []
-    if np.any(n <= 0) or np.any(np.diff(n) <= 0):
-        raise ValueError("n_values must be positive and strictly ascending")
-    nbar_s = _nbar_s(params, delta, n)
-    q = _q(params, delta, n)
+    q = np.fmin(1.0, nbar_s)
     rate = hashing_rate(params)
-    lower = achievable_qubits(params, delta, n, rate)
-    assisted = achievable_qubits(params, delta, n, assisted_rate(params))
-    cap, upper = _converse(params, delta, n)
+    lower = q * n * rate
+    assisted = q * n * assisted_rate(params)
+    cap = _capacity(params, nbar_s)
+    upper = 2.0 * n * cap
     seconds = (
         [None] * len(n) if modes_per_second is None
         else (2.0 * n / modes_per_second).tolist()

@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from covert_bosonic import cli
-from covert_bosonic.covert_bounds import (
-    lower_bound_qubits,
-    q_max,
-    upper_bound_qubits,
+from covert_bosonic.covert_bounds import bounds_curve
+from covert_bosonic.fock_core import (
+    DEFAULT_MAX_PHOTONS,
+    ChannelParams,
+    FockCutoff,
+    thermal_occupation,
 )
-from covert_bosonic.fock_core import ChannelParams, FockCutoff, thermal_occupation
 
 BOUNDS_ARGS = [
     "bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
@@ -145,17 +146,14 @@ class TestBounds:
         assert lines[0].startswith("# eta=0.9 nbar_b=0.12 delta=0.05")
         rows = list(csv.DictReader(io.StringIO("\n".join(lines[1:]))))
         assert len(rows) == 9
-        params = ChannelParams(0.9, 0.12)
-        for row in rows:
-            n = float(row["n[rounds]"])
-            assert float(row["lower_qubits[qubits]"]) == pytest.approx(
-                lower_bound_qubits(params, 0.05, n)
-            )
-            assert float(row["upper_qubits[qubits]"]) == pytest.approx(
-                upper_bound_qubits(params, 0.05, n)
-            )
-            assert float(row["q[1]"]) == pytest.approx(q_max(params, 0.05, n))
-            assert float(row["seconds[s]"]) == pytest.approx(2 * n / 1e8)
+        points = bounds_curve(ChannelParams(0.9, 0.12), 0.05,
+                              [float(row["n[rounds]"]) for row in rows],
+                              modes_per_second=1e8)
+        for row, pt in zip(rows, points):
+            assert float(row["lower_qubits[qubits]"]) == pt.lower_qubits
+            assert float(row["upper_qubits[qubits]"]) == pt.upper_qubits
+            assert float(row["q[1]"]) == pt.q
+            assert float(row["seconds[s]"]) == pt.seconds == pytest.approx(2 * pt.n / 1e8)
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -221,33 +219,18 @@ class TestWillieState:
         for key, v in closed.items():
             assert abs(numeric.get(key, 0.0) - v) < 1e-8
 
-    def test_env_var_sets_cutoff(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CUTOFF_ENV_VAR, "4")
+    def test_environment_does_not_set_the_cutoff(self, capsys, monkeypatch):
+        # The cutoff comes from --cutoff, the config file or the default only.
+        monkeypatch.setenv("COVERT_BOSONIC_CUTOFF", "4")
         code, out, _ = run_cli(
             ["willie-state", "--eta", "0.9", "--nbar-b", "0.12",
              "--format", "json"], capsys)
         assert code == 0
-        assert json.loads(out)["cutoff"] == 4
-
-    def test_flag_beats_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CUTOFF_ENV_VAR, "4")
-        code, out, _ = run_cli(
-            ["willie-state", "--eta", "0.9", "--nbar-b", "0.12",
-             "--cutoff", "7", "--format", "json"], capsys)
-        assert code == 0
-        assert json.loads(out)["cutoff"] == 7
-
-    def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CUTOFF_ENV_VAR, "many")
-        code, _, _ = run_cli(
-            ["willie-state", "--eta", "0.9", "--nbar-b", "0.12"], capsys)
-        assert code == 1
+        assert json.loads(out)["cutoff"] == DEFAULT_MAX_PHOTONS == 20
 
     @pytest.mark.parametrize("cutoff", [2.7, 3.0, True, "2.7", "three"])
-    def test_non_integer_config_cutoff_is_usage_error(self, cutoff, tmp_path,
-                                                      capsys, monkeypatch):
+    def test_non_integer_config_cutoff_is_usage_error(self, cutoff, tmp_path, capsys):
         # Refused rather than rounded: 2.7 used to run at 2 and true at 1.
-        monkeypatch.delenv(cli.CUTOFF_ENV_VAR, raising=False)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"cutoff": cutoff}))
         code, out, err = run_cli(["willie-state", "--eta", "0.9", "--nbar-b", "0.12",
@@ -358,12 +341,6 @@ def _assert_same(out, expected):
     assert same, f"outputs differ ({len(out)} and {len(expected)} characters)"
 
 
-@pytest.fixture
-def no_cutoff_env(monkeypatch):
-    monkeypatch.delenv(cli.CUTOFF_ENV_VAR, raising=False)
-
-
-@pytest.mark.usefixtures("no_cutoff_env")
 class TestConfigParity:
     """A config value is parsed exactly as its flag: same conversions, same
     choices, same exit code, and a flag given on the command line wins."""
@@ -452,7 +429,6 @@ class TestConfigParity:
         assert code == 0 and out == by_flag
 
 
-@pytest.mark.usefixtures("no_cutoff_env")
 class TestCutoffRange:
     """A cutoff outside 1..90 is a usage error from every source: the dense
     dump grows as (N+1)^4, and at 3000 numpy's allocation error used to
@@ -477,10 +453,6 @@ class TestCutoffRange:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"cutoff": 91}))
         self._assert_refused(*run_cli(self.ARGV + ["--config", str(path)], capsys), 91)
-
-    def test_env_outside_range(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.CUTOFF_ENV_VAR, "91")
-        self._assert_refused(*run_cli(self.ARGV, capsys), 91)
 
 
 def _strict_json(text):
@@ -537,7 +509,6 @@ def _readme_cli_commands():
             if cmd.startswith("covert-bosonic ")]
 
 
-@pytest.mark.usefixtures("no_cutoff_env")
 @pytest.mark.parametrize("command", _readme_cli_commands())
 def test_readme_cli_example_runs(command, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)

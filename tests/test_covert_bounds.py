@@ -1,23 +1,20 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from covert_bosonic import covert_bounds as cb
 from covert_bosonic.covert_bounds import (
     BoundsPoint,
     GainDecompositionError,
     achievable_qubits,
-    assisted_lower_bound_qubits,
     assisted_rate,
     bounds_curve,
     c_cov,
-    converse_capacity,
     converse_gain,
-    g_func,
     hashing_rate,
-    lower_bound_qubits,
-    nbar_s_max,
     p_fail,
     p_prime,
     p_total,
@@ -29,6 +26,7 @@ from covert_bosonic.covert_bounds import (
 from covert_bosonic.fock_core import ChannelParams
 
 FIG2 = ChannelParams(0.9, 0.12)
+DELTA_RULE = re.escape("delta must be in [0, 1/2), got ")
 
 
 class TestCovertnessConstant:
@@ -77,28 +75,27 @@ class TestCovertnessConstant:
 
 class TestNonFiniteDelta:
     """A NaN or infinite budget would clamp q to 1 and put the achievable
-    count above the converse; every function taking delta refuses it."""
+    count above the converse, and at delta >= 1/2 the detection criterion
+    (1/4)||rho_1 - rho_0||_1 <= delta is vacuous; every function taking
+    delta refuses a budget outside [0, 1/2) with one message."""
 
     CALLS = {
         "q_max": lambda d: q_max(FIG2, d, 1e6),
-        "nbar_s_max": lambda d: nbar_s_max(FIG2, d, 1e6),
-        "lower_bound_qubits": lambda d: lower_bound_qubits(FIG2, d, 1e6),
-        "assisted_lower_bound_qubits": lambda d: assisted_lower_bound_qubits(FIG2, d, 1e6),
         "upper_bound_qubits": lambda d: upper_bound_qubits(FIG2, d, 1e6),
         "upper_bound_srl_coefficient": lambda d: upper_bound_srl_coefficient(FIG2, d),
         "achievable_qubits": lambda d: achievable_qubits(FIG2, d, [1e6], 0.5),
         "bounds_curve": lambda d: bounds_curve(FIG2, d, [1e6]),
     }
 
-    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1, 0.5, 0.7])
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_refused(self, name, delta):
-        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        with pytest.raises(ValueError, match=DELTA_RULE + re.escape(repr(delta))):
             self.CALLS[name](delta)
 
-    def test_srl_coefficient_refuses_negative_delta(self):
-        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
-            upper_bound_srl_coefficient(FIG2, -0.1)
+    def test_empty_sweep_checks_delta(self):
+        with pytest.raises(ValueError, match=DELTA_RULE):
+            bounds_curve(FIG2, 0.5, [])
 
 
 class TestEntropyAndRates:
@@ -140,20 +137,20 @@ class TestConverse:
         with pytest.raises(GainDecompositionError):
             converse_gain(ChannelParams(0.1, 10.0))
 
-    def test_g_func_anchors(self):
-        assert g_func(0.0) == 0.0
-        assert g_func(1.0) == pytest.approx(2.0)
+    def test_g_anchors(self):
+        assert cb._g(0.0) == 0.0
+        assert cb._g(1.0) == pytest.approx(2.0)
         with pytest.raises(ValueError):
-            g_func(-0.1)
+            cb._g(-0.1)
 
     def test_capacity_zero_signal(self):
-        assert converse_capacity(FIG2, 0.0) == 0.0
+        assert cb._capacity(FIG2, 0.0) == 0.0
 
     def test_capacity_noiseless_limit(self):
         # G = 1: capacity reduces to g(nbar_s)
         params = ChannelParams(0.7, 0.0)
         for ns in (0.1, 0.5, 2.0):
-            assert converse_capacity(params, ns) == pytest.approx(g_func(ns))
+            assert cb._capacity(params, ns) == pytest.approx(cb._g(ns))
 
     def test_srl_coefficient_is_large_n_limit(self):
         delta = 0.05
@@ -170,29 +167,20 @@ class TestConverse:
 class TestBoundScaling:
     def test_lower_bound_follows_square_root_law(self):
         delta = 0.05
-        vals = [
-            lower_bound_qubits(FIG2, delta, n) / math.sqrt(n)
-            for n in (1e6, 1e8, 1e10, 1e12)
-        ]
+        vals = [pt.lower_qubits / math.sqrt(pt.n)
+                for pt in bounds_curve(FIG2, delta, [1e6, 1e8, 1e10, 1e12])]
         assert max(vals) - min(vals) < 1e-9 * vals[0]
         assert vals[0] == pytest.approx(2 * c_cov(FIG2) * delta * hashing_rate(FIG2))
 
     def test_bounds_scale_linearly_in_delta_at_large_n(self):
-        n = 1e12
-        for fn in (lower_bound_qubits, upper_bound_qubits, assisted_lower_bound_qubits):
-            ratio = fn(FIG2, 0.1, n) / fn(FIG2, 0.05, n)
+        (lo,), (hi,) = (bounds_curve(FIG2, delta, [1e12]) for delta in (0.05, 0.1))
+        for column in ("lower_qubits", "upper_qubits", "assisted_lower_qubits"):
+            ratio = getattr(hi, column) / getattr(lo, column)
             assert ratio == pytest.approx(2.0, rel=0.01)
 
-    def test_zero_delta_means_zero_qubits(self):
-        assert lower_bound_qubits(FIG2, 0.0, 1e6) == 0.0
-        assert upper_bound_qubits(FIG2, 0.0, 1e6) == 0.0
-        assert assisted_lower_bound_qubits(FIG2, 0.0, 1e6) == 0.0
-
     def test_upper_dominates_lower(self):
-        for n in np.geomspace(1e4, 1e14, 21):
-            lo = lower_bound_qubits(FIG2, 0.05, n)
-            hi = upper_bound_qubits(FIG2, 0.05, n)
-            assert hi >= lo
+        for pt in bounds_curve(FIG2, 0.05, np.geomspace(1e4, 1e14, 21)):
+            assert pt.upper_qubits >= pt.lower_qubits
 
     def test_achievable_qubits_takes_the_rate_separately(self):
         n = np.geomspace(1e4, 1e12, 5)
@@ -200,9 +188,10 @@ class TestBoundScaling:
         for v, n_i in zip(got, n):
             assert v == q_max(FIG2, 0.05, n_i) * n_i * 0.25
 
-    def test_nbar_s_max_matches_q_max_unclamped(self):
-        n = 1e10
-        assert nbar_s_max(FIG2, 0.05, n) == pytest.approx(q_max(FIG2, 0.05, n))
+    def test_nbar_s_is_q_until_q_clamps(self):
+        clamped, unclamped = bounds_curve(FIG2, 0.4, [1.0, 1e10])
+        assert clamped.q == 1.0 < clamped.nbar_s
+        assert unclamped.nbar_s == unclamped.q == q_max(FIG2, 0.4, 1e10)
 
 
 class TestBoundsCurve:
@@ -229,19 +218,31 @@ class TestBoundsCurve:
     def test_empty_input(self):
         assert bounds_curve(FIG2, 0.05, []) == []
 
-    def test_points_match_scalar_functions(self):
+    def test_points_follow_the_paper_formulas(self):
+        # nbar_s = 2 c_cov delta / sqrt(n), q = min(1, nbar_s), lower = q n R,
+        # assisted = q n R_a and upper = 2 n C(nbar_s), with C the [.]+ of
+        # g(((G+1) nbar_s + Gbar) / 2) - g(Gbar (1 + nbar_s) / 2).
+        def g(x):
+            return (1 + x) * math.log2(1 + x) - (x * math.log2(x) if x > 0 else 0.0)
+
         ns = list(np.geomspace(1e4, 1e12, 9))
         pts = bounds_curve(FIG2, 0.05, ns, modes_per_second=1e8)
         assert len(pts) == 9
+        gain = converse_gain(FIG2)
         for pt, n in zip(pts, ns):
             assert isinstance(pt, BoundsPoint)
-            assert pt.lower_qubits == pytest.approx(lower_bound_qubits(FIG2, 0.05, n))
-            assert pt.upper_qubits == pytest.approx(upper_bound_qubits(FIG2, 0.05, n))
+            nbar_s = 2 * c_cov(FIG2) * 0.05 / math.sqrt(n)
+            q = min(1.0, nbar_s)
+            cap = max(0.0, g(((gain + 1) * nbar_s + gain - 1) / 2)
+                      - g((gain - 1) * (1 + nbar_s) / 2))
+            assert pt.nbar_s == pytest.approx(nbar_s, rel=1e-15)
+            assert pt.q == pytest.approx(q, rel=1e-15)
+            assert pt.rate_R == hashing_rate(FIG2)
+            assert pt.lower_qubits == pytest.approx(q * n * hashing_rate(FIG2), rel=1e-15)
             assert pt.assisted_lower_qubits == pytest.approx(
-                assisted_lower_bound_qubits(FIG2, 0.05, n)
-            )
-            assert pt.q == q_max(FIG2, 0.05, n)
-            assert pt.nbar_s == nbar_s_max(FIG2, 0.05, n)
+                q * n * assisted_rate(FIG2), rel=1e-15)
+            assert pt.capacity_C == pytest.approx(cap, rel=1e-9)
+            assert pt.upper_qubits == pytest.approx(2 * n * cap, rel=1e-9)
             assert pt.seconds == pytest.approx(2.0 * n / 1e8)
 
     def test_seconds_omitted_without_rate(self):
@@ -250,7 +251,7 @@ class TestBoundsCurve:
 
 
 class TestUnboundedConverse:
-    """At eta = 1 with delta > 0, c_cov and so nbar_s_max are infinite:
+    """At eta = 1 with delta > 0, c_cov and so nbar_s are infinite:
     covertness sets no power limit, and the converse is unbounded.  It is
     refused rather than reported as 0 below the achievable count."""
 
@@ -265,7 +266,7 @@ class TestUnboundedConverse:
     @pytest.mark.parametrize("nbar_s", [math.nan, math.inf])
     def test_capacity_refuses_non_finite_nbar_s(self, nbar_s):
         with pytest.raises(ValueError, match="nbar_s must be finite"):
-            converse_capacity(FIG2, nbar_s)
+            cb._capacity(FIG2, nbar_s)
 
     @pytest.mark.parametrize("command", ["bounds", "eb-report"])
     def test_cli_exits_2(self, command, capsys):
@@ -283,15 +284,14 @@ class TestZeroBudget:
     infinite and the unguarded product inf * 0 would be NaN."""
 
     @pytest.mark.parametrize("params", [ChannelParams(1.0, 0.1), FIG2])
-    def test_scalar_views_are_zero(self, params):
+    def test_point_functions_are_zero(self, params):
         assert q_max(params, 0.0, 1e6) == 0.0
-        assert nbar_s_max(params, 0.0, 1e6) == 0.0
-        assert lower_bound_qubits(params, 0.0, 1e6) == 0.0
-        assert assisted_lower_bound_qubits(params, 0.0, 1e6) == 0.0
+        assert achievable_qubits(params, 0.0, 1e6, 0.5) == 0.0
         assert upper_bound_qubits(params, 0.0, 1e6) == 0.0
 
-    def test_sweep_columns_are_zero(self):
-        pts = bounds_curve(ChannelParams(1.0, 0.1), 0.0, [1e2, 1e6, 1e10])
+    @pytest.mark.parametrize("params", [ChannelParams(1.0, 0.1), FIG2])
+    def test_sweep_columns_are_zero(self, params):
+        pts = bounds_curve(params, 0.0, [1e2, 1e6, 1e10])
         for pt in pts:
             assert (pt.q, pt.nbar_s, pt.capacity_C) == (0.0, 0.0, 0.0)
             assert (pt.lower_qubits, pt.assisted_lower_qubits, pt.upper_qubits) == (
@@ -309,10 +309,12 @@ class TestZeroBudget:
 
     @pytest.mark.parametrize("n, message", [(-5.0, ">= 1"), (0.5, ">= 1"),
                                             (math.nan, "finite")])
-    def test_upper_bound_refuses_bad_n(self, n, message):
-        for bound in (lower_bound_qubits, upper_bound_qubits):
+    def test_bad_n_is_refused(self, n, message):
+        for bound in (q_max, upper_bound_qubits):
             with pytest.raises(ValueError, match=message):
                 bound(FIG2, 0.0, n)
+        with pytest.raises(ValueError, match=message):
+            bounds_curve(FIG2, 0.0, [n])
 
     def test_undefined_converse_is_refused_as_by_the_sweep(self):
         params = ChannelParams(0.1, 10.0)
