@@ -1,8 +1,8 @@
 """Truncated Fock-space linear algebra for small bosonic systems.
 
-States are exchanged as dense complex matrices and unitaries as dense real
-ones, over the photon-number basis |0>, ..., |N> of each mode, with multi-mode
-states indexed in row-major mode order (the first mode is the slowest index).
+Matrices are dense, complex for states and real for unitaries, over the
+photon-number basis |0>, ..., |N> of each mode, with multi-mode states
+indexed in row-major mode order (the first mode is the slowest index).
 States carry an explicit ``truncation_leak`` so callers can tell how much
 probability mass fell above the cutoff and escalate N when needed.
 
@@ -21,19 +21,19 @@ cutoff and cached; a new transmittance or gain costs one phase per
 eigenvalue and one batched product over the blocks.  One table, grouping
 the flat basis indices by a conserved number, describes every such
 structure: the chains of each unitary, and the sectors of equal total
-photon number of a state.  A state holds its blocks as one padded stack on
-its table: the sectors when its matrix vanishes off them (every state the
-optics here produce), otherwise the whole space as one block.  Validation
-and the divergences then read only those blocks; a reference state
-diagonalizes each block once, on first use, and keeps the eigensystems.
+photon number of a state.  A state keeps only its blocks, as one padded
+stack on its table: the sectors when its matrix vanishes off them (every
+state the optics here produce), otherwise the whole space as one block.
+Validation, products and divergences read those blocks; a reference keeps
+each block's eigensystem, inverse and log once built.  The matrix is the
+``entries`` property, scattered anew on each read (one block is its own).
 A dual-rail input leaves such a channel's two-mode output tri-diagonal, a
 diagonal and one photon-exchange coherence per (f, g); the closed forms
 and the oracle's numeric states alike are that layout,
 :class:`TriDiagonalWillieState`.  The layout is a checked state in its own
 right: it validates each sector as a tri-diagonal matrix, the divergences
 read its blocks, and the characteristic function, which takes no other
-state, reads its two arrays directly.  Only its ``entries`` property makes
-its matrix, scattered anew on each read and not kept.
+state, reads its two arrays directly.
 
 The characteristic function's displacement factors are exponentials of
 nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
@@ -123,37 +123,68 @@ class FockCutoff:
         return self.max_photons + 1
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, PSD, trace-(almost-)one operator on a truncated multi-mode
-    Fock space.
+class _BlockState:
+    """A state kept as a padded block stack ``_blocks`` on table ``_idx``; what
+    the divergences need of it as a reference is built on first use and kept."""
 
-    ``entries`` has dimension ``(N+1)**num_modes`` square; the basis index of
-    a photon tuple (k_0, ..., k_{m-1}) is the row-major flattening with mode 0
-    slowest.  ``truncation_leak`` is the probability mass lost above the
-    cutoff; the trace must lie in [1 - truncation_leak, 1 + 1e-12].
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only matrix: a one-block state's block, else the blocks scattered anew."""
+        m = self._blocks[0] if len(self._idx) == 1 else _scatter(self._blocks, self._idx)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def _eigensystems(self) -> tuple:
+        """Read-only (eigenvalues, eigenvectors) of each block, trimmed of padding."""
+        sizes = np.count_nonzero(self._idx >= 0, axis=1)
+        out = tuple(np.linalg.eigh(y[:n, :n]) for y, n in zip(self._blocks, sizes))
+        for x in (x for pair in out for x in pair):
+            x.setflags(write=False)
+        return out
+
+    @cached_property
+    def _inverses(self) -> list:
+        """The inverse of each block; read once its eigenvalues are positive."""
+        return [(v / w) @ v.conj().T for w, v in self._eigensystems]
+
+    @cached_property
+    def _logs(self) -> list:
+        """The natural log of each block, under the same condition."""
+        return [(v * np.log(w)) @ v.conj().T for w, v in self._eigensystems]
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class DensityOperator(_BlockState):
+    """Hermitian, PSD, trace-(almost-)one operator on a truncated multi-mode
+    Fock space, built from its matrix ``entries``, ``(N+1)**num_modes``
+    square; the basis index of a photon tuple (k_0, ..., k_{m-1}) is the
+    row-major flattening with mode 0 slowest.  ``truncation_leak`` is the
+    probability mass lost above the cutoff; the trace must lie in
+    [1 - truncation_leak, 1 + 1e-12].
 
     The checks run block by block over the state's photon-number sectors
     (see the module docstring); an entry off them, however small, makes the
-    whole space one block.
+    whole space one block.  The state keeps the blocks, not the matrix, and
+    equals only itself; ``dataclasses.replace`` refuses it.
     """
 
     num_modes: int
     cutoff: FockCutoff
-    entries: np.ndarray
     truncation_leak: float = 0.0
 
-    def __post_init__(self):
-        if self.num_modes < 1:
+    def __init__(self, num_modes, cutoff, entries, truncation_leak=0.0):
+        if num_modes < 1:
             raise ValueError("num_modes must be positive")
-        leak = self.truncation_leak
+        leak = truncation_leak
         if not (math.isfinite(leak) and 0.0 <= leak <= 1.0):
             raise ValueError(f"truncation_leak must be finite and in [0, 1], got {leak!r}")
-        dim = self.cutoff.dim ** self.num_modes
-        m = np.ascontiguousarray(self.entries, dtype=complex)
+        dim = cutoff.dim ** num_modes
+        m = np.ascontiguousarray(entries, dtype=complex)
         if m.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {m.shape}")
-        idx = _sectors(self.num_modes, self.cutoff.max_photons)
+        m.setflags(write=False)
+        idx = _sectors(num_modes, cutoff.max_photons)
         src, dst, _ = _cells(idx)
         blocks = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
         blocks.put(src, m.take(dst))
@@ -164,32 +195,23 @@ class DensityOperator:
         # A NaN counts as nonzero, so a non-finite entry off the sectors has
         # already made the whole space one block: checking the blocks checks
         # every entry.
-        _check_state(m, idx, blocks, leak)
-        m.setflags(write=False)
-        blocks.setflags(write=False)
-        # Private: the photon-number table and the block stack on it.
-        vars(self).update(entries=m, _idx=idx, _blocks=blocks)
+        _check_state(idx, blocks, leak)
+        vars(self).update(vars(self._checked(num_modes, cutoff, idx, blocks, leak)))
 
     @classmethod
-    def _checked(cls, num_modes, cutoff, entries, idx, blocks, leak) -> "DensityOperator":
+    def _checked(cls, num_modes, cutoff, idx, blocks, leak) -> "DensityOperator":
         """The state of a block stack on table ``idx`` that passes every check
-        above, and of its scatter ``entries``, taken as they are."""
+        above, taken as it is."""
         self = object.__new__(cls)
-        entries.setflags(write=False)
         blocks.setflags(write=False)
-        vars(self).update(num_modes=num_modes, cutoff=cutoff, entries=entries,
-                          truncation_leak=leak, _idx=idx, _blocks=blocks)
+        # Private: the photon-number table and the block stack on it.
+        vars(self).update(num_modes=num_modes, cutoff=cutoff, truncation_leak=leak,
+                          _idx=idx, _blocks=blocks)
         return self
 
     @property
     def dim(self) -> int:
         return self.cutoff.dim ** self.num_modes
-
-    @cached_property
-    def _eigensystems(self) -> tuple:
-        """The eigensystem of each block, computed once (see
-        :func:`_block_eigensystems`)."""
-        return _block_eigensystems(self._blocks, self._idx)
 
 
 def creation_exponential(w: complex | np.ndarray, cutoff: FockCutoff) -> np.ndarray:
@@ -225,14 +247,13 @@ def thermal_state(nbar: float, cutoff: FockCutoff) -> DensityOperator:
     """
     if not (math.isfinite(nbar) and nbar >= 0.0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
-    k = np.arange(cutoff.dim)
-    diag = np.asarray(thermal_occupation(k, nbar), dtype=float)
+    diag = np.asarray(thermal_occupation(np.arange(cutoff.dim), nbar), dtype=float)
     leak = float(max(0.0, 1.0 - diag.sum()))
     return DensityOperator(1, cutoff, np.diag(diag).astype(complex), leak)
 
 
 @dataclass(frozen=True)
-class TriDiagonalWillieState:
+class TriDiagonalWillieState(_BlockState):
     """Sparse tri-diagonal representation of the warden-side output state.
 
     ``diag[f, g]`` is <fg|rho|fg>; ``upper[f, g]`` is <fg|rho|f+1,g-1>
@@ -293,24 +314,13 @@ class TriDiagonalWillieState:
         blocks.setflags(write=False)
         return blocks
 
-    @cached_property
-    def _eigensystems(self) -> tuple:
-        """As :attr:`DensityOperator._eigensystems`, on the sectors."""
-        return _block_eigensystems(self._blocks, self._idx)
-
     @property
     def truncation_leak(self) -> float:
         return float(max(0.0, 1.0 - self.diag.sum()))
 
-    @property
-    def entries(self) -> np.ndarray:
-        """The (N+1)^2 x (N+1)^2 matrix, as :attr:`DensityOperator.entries`;
-        scattered on each read, so the layout never keeps it."""
-        return _scatter(self._blocks, self._idx)
-
     def to_density_operator(self) -> DensityOperator:
-        return DensityOperator._checked(2, self.cutoff, self.entries, self._idx,
-                                        self._blocks, self.truncation_leak)
+        return DensityOperator._checked(2, self.cutoff, self._idx, self._blocks,
+                                        self.truncation_leak)
 
 
 def _pivots_positive(diag: np.ndarray, upper: np.ndarray, idx: np.ndarray) -> bool:
@@ -397,29 +407,38 @@ def _scatter(blocks: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _check_blocks(blocks: np.ndarray, idx: np.ndarray) -> None:
     """Refuse a block stack on table ``idx`` that is not Hermitian to 1e-12
     or has an eigenvalue below -1e-10, naming the lowest over all blocks.
-    Such an eigenvalue means an upstream bug and is never clipped."""
-    if np.max(np.abs(blocks - blocks.conj().swapaxes(1, 2))) > _HERMITICITY_TOL:
-        raise StateValidationError("operator is not Hermitian to 1e-12")
-    # Cholesky of the shifted blocks succeeds iff every eigenvalue exceeds
-    # -_PSD_TOL, several times cheaper than an eigensolver; the padding is
-    # shifted to the identity.
-    shift = np.where(idx < 0, 1.0, _PSD_TOL)[:, :, None] * np.eye(idx.shape[1])
-    try:
-        np.linalg.cholesky(blocks + shift)
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(blocks).min()
-        if low < -_PSD_TOL:
-            raise StateValidationError(
-                f"operator has eigenvalue {low:.3e} < -1e-10") from None
+    Such an eigenvalue means an upstream bug and is never clipped.  Each test
+    reads slices of at most 2^14 cells (rows, then groups of blocks), and one
+    block goes straight to the eigensolver, so no temporary nears its size."""
+    width = idx.shape[1]
+    rows, group = (max(1, 2**14 // (n * width)) for n in (len(idx), width))
+    for r in range(0, width, rows):
+        x, y = blocks[:, r:r + rows], blocks[:, :, r:r + rows].conj().swapaxes(1, 2)
+        if np.max(np.abs(x - y)) > _HERMITICITY_TOL:
+            raise StateValidationError("operator is not Hermitian to 1e-12")
+    if len(idx) > 1:
+        # Cholesky of the shifted blocks succeeds iff every eigenvalue exceeds
+        # -_PSD_TOL, several times cheaper than an eigensolver; the padding is
+        # shifted to the identity.
+        try:
+            for g in range(0, len(idx), group):
+                shift = np.where(idx[g:g + group] < 0, 1.0, _PSD_TOL)[:, :, None]
+                np.linalg.cholesky(blocks[g:g + group] + shift * np.eye(width))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    low = np.linalg.eigvalsh(blocks).min()
+    if low < -_PSD_TOL:
+        raise StateValidationError(f"operator has eigenvalue {low:.3e} < -1e-10")
 
 
-def _check_state(m: np.ndarray, idx: np.ndarray, blocks: np.ndarray, leak: float) -> None:
-    """Refuse a state of matrix ``m`` and blocks on table ``idx`` that are not
-    finite, fail :func:`_check_blocks`, or have trace outside [1 - leak, 1 + 1e-12]."""
+def _check_state(idx: np.ndarray, blocks: np.ndarray, leak: float) -> None:
+    """Refuse blocks on table ``idx`` that are not finite, fail :func:`_check_blocks`,
+    or whose diagonals sum to a trace outside [1 - leak, 1 + 1e-12]."""
     if not np.isfinite(blocks).all():
         raise StateValidationError("operator has non-finite entries")
     _check_blocks(blocks, idx)
-    tr = float(np.trace(m).real)
+    tr = float(np.trace(blocks, axis1=1, axis2=2).sum().real)
     if not (1.0 - leak - _TRACE_TOL <= tr <= 1.0 + _TRACE_TOL):
         raise StateValidationError(
             f"trace {tr!r} outside [1 - leak, 1 + 1e-12] with leak {leak!r}")
@@ -432,40 +451,29 @@ def _paired_blocks(a: "DensityOperator", b: "DensityOperator") -> list:
     if a.num_modes != b.num_modes or a.cutoff != b.cutoff:
         raise ValueError("operators live on different truncated spaces")
     if a._idx.shape != b._idx.shape:  # sectors against the whole space
-        return [(_scatter(a._blocks, a._idx), _scatter(b._blocks, b._idx))]
+        return [(a.entries, b.entries)]
     sizes = np.count_nonzero(a._idx >= 0, axis=1)
     return [(x[:n, :n], y[:n, :n]) for x, y, n in zip(a._blocks, b._blocks, sizes)]
 
 
-def _block_eigensystems(blocks: np.ndarray, idx: np.ndarray) -> tuple:
-    """Read-only (eigenvalues, eigenvectors) of each block of a stack on
-    table ``idx``, trimmed of padding."""
-    out = []
-    for y, n in zip(blocks, np.count_nonzero(idx >= 0, axis=1)):
-        w, v = np.linalg.eigh(y[:n, :n])
-        for x in (w, v):
-            x.setflags(write=False)
-        out.append((w, v))
-    return tuple(out)
-
-
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
-    """Kronecker product of two states; mode counts add.  The products
-    a_ij b_kl are gathered into the blocks of the joint sectors (of the whole
-    space if either state is one block), checked, and scattered once."""
+    """Kronecker product of two states; mode counts add.  The products a_ij b_kl
+    are gathered into the blocks of the joint sectors (into one whole-space
+    block if either state is one block) and checked; nothing is scattered."""
     if a.cutoff != b.cutoff:
         raise ValueError("cutoff mismatch in tensor product")
     modes = a.num_modes + b.num_modes
-    whole = len(a._idx) == 1 or len(b._idx) == 1
-    idx = np.arange(a.dim * b.dim)[None] if whole else _sectors(modes, a.cutoff.max_photons)
-    src, dst, dim = _cells(idx)
-    (r1, r2), (c1, c2) = (np.divmod(x, b.dim) for x in np.divmod(dst, dim))
-    blocks = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
-    blocks.put(src, a.entries[r1, c1] * b.entries[r2, c2])
-    m = _scatter(blocks, idx)
+    if len(a._idx) == 1 or len(b._idx) == 1:
+        idx, blocks = np.arange(a.dim * b.dim)[None], np.kron(a.entries, b.entries)[None]
+    else:
+        idx = _sectors(modes, a.cutoff.max_photons)
+        src, dst, dim = _cells(idx)
+        (r1, r2), (c1, c2) = (np.divmod(x, b.dim) for x in np.divmod(dst, dim))
+        blocks = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
+        blocks.put(src, a.entries[r1, c1] * b.entries[r2, c2])
     leak = 1.0 - (1.0 - a.truncation_leak) * (1.0 - b.truncation_leak)
-    _check_state(m, idx, blocks, leak)
-    return DensityOperator._checked(modes, a.cutoff, m, idx, blocks, leak)
+    _check_state(idx, blocks, leak)
+    return DensityOperator._checked(modes, a.cutoff, idx, blocks, leak)
 
 
 # i^k, exactly: the similarity D = diag(i^k) that makes a sector's generator
@@ -530,12 +538,14 @@ def _amplifier_blocks(gain: float, max_photons: int) -> tuple:
     return _sector_blocks(np.arccosh(np.sqrt(gain)), 1, max_photons), 1
 
 
-def _check_two_mode(mode_a: int, mode_b: int, num_modes: int) -> None:
-    if (mode_a, mode_b, num_modes) != (0, 1, 2):
-        raise ValueError(
-            "unitaries are built on modes (0, 1) of a two-mode space only, "
-            f"got modes ({mode_a}, {mode_b}) of {num_modes}"
-        )
+def _unitary(blocks_of, param: float, modes: tuple, cutoff: FockCutoff) -> np.ndarray:
+    """The scatter of the blocks ``blocks_of(param, N)`` builds, on modes
+    ``(mode_a, mode_b, num_modes)``, which must be (0, 1, 2)."""
+    if modes != (0, 1, 2):
+        raise ValueError("unitaries are built on modes (0, 1) of a two-mode space only, "
+                         "got modes ({}, {}) of {}".format(*modes))
+    blocks, step = blocks_of(param, cutoff.max_photons)
+    return _scatter(blocks, _chains(step, cutoff.max_photons)[0])
 
 
 def beamsplitter_unitary(
@@ -560,9 +570,7 @@ def beamsplitter_unitary(
     the sectors of equal n_a + n_b, as float64.  At eta = 1 (theta = 0) it is
     the parity map exactly.  It is exact on any state supported below the cutoff.
     """
-    _check_two_mode(mode_a, mode_b, num_modes)
-    blocks, step = _beamsplitter_blocks(eta, cutoff.max_photons)
-    return _scatter(blocks, _chains(step, cutoff.max_photons)[0])
+    return _unitary(_beamsplitter_blocks, eta, (mode_a, mode_b, num_modes), cutoff)
 
 
 def two_mode_amplifier_unitary(
@@ -581,9 +589,7 @@ def two_mode_amplifier_unitary(
     state's weight near the cutoff (its truncation leak) for G not close
     to 1.
     """
-    _check_two_mode(mode_a, mode_b, num_modes)
-    blocks, step = _amplifier_blocks(gain, cutoff.max_photons)
-    return _scatter(blocks, _chains(step, cutoff.max_photons)[0])
+    return _unitary(_amplifier_blocks, gain, (mode_a, mode_b, num_modes), cutoff)
 
 
 @lru_cache(maxsize=64)
@@ -686,10 +692,9 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
     if not (math.isfinite(base) and base > 0.0 and base != 1.0):
         raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
     ent_a = cross = 0.0
-    for x, wb, vb in _against_reference(a, b):
+    for x, log_b in _against_reference(a, b, "_logs"):
         wa = np.clip(np.linalg.eigvalsh(x), 0.0, None)
         ent_a += float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
-        log_b = (vb * np.log(wb)) @ vb.conj().T
         cross += float(np.trace(x @ log_b).real)
     return (ent_a - cross) / np.log(base)
 
@@ -697,25 +702,20 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
 def chi2_numeric(a: DensityOperator, b: DensityOperator) -> float:
     """Quantum chi-squared divergence tr[a^2 b^-1] - 1; a or b may be a layout."""
     total = 0.0
-    for x, wb, vb in _against_reference(a, b):
-        inv_b = (vb / wb) @ vb.conj().T
+    for x, inv_b in _against_reference(a, b, "_inverses"):
         total += float(np.trace(x @ x @ inv_b).real)
     return total - 1.0
 
 
-def _against_reference(a: DensityOperator, b: DensityOperator) -> list:
-    """(block of a, eigenvalues and eigenvectors of the matching block of
-    b) for each shared block; b must be full rank.  When the blocks paired
-    are b's own, the eigensystems are the ones b keeps, so a sweep against
-    one reference diagonalizes each of its blocks once."""
+def _against_reference(a: DensityOperator, b: DensityOperator, kept: str) -> list:
+    """(block of a, the matching block of b's ``_inverses`` or ``_logs``, as
+    ``kept`` names) for each shared block; b must be full rank.  A sweep
+    against one reference thus diagonalizes and inverts each block once."""
     pairs = _paired_blocks(a, b)
-    if len(pairs) == len(b._idx):
-        pairs = [(x, *e) for (x, _), e in zip(pairs, b._eigensystems)]
-    else:  # b's sectors scattered against a whole-space a
-        pairs = [(x, *np.linalg.eigh(y)) for x, y in pairs]
-    low = min(float(wb[0]) for _, wb, _ in pairs)
+    if len(pairs) != len(b._idx):  # b's sectors against a whole-space a: b as one block
+        y, leak = pairs[0][1], b.truncation_leak
+        b = DensityOperator._checked(b.num_modes, b.cutoff, np.arange(len(y))[None], y[None], leak)
+    low = min(float(w[0]) for w, _ in b._eigensystems)
     if low <= 0.0:
-        raise RankDeficiencyError(
-            f"reference state is rank deficient (min eigenvalue {low:.3e})"
-        )
-    return pairs
+        raise RankDeficiencyError(f"reference state is rank deficient (min eigenvalue {low:.3e})")
+    return [(x, y) for (x, _), y in zip(pairs, getattr(b, kept))]

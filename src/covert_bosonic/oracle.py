@@ -51,8 +51,8 @@ bound is checked against the supremum of the closed form over 10^4 seeded
 samples of the logical state space, drawn and evaluated as arrays (the
 formula behind chi2_closed, bit for bit) and held once to LogicalQubit's
 constraints, so a sampler that strays off the state space is refused.
-Each channel's quiet reference diagonalizes its blocks once for all its
-qubits.  char_fn and eb_pipelines evaluate each numeric state's char fn
+Each channel's quiet reference diagonalizes and inverts its blocks once
+for all its qubits.  char_fn and eb_pipelines evaluate each numeric state's char fn
 once over the whole zeta grid.  char_fn has 2 random qubits;
 pinsker_and_detector runs at (eta, nbar_b) = (0.9, 0.12) and |+> unless
 given others; eb_pipelines sends 0.8|01> + 0.6i|10> through the attenuate

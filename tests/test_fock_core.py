@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -504,7 +505,8 @@ class TestDivergences:
     def test_reference_eigensystem_is_computed_once(self, reference, monkeypatch):
         """Repeated divergences against one reference diagonalize each of
         its blocks once, give what a fresh reference gives, bit for bit,
-        and keep the eigensystems read-only."""
+        keep the eigensystems read-only and the inverses and logs built
+        from them."""
         cut = FockCutoff(5)
         p = thermal_occupation(np.arange(cut.dim), 0.3)
 
@@ -527,6 +529,10 @@ class TestDivergences:
         assert [(chi2_numeric(s, ref), qre(s, ref)) for s in states] == fresh
         assert len(calls) == len(ref._idx) == 2 * cut.max_photons + 1
         assert all(not a.flags.writeable for pair in ref._eigensystems for a in pair)
+        kept = [ref._inverses, ref._logs]
+        assert len(kept[0]) == len(kept[1]) == len(calls)
+        pairs = fock_core._against_reference(states[0], ref, "_inverses")
+        assert all(y is inv for (_, y), inv in zip(pairs, kept[0]))
 
     def test_space_mismatch_rejected(self):
         a = thermal_state(0.4, CUT)
@@ -873,15 +879,12 @@ class TestTriDiagonalLayout:
         assert np.array_equal(state.entries, layout_matrix(cut, diag, upper))
 
 
-def assert_same_state(got, want, entries_bytes=True):
+def assert_same_state(got, want):
     """``got`` holds what the validating constructor gave ``want``: the same
-    entries (byte for byte, or up to the sign of zeros), sector table,
-    blocks and leak."""
+    entries (byte for byte), sector table, blocks and leak."""
     assert got.num_modes == want.num_modes and got.cutoff == want.cutoff
     assert got.entries.dtype == want.entries.dtype == complex
-    if entries_bytes:
-        assert got.entries.tobytes() == want.entries.tobytes()
-    assert np.array_equal(got.entries, want.entries)
+    assert got.entries.tobytes() == want.entries.tobytes()
     assert got._idx.dtype == want._idx.dtype and np.array_equal(got._idx, want._idx)
     assert np.array_equal(got._blocks, want._blocks)
     assert got.truncation_leak == want.truncation_leak
@@ -941,8 +944,7 @@ class TestCheckedConstructions:
         a, b = self.pair(kind, cut)
         leak = 1.0 - (1.0 - a.truncation_leak) * (1.0 - b.truncation_leak)
         want = DensityOperator(a.num_modes + b.num_modes, cut, np.kron(a.entries, b.entries), leak)
-        # Off the sectors np.kron can form -0.0 where the gather leaves 0.0.
-        assert_same_state(tensor(a, b), want, entries_bytes=False)
+        assert_same_state(tensor(a, b), want)
 
     def test_tensor_refuses_a_cutoff_mismatch(self):
         with pytest.raises(ValueError, match="cutoff mismatch"):
@@ -974,3 +976,56 @@ class TestCheckedConstructions:
             k = np.count_nonzero(row >= 0)
             ref[np.ix_(row[:k], row[:k])] = block[:k, :k]
         assert np.array_equal(u, ref)
+
+
+def largest_kept(state) -> int:
+    """Cells of the largest array a state holds, counting the buffers that
+    its views keep alive."""
+    sizes = [0]
+    for value in vars(state).values():
+        for a in value if isinstance(value, (tuple, list)) else [value]:
+            while isinstance(a, np.ndarray):
+                sizes.append(a.size)
+                a = a.base
+    return max(sizes)
+
+
+class TestBlockStorage:
+    """A DensityOperator keeps its blocks, never its matrix, however it is
+    made; ``entries`` scatters what the validating constructor gives."""
+
+    @pytest.mark.parametrize("max_photons", [10, 30])
+    def test_every_construction_keeps_no_matrix(self, max_photons):
+        cut = FockCutoff(max_photons)
+        layout = willie_state_closed(LogicalQubit(0.3, 0.7, 0.2 - 0.1j),
+                                     ChannelParams(0.9, 0.12), cut)
+        matrix, leak = layout_matrix(cut, layout.diag, layout.upper), layout.truncation_leak
+        a, b = thermal_state(0.2, cut), thermal_state(0.3, cut)
+        states = {
+            "validated": (DensityOperator(2, cut, matrix, leak), matrix),
+            "checked": (DensityOperator._checked(2, cut, layout._idx, layout._blocks.copy(),
+                                                 leak), matrix),
+            "tensor": (tensor(a, b), np.kron(a.entries, b.entries)),
+            "to_density_operator": (layout.to_density_operator(), matrix),
+        }
+        for name, (state, dense) in states.items():
+            assert len(state._idx) == 2 * max_photons + 1, name  # the sectors
+            assert largest_kept(state) < cut.dim**4, name
+            want = DensityOperator(2, cut, dense, state.truncation_leak)
+            assert state.entries.tobytes() == want.entries.tobytes(), name
+            assert not state.entries.flags.writeable
+            assert largest_kept(state) < cut.dim**4, name  # reading kept nothing
+
+    def test_states_with_other_blocks_compare_unequal(self):
+        cut = FockCutoff(4)
+        p = thermal_occupation(np.arange(cut.dim), 0.3)
+        leak = 1.0 - p.sum()
+        a, b = (DensityOperator(1, cut, np.diag(x), leak) for x in (p, p[::-1]))
+        # Every field (num_modes, cutoff, truncation_leak) agrees; the blocks do not.
+        fields = [(s.num_modes, s.cutoff, s.truncation_leak) for s in (a, b)]
+        assert fields[0] == fields[1]
+        assert a != b and not a == b and a == a
+        assert tensor(a, b) != tensor(b, a)
+        assert "entries" not in repr(a)
+        with pytest.raises(TypeError):  # the matrix is no field to carry over
+            dataclasses.replace(a, truncation_leak=0.0)
