@@ -18,7 +18,9 @@ difference), so each unitary is a stack of sector blocks, never an
 exponential of the whole space.  Each sector's generator is its strength
 times a fixed tri-diagonal matrix, whose eigensystem is computed once per
 cutoff and cached; a new transmittance or gain costs one phase per
-eigenvalue and one batched product over the blocks.  One table, grouping
+eigenvalue and one batched product over the blocks, forming only the
+leading columns a caller asks for (an input of few photons needs few;
+the dense unitaries ask for all).  One table, grouping
 the flat basis indices by a conserved number, describes every such
 structure: the chains of each unitary, and the sectors of equal total
 photon number of a state.  A state keeps only its blocks, as one padded
@@ -507,35 +509,41 @@ def _sector_eigensystems(step: int, max_photons: int) -> tuple:
     return left, mu
 
 
-def _sector_blocks(strength: float, step: int, max_photons: int) -> np.ndarray:
+def _sector_blocks(strength: float, step: int, max_photons: int, columns: int) -> np.ndarray:
     """exp(strength (X - X^dag)) on a two-mode space, X = a^dag b for
     ``step`` -1 and a^dag b^dag for ``step`` +1, as real blocks (2N+1, N+1,
-    N+1), one per chain of :func:`_chains`; padding entries are never read.
+    ``columns``), the leading columns of one block per chain of
+    :func:`_chains`; padding entries are never read.  A chain lists its
+    states in increasing mode-0 photon number f, so the leading columns
+    hold every input with f < ``columns``.
 
     X takes |f, g> to sqrt((f+1) max(g, g+step)) |f+1, g+step> inside the
     cutoff, so each chain is a sector.  Strength 0 is the identity exactly."""
     left, mu = _sector_eigensystems(step, max_photons)
     if strength == 0.0:
-        return np.broadcast_to(np.eye(max_photons + 1), left.shape)
+        return np.broadcast_to(np.eye(max_photons + 1, columns), left.shape[:2] + (columns,))
     # The exponential of a real generator is real: drop the roundoff the
     # complex similarity leaves in the imaginary part.
     phases = np.exp(-1j * strength * mu)[:, None, :]
-    return ((left * phases) @ left.conj().swapaxes(1, 2)).real
+    return ((left * phases) @ left[:, :columns].conj().swapaxes(1, 2)).real
 
 
-def _beamsplitter_blocks(eta: float, max_photons: int) -> tuple:
-    """(blocks, step) of :func:`beamsplitter_unitary`."""
+def _beamsplitter_blocks(eta: float, max_photons: int, columns: int) -> tuple:
+    """(blocks, step) of :func:`beamsplitter_unitary`, ``columns`` leading
+    columns of each block."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     parity = (-1.0) ** (_chains(-1, max_photons)[0] % (max_photons + 1))  # of mode 1
-    return _sector_blocks(np.arccos(np.sqrt(eta)), -1, max_photons) * parity[:, :, None], -1
+    blocks = _sector_blocks(np.arccos(np.sqrt(eta)), -1, max_photons, columns)
+    return blocks * parity[:, :, None], -1
 
 
-def _amplifier_blocks(gain: float, max_photons: int) -> tuple:
-    """(blocks, step) of :func:`two_mode_amplifier_unitary`."""
+def _amplifier_blocks(gain: float, max_photons: int, columns: int) -> tuple:
+    """(blocks, step) of :func:`two_mode_amplifier_unitary`, ``columns``
+    leading columns of each block."""
     if not (math.isfinite(gain) and gain >= 1.0):
         raise ValueError(f"gain must be finite and >= 1, got {gain}")
-    return _sector_blocks(np.arccosh(np.sqrt(gain)), 1, max_photons), 1
+    return _sector_blocks(np.arccosh(np.sqrt(gain)), 1, max_photons, columns), 1
 
 
 def _unitary(blocks_of, param: float, modes: tuple, cutoff: FockCutoff) -> np.ndarray:
@@ -544,7 +552,7 @@ def _unitary(blocks_of, param: float, modes: tuple, cutoff: FockCutoff) -> np.nd
     if modes != (0, 1, 2):
         raise ValueError("unitaries are built on modes (0, 1) of a two-mode space only, "
                          "got modes ({}, {}) of {}".format(*modes))
-    blocks, step = blocks_of(param, cutoff.max_photons)
+    blocks, step = blocks_of(param, cutoff.max_photons, cutoff.dim)
     return _scatter(blocks, _chains(step, cutoff.max_photons)[0])
 
 

@@ -20,12 +20,14 @@ reassembled by linearity, without materializing the four-mode matrix
 (the tests check this against the dense four-mode route in
 ``tests/dense_reference.py``).  Each stage conserves a photon number, so it
 runs as a cached shift map on the rail's bands, gathered from the stage
-unitary's sector blocks; no dense d^4 unitary is built.  The image of
-|x><x'| lies on the band row - col = x - x', so every numeric state is read
-from the images into the tri-diagonal (diag, upper) layout of
-:class:`TriDiagonalWillieState` that the closed forms fill; an image with
-weight off its band is refused, and the layout checks itself (sector PSD,
-trace) as a :class:`DensityOperator` would.  The checks compare those
+unitary's sector blocks; no dense d^4 unitary is built.  A map covers only
+the signal photon numbers its input holds: |x><x'| holds at most one
+photon, so a rail's first stage forms 2 of each block's d columns.  The
+image of |x><x'| lies on the band row - col = x - x', so every numeric
+state is read from the images into the tri-diagonal (diag, upper) layout
+of :class:`TriDiagonalWillieState` that the closed forms fill; an image
+with weight off its band is refused, and the layout checks itself (sector
+PSD, trace) as a :class:`DensityOperator` would.  The checks compare those
 arrays or pass the layout to the characteristic function or, against the
 diagonal layout of the thermal product, to the divergences.  The
 ``*_state_numeric`` functions hand out that checked layout too, so no
@@ -207,8 +209,9 @@ _RAIL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @lru_cache(maxsize=32)
-def _stage_transfer(stage: tuple, max_photons: int) -> tuple:
-    """One stage (see :func:`_apply_stage`) as a shift map, (M, rows).
+def _stage_transfer(stage: tuple, max_photons: int, inputs: int) -> tuple:
+    """One stage (see :func:`_apply_stage`) as a shift map, (M, rows), on
+    operators supported on signal photon numbers below ``inputs``.
 
     The blocks conserve n_signal + tau n_ancilla, tau = -step (+1 for a
     beamsplitter, -1 for an amplifier), so once the ancilla is traced out
@@ -218,12 +221,13 @@ def _stage_transfer(stage: tuple, max_photons: int) -> tuple:
         out[rows[s, i], rows[s, j]] += M[s, i, j] x[i, j],
         rows[s, i] = s + sigma i - (d - 1 if sigma = 1 else 0),
 
-    for the 2d - 1 shifts s.  M sums E[s, i, k] E[s, j, k], weighted by the
-    ancilla input k, where E[s, i, k] is the block entry from |i, k> to the
-    output with rows[s, i] photons kept.  ``rows`` is clipped to the cutoff
-    where M vanishes."""
+    for the 2d - 1 shifts s and i, j < ``inputs``.  M sums E[s, i, k]
+    E[s, j, k], weighted by the ancilla input k, where E[s, i, k] is the
+    block entry from |i, k> to the output with rows[s, i] photons kept; the
+    input |i, k> lies in its chain's first i + 1 columns, so only ``inputs``
+    columns are formed.  ``rows`` is clipped to the cutoff where M vanishes."""
     builder, param, nbar, keep = stage
-    blocks, step = builder(param, max_photons)
+    blocks, step = builder(param, max_photons, inputs)
     _, chain, position = _chains(step, max_photons)
     tau = -step
     sigma = 1 if keep == _SIGNAL else tau
@@ -231,7 +235,7 @@ def _stage_transfer(stage: tuple, max_photons: int) -> tuple:
     w = thermal_occupation(np.arange(d), nbar)
     k = np.flatnonzero(w)[None, None, :]
     s = np.arange(2 * d - 1)[:, None, None]
-    i = np.arange(d)[None, :, None]
+    i = np.arange(inputs)[None, :, None]
     rows = s - (d - 1 if sigma == 1 else 0) + sigma * i
     # The traced port's photon number, fixed by the conserved quantity.
     traced = k + tau * (i - rows) if keep == _SIGNAL else i + tau * (k - rows)
@@ -255,14 +259,16 @@ def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
     on (signal, ancilla); the ancilla enters thermal with mean photon
     number nbar (vacuum at 0) and port ``keep`` is kept.  The
     stage runs as its cached shift map (:func:`_stage_transfer`) on the
-    nonzero rows and columns of ``x`` only, so a rank-1 basis operator
-    reads 2d - 1 entries of M and a general operator all (2d - 1) d^2."""
-    m, rows = _stage_transfer(stage, max_photons)
+    nonzero entries of ``x`` only, 2d - 1 entries of M each.  An ``x`` on
+    photon numbers <= 1 (a rail's input, or its image under a vacuum
+    pure-loss stage) takes the map on 2 inputs, any other the map on all d:
+    the map's shape fixes the BLAS products that build it, and so its last
+    bits."""
     d = max_photons + 1
-    i = np.flatnonzero(np.any(x != 0, axis=1))
-    j = np.flatnonzero(np.any(x != 0, axis=0))
-    vals = (m[:, i[:, None], j] * x[np.ix_(i, j)]).ravel()
-    flat = (rows[:, i, None] * d + rows[:, None, j]).ravel()
+    m, rows = _stage_transfer(stage, max_photons, d if x[2:].any() or x[:, 2:].any() else 2)
+    i, j = np.nonzero(x)
+    vals = (m[:, i, j] * x[i, j]).ravel()
+    flat = (rows[:, i] * d + rows[:, j]).ravel()
     out = np.bincount(flat, vals.real, d * d) + 1j * np.bincount(flat, vals.imag, d * d)
     return out.reshape(d, d)
 

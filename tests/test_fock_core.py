@@ -966,10 +966,10 @@ class TestCheckedConstructions:
         n = 8
         if kind == "beamsplitter":
             u, (blocks, step) = (beamsplitter_unitary(param, 0, 1, 2, FockCutoff(n)),
-                                 fock_core._beamsplitter_blocks(param, n))
+                                 fock_core._beamsplitter_blocks(param, n, n + 1))
         else:
             u, (blocks, step) = (two_mode_amplifier_unitary(param, 0, 1, 2, FockCutoff(n)),
-                                 fock_core._amplifier_blocks(param, n))
+                                 fock_core._amplifier_blocks(param, n, n + 1))
         assert u.dtype == np.float64
         ref = np.zeros(u.shape, dtype=complex)
         for block, row in zip(blocks, fock_core._chains(step, n)[0]):

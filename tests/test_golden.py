@@ -49,6 +49,8 @@ CASES = {
     "eb_report_attenuate_eta09.json": [
         "eb-report", "--eta", "0.9", "--nbar-b", "0.05", "--delta", "0.05",
         "--n", "1e6", "--format", "json", "--mechanism", "attenuate"],
+    # All eight oracle checks on their default grids: one JSON report a line.
+    "verify_all.jsonl": ["verify"],
 }
 
 

@@ -177,6 +177,7 @@ class TestStageTransfer:
             op[x, xp] = 1.0
             ops.append(op)
         ops.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        ops.append(np.zeros((d, d), dtype=complex))  # no support: the zero operator
         return ops
 
     @pytest.mark.parametrize("unitary, param", [
@@ -191,13 +192,79 @@ class TestStageTransfer:
         for op in self.operators():
             got = oracle._apply_stage(op, stage, self.N)
             ref = dense_stage(op, stage, self.N)
-            assert np.max(np.abs(got - ref)) < 1e-13
+            assert got.shape == ref.shape and np.max(np.abs(got - ref)) < 1e-13
 
     def test_cache_holds_no_dense_unitary(self):
+        """A rail's first stage caches its map on 2 inputs only: (2N+1) 2 2
+        entries of M, (2N+1) 2 of rows."""
         d = self.N + 1
         stage = (fock_core._beamsplitter_blocks, 0.41, 0.1, oracle._SIGNAL)
-        arrays = oracle._stage_transfer(stage, self.N)
-        assert all(a.size <= (2 * d - 1) * d * d for a in arrays)
+        oracle._stage_transfer.cache_clear()
+        oracle._rail_images.__wrapped__((stage,), self.N)
+        assert oracle._stage_transfer.cache_info().misses == 1
+        m, rows = oracle._stage_transfer(stage, self.N, 2)
+        assert oracle._stage_transfer.cache_info().misses == 1
+        assert m.shape == (2 * d - 1, 2, 2) and rows.shape == (2 * d - 1, 2)
+
+    STAGES = [(builder, param, nbar, keep)
+              for builder, param in ((fock_core._beamsplitter_blocks, 0.9),
+                                     (fock_core._amplifier_blocks, 1.5))
+              for nbar in (0.0, 0.12) for keep in (oracle._SIGNAL, oracle._ANCILLA)]
+
+    @staticmethod
+    def leading(n, stage):
+        """The stage's map on 2 inputs, and its map on all n + 1 inputs cut
+        to the same corner."""
+        m, rows = oracle._stage_transfer(stage, n, 2)
+        full_m, full_rows = oracle._stage_transfer(stage, n, n + 1)
+        return (m, rows), (np.ascontiguousarray(full_m[:, :2, :2]),
+                           np.ascontiguousarray(full_rows[:, :2]))
+
+    @pytest.mark.parametrize("n", [5, 10, 20, 23, 30])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_two_input_map_is_the_full_maps_corner(self, stage, n):
+        """Byte for byte up to the oracle's default cutoff."""
+        (m, rows), (full_m, full_rows) = self.leading(n, stage)
+        assert m.tobytes() == full_m.tobytes() and rows.tobytes() == full_rows.tobytes()
+
+    @pytest.mark.parametrize("n", [31, 40])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_two_input_map_within_ulps_above_30(self, stage, n):
+        """Above N = 30 a thermal ancilla's full map may take another BLAS
+        kernel, so the two agree to the last few places only (5 ulps
+        measured)."""
+        (m, rows), (full_m, full_rows) = self.leading(n, stage)
+        assert rows.tobytes() == full_rows.tobytes()
+        np.testing.assert_array_max_ulp(m, full_m, maxulp=8)
+
+    @pytest.mark.parametrize("builder, param", [(fock_core._beamsplitter_blocks, 0.37),
+                                                (fock_core._amplifier_blocks, 1.3)])
+    def test_leading_block_columns_are_the_full_blocks(self, builder, param):
+        """Byte for byte at 2 columns, the oracle's only restriction.  (One
+        column would be a matrix-vector product, whose last bits differ.)"""
+        for n in range(3, 61):
+            full, step = builder(param, n, n + 1)
+            blocks, same_step = builder(param, n, 2)
+            assert same_step == step and blocks.shape == full.shape[:2] + (2,)
+            assert blocks.tobytes() == np.ascontiguousarray(full[:, :, :2]).tobytes()
+
+    def test_rail_images_equal_full_map_images(self, monkeypatch):
+        """Every rail image of the default grid and the entanglement-breaking
+        chains, at the default cutoff, equals its image through maps on all
+        N + 1 inputs, byte for byte."""
+        n = oracle.DEFAULT_ORACLE_CUTOFF.max_photons
+        chains = [oracle._channel(params, keep) for params in default_channel_grid()
+                  for keep in (oracle._SIGNAL, oracle._ANCILLA)]
+        chains += [oracle._engineered(plan, params) for params, plan in oracle._EB_CASES]
+        build = oracle._rail_images.__wrapped__
+        rails = [build(stages, n) for stages in chains]
+        transfer = oracle._stage_transfer
+        monkeypatch.setattr(oracle, "_stage_transfer",
+                            lambda stage, max_photons, inputs: transfer(
+                                stage, max_photons, max_photons + 1))
+        for stages, rail in zip(chains, rails):
+            full = build(stages, n)
+            assert all(rail[key].tobytes() == full[key].tobytes() for key in oracle._RAIL_BASIS)
 
 
 def traced_peak_mb(run) -> float:
@@ -266,7 +333,13 @@ class TestMemory:
     def test_stage_build_at_n60(self):
         # A dense d^4 complex unitary alone is 16 * 61^4 bytes = 221 MB.
         stage = (fock_core._beamsplitter_blocks, 0.9, 0.12, oracle._ANCILLA)
-        assert traced_peak_mb(lambda: oracle._stage_transfer(stage, 60)) < 48
+        assert traced_peak_mb(lambda: oracle._stage_transfer(stage, 60, 61)) < 48
+
+    def test_rail_stage_build_at_n60(self):
+        """A rail's first stage forms 2 columns per chain: 15.1 MB measured,
+        mostly the cached eigensystems, against 29.4 MB for the full map."""
+        stage = (fock_core._beamsplitter_blocks, 0.9, 0.12, oracle._ANCILLA)
+        assert traced_peak_mb(lambda: oracle._stage_transfer(stage, 60, 2)) < 20
 
     def test_pinsker_and_detector(self):
         assert traced_peak_mb(oracle.verify_pinsker_and_detector) < 8
