@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -295,6 +295,46 @@ def upper_bound_srl_coefficient(params: ChannelParams, delta: float) -> float:
     return 4.0 * c_cov(params) * delta * math.log2(1.0 + 2.0 / gbar)
 
 
+def _bounds_columns(
+    params: ChannelParams,
+    delta: float,
+    n_values: Sequence[float],
+    modes_per_second: Optional[float],
+) -> dict:
+    """:func:`bounds_curve`'s checks, then its columns keyed by
+    :class:`BoundsPoint` field, in field order: an array over the sweep, or
+    one value for every point (``rate_R``, and ``seconds`` without a
+    modulation rate).  An empty sweep has no columns."""
+    n = np.asarray(list(n_values), dtype=float)
+    nbar_s = _nbar_s(params, delta, n)
+    if np.any(np.diff(n) <= 0):
+        raise ValueError("n_values must be strictly ascending")
+    if modes_per_second is not None and not (
+        math.isfinite(modes_per_second) and modes_per_second > 0.0
+    ):
+        raise ValueError(
+            f"modes_per_second must be finite and > 0, got {modes_per_second!r}"
+        )
+    if len(n) == 0:
+        return {}
+    q = np.fmin(1.0, nbar_s)
+    rate = hashing_rate(params)
+    lower = q * n * rate
+    assisted = q * n * assisted_rate(params)
+    cap = _capacity(params, nbar_s)
+    upper = 2.0 * n * cap
+    seconds = None if modes_per_second is None else 2.0 * n / modes_per_second
+    return {"n": n, "lower_qubits": lower, "upper_qubits": upper,
+            "assisted_lower_qubits": assisted, "rate_R": rate, "capacity_C": cap,
+            "q": q, "nbar_s": nbar_s, "seconds": seconds}
+
+
+def _rows(columns: Iterable) -> Iterator[tuple]:
+    """The rows of ``columns``, each an array or one value for every row."""
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else itertools.repeat(c)
+                 for c in columns))
+
+
 def bounds_curve(
     params: ChannelParams,
     delta: float,
@@ -308,29 +348,5 @@ def bounds_curve(
     and positive) the abscissa in seconds is 2 n / modes_per_second.  Output
     order follows input order and every quantity is deterministic.
     """
-    n = np.asarray(list(n_values), dtype=float)
-    nbar_s = _nbar_s(params, delta, n)
-    if np.any(np.diff(n) <= 0):
-        raise ValueError("n_values must be strictly ascending")
-    if modes_per_second is not None and not (
-        math.isfinite(modes_per_second) and modes_per_second > 0.0
-    ):
-        raise ValueError(
-            f"modes_per_second must be finite and > 0, got {modes_per_second!r}"
-        )
-    if len(n) == 0:
-        return []
-    q = np.fmin(1.0, nbar_s)
-    rate = hashing_rate(params)
-    lower = q * n * rate
-    assisted = q * n * assisted_rate(params)
-    cap = _capacity(params, nbar_s)
-    upper = 2.0 * n * cap
-    seconds = (
-        [None] * len(n) if modes_per_second is None
-        else (2.0 * n / modes_per_second).tolist()
-    )
-    columns = (n.tolist(), lower.tolist(), upper.tolist(), assisted.tolist(),
-               itertools.repeat(rate), cap.tolist(), q.tolist(), nbar_s.tolist(),
-               seconds)  # in BoundsPoint field order
-    return [BoundsPoint(*row) for row in zip(*columns)]
+    columns = _bounds_columns(params, delta, n_values, modes_per_second)
+    return [BoundsPoint(*row) for row in _rows(columns.values())]

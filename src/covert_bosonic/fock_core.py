@@ -493,17 +493,22 @@ def _sector_eigensystems(step: int, max_photons: int) -> tuple:
     real symmetric tri-diagonal T with off-diagonals x_k and zero diagonal.
     T = V diag(mu) V^T gives exp(s (X - X^dag)) = (D V) e^(-i s mu) (D V)^dag
     on the sector, for any strength s.  Each T is at most (N+1) x (N+1),
-    small enough for a dense symmetric eigensolver."""
+    small enough for a dense symmetric eigensolver, called once on the
+    stack of the chains of each length."""
     idx = _chains(step, max_photons)[0]
     d = max_photons + 1
+    f, g = np.divmod(idx, d)
+    # x[c, k] couples the k-th and (k+1)-th states of chain c; none is read past its end.
+    x = np.sqrt((f[:, :-1] + 1.0) * np.maximum(g[:, :-1], g[:, 1:]))
+    sizes = (idx >= 0).sum(axis=1)
     left = np.zeros((len(idx), d, d), dtype=complex)
     mu = np.zeros((len(idx), d))
-    for c, row in enumerate(idx):
-        f, g = np.divmod(row[row >= 0], d)
-        x = np.sqrt((f[:-1] + 1.0) * np.maximum(g[:-1], g[1:]))
-        n = len(f)
-        mu[c, :n], v = np.linalg.eigh(np.diag(x, 1) + np.diag(x, -1))
-        left[c, :n, :n] = _I_POWERS[np.arange(n) % 4, None] * v
+    for n in range(1, d + 1):  # chain lengths
+        chains, k = np.flatnonzero(sizes == n), np.arange(n - 1)
+        t = np.zeros((len(chains), n, n))
+        t[:, k, k + 1] = t[:, k + 1, k] = x[chains, :n - 1]
+        mu[chains, :n], v = np.linalg.eigh(t)
+        left[chains, :n, :n] = _I_POWERS[np.arange(n) % 4, None] * v
     for a in (left, mu):
         a.setflags(write=False)
     return left, mu

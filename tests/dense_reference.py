@@ -128,3 +128,22 @@ def char_fn_trace(entries: np.ndarray, zeta1: complex, zeta2: complex,
     k1, k2 = (creation_exponential(-z, cut).conj().T @ creation_exponential(z, cut)
               for z in (zeta1, zeta2))
     return complex(np.einsum("ij,ji->", rho, np.kron(k1, k2)))
+
+
+def sector_eigensystems(step: int, max_photons: int) -> tuple:
+    """(D V, mu) of every chain of fock_core._chains, one dense symmetric
+    eigensolve per chain on its own tri-diagonal T: the per-chain reference
+    for the stacked build."""
+    from covert_bosonic.fock_core import _chains
+
+    idx = _chains(step, max_photons)[0]
+    d = max_photons + 1
+    left = np.zeros((len(idx), d, d), dtype=complex)
+    mu = np.zeros((len(idx), d))
+    for c, row in enumerate(idx):
+        f, g = np.divmod(row[row >= 0], d)
+        x = np.sqrt((f[:-1] + 1.0) * np.maximum(g[:-1], g[1:]))
+        n = len(f)
+        mu[c, :n], v = np.linalg.eigh(np.diag(x, 1) + np.diag(x, -1))
+        left[c, :n, :n] = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(n) % 4, None] * v
+    return left, mu

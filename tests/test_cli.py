@@ -1,13 +1,17 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import operator
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from covert_bosonic import cli
@@ -190,6 +194,105 @@ class TestBounds:
             ["bounds", "--config", str(cfg), "--eta", "0.9"], capsys)
         assert code == 0
         assert out.splitlines()[0].startswith("# eta=0.9")
+
+
+# A 10^5-point sweep: many write chunks and formatting slices.
+SWEEP = ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+         "--n", "1e4:1e14:100000"]
+SWEEP_FIELDS = ("n", "seconds", "lower_qubits", "upper_qubits", "assisted_lower_qubits",
+                "rate_R", "capacity_C", "q", "nbar_s")
+
+
+@pytest.fixture(scope="module")
+def sweep_points():
+    """bounds_curve over SWEEP's n, without and with a modulation rate."""
+    n = np.geomspace(1e4, 1e14, 100000).tolist()
+    return {rate: bounds_curve(ChannelParams(0.9, 0.12), 0.05, n, rate)
+            for rate in (None, 1e8)}
+
+
+def bounds_bytes_from_points(points, fmt, rate):
+    """The bounds output built from BoundsPoints field by field: repr of
+    each float, "" for an absent seconds."""
+    header = ["n[rounds]", "seconds[s]", "lower_qubits[qubits]", "upper_qubits[qubits]",
+              "assisted_lower_qubits[qubits]", "rate_R[qubits/round]",
+              "capacity_C[qubits/mode]", "q[1]", "nbar_s[photons]"]
+    rows = list(map(operator.attrgetter(*SWEEP_FIELDS), points))
+    if fmt == "json":
+        doc = {"eta": 0.9, "nbar_b": 0.12, "delta": 0.05, "modes_per_sec": rate,
+               "columns": header, "rows": rows}
+        return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+    lines = ["# eta=0.9 nbar_b=0.12 delta=0.05"
+             + ("" if rate is None else f" modes_per_sec={rate!r}"), ",".join(header)]
+    lines += [",".join("" if v is None else repr(float(v)) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestBoundsStreaming:
+    """``bounds`` formats its columns and writes them a chunk at a time; the
+    bytes are those of the per-point rule."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rate", [None, 1e8])
+    def test_sweep_bytes_match_the_per_point_rule(self, fmt, rate, sweep_points, tmp_path):
+        out = tmp_path / "sweep"
+        argv = SWEEP + ["--format", fmt, "--out", str(out)]
+        assert cli.main(argv + ([] if rate is None else ["--modes-per-sec", repr(rate)])) == 0
+        assert out.read_bytes() == bounds_bytes_from_points(sweep_points[rate], fmt, rate)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_bytes_match_out_bytes(self, fmt, tmp_path):
+        # 9000 rows span three write chunks; redirect_stdout swaps
+        # sys.stdout after the module loaded.
+        argv = BOUNDS_ARGS[:-4] + ["--n", "1e4:1e14:9000", "--format", fmt]
+        out = tmp_path / "sweep"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        assert buf.getvalue().encode() == out.read_bytes()
+
+    def test_converse_below_achievability_writes_nothing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        columns_of = cli.cb._bounds_columns
+
+        def swapped(*args):
+            cols = columns_of(*args)
+            for i in (3, 7):
+                cols["upper_qubits"][i] = cols["lower_qubits"][i] / 2
+            return cols
+
+        monkeypatch.setattr(cli.cb, "_bounds_columns", swapped)
+        pt = bounds_curve(ChannelParams(0.9, 0.12), 0.05,
+                          np.geomspace(1e4, 1e12, 9).tolist(), 1e8)[3]
+        out = tmp_path / "bounds.csv"
+        code, stdout, err = run_cli(BOUNDS_ARGS + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert json.loads(err)["message"] == (
+            f"converse below achievability at n={pt.n!r}: "
+            f"upper={pt.lower_qubits / 2!r} < lower={pt.lower_qubits!r}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_builds_no_bounds_point(self, fmt, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bounds built a BoundsPoint")
+
+        monkeypatch.setattr(cli.cb, "BoundsPoint", refuse)
+        code, out, _ = run_cli(BOUNDS_ARGS + ["--format", fmt], capsys)
+        assert code == 0 and out
+
+    def test_sweep_memory_is_bounded(self, tmp_path):
+        # Built as one object per point and one joined string, this output
+        # peaked at ~96 MB of Python heap; the columns and one formatting
+        # slice take ~15 MB.
+        tracemalloc.start()
+        try:
+            assert cli.main(SWEEP + ["--modes-per-sec", "1e8",
+                                     "--out", str(tmp_path / "sweep.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 class TestWillieState:
@@ -581,3 +684,29 @@ def test_package_serves_oracle_names_lazily():
     assert covert_bosonic.willie_state_numeric is oracle.willie_state_numeric
     with pytest.raises(AttributeError):
         covert_bosonic.no_such_name
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_sets_one_blas_thread_before_numpy_loads(preset):
+    # Records the variables as numpy's first import begins, in a fresh
+    # interpreter that imports the CLI; a value the caller set wins.
+    spy = ("import os, sys\n"
+           "class Spy:\n"
+           "    def find_spec(self, name, path=None, target=None):\n"
+           "        if name == 'numpy' and not seen:\n"
+           f"            seen.append([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}])\n"
+           "seen = []\n"
+           "sys.meta_path.insert(0, Spy())\n"
+           "import covert_bosonic.cli\n"
+           "print(seen[0])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, preset))
+    out = subprocess.run([sys.executable, "-c", spy], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str([preset or "1"] * 3)

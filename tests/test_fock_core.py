@@ -36,6 +36,7 @@ from dense_reference import (
     embed,
     mode_annihilation_op,
     partial_trace,
+    sector_eigensystems,
 )
 
 CUT = FockCutoff(6)
@@ -354,6 +355,13 @@ class TestSpectralBlocks:
         u = two_mode_amplifier_unitary(math.cosh(strength) ** 2, 0, 1, 2, self.CUT)
         ref = sector_expm_core(np.arccosh(math.cosh(strength)), 1, 30)
         assert np.max(np.abs(u - ref)) < 1e-13
+
+    @pytest.mark.parametrize("max_photons", [10, 20, 30, 60])
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_stacked_eigensolves_match_per_chain_bytes(self, step, max_photons):
+        got = fock_core._sector_eigensystems(step, max_photons)
+        for a, b in zip(got, sector_eigensystems(step, max_photons)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_zero_strength_is_exact(self):
         cut = FockCutoff(6)

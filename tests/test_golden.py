@@ -24,6 +24,10 @@ _EB = ["eb-report", "--eta", "0.5", "--nbar-b", "0.5", "--delta", "0.05",
 CASES = {
     "bounds_criterion8.csv": _CRITERION_8 + ["--format", "csv"],
     "bounds_criterion8.json": _CRITERION_8 + ["--format", "json"],
+    # A denser sweep of the same channel: 200 rows.
+    "bounds_sweep_200.csv": ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta",
+                             "0.05", "--n", "1e4:1e14:200", "--modes-per-sec", "1e8",
+                             "--format", "csv"],
     "willie_state_plus.csv": [
         "willie-state", "--eta", "0.9", "--nbar-b", "0.12", "--source", "closed",
         "--cutoff", "4", "--qubit", "plus", "--format", "csv"],
