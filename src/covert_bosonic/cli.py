@@ -186,15 +186,22 @@ _CHUNK = 4096
 
 def _write_lines(lines: Iterable[str], out: Optional[str]) -> None:
     """Write each of ``lines`` and a newline to the file ``out``, or to
-    standard output, ``_CHUNK`` lines at a time: every command's one writer."""
-    if out is None:
-        _write_chunks(sys.stdout, lines)  # looked up now: redirect_stdout sees it
-        return
+    standard output, ``_CHUNK`` lines at a time: every command's one writer.
+    A failed write (a closed pipe, a full device) is a usage error."""
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_chunks(fh, lines)
+        if out is None:
+            _write_chunks(sys.stdout, lines)  # looked up now: redirect_stdout sees it
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                _write_chunks(fh, lines)
     except OSError as exc:
-        raise UsageError(f"cannot write {out!r}: {exc}") from None
+        if out is not None:
+            raise UsageError(f"cannot write {out!r}: {exc}") from None
+        # The exit flush of what is still buffered goes to the null device.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise UsageError(f"cannot write to standard output: {exc}") from None
 
 
 def _write_chunks(fh, lines: Iterable[str]) -> None:

@@ -189,16 +189,16 @@ def chi2_closed(qubit: LogicalQubit, params: ChannelParams) -> float:
     """
     if params.eta == 1.0:
         return 0.0
-    if params.nbar_b == 0.0:
+    if params.eta * params.nbar_b == 0.0:
         raise DivergenceUndefinedError(
-            "quiet state is not full rank at nbar_b = 0; divergence is infinite"
+            "quiet state is not full rank at eta nbar_b = 0; divergence is infinite"
         )
     return float(_chi2(params, qubit.alpha_sq, qubit.beta_sq, qubit.gamma))
 
 
 def _chi2(params: ChannelParams, alpha_sq, beta_sq, gamma) -> np.ndarray:
     """The formula of :func:`chi2_closed`, elementwise over arrays of one
-    shape of qubit entries (unchecked; eta < 1 and nbar_b > 0), each value
+    shape of qubit entries (unchecked; eta < 1 and eta nbar_b > 0), each value
     equal bit for bit to the scalar call."""
     n = params.eta * params.nbar_b
     pops = np.square(alpha_sq) + np.square(beta_sq)

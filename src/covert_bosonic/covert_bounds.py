@@ -67,7 +67,7 @@ class ChannelParams:
 
 
 class DivergenceUndefinedError(ValueError):
-    """The divergence diverges: the quiet state is not full rank (nbar=0)."""
+    """The divergence diverges: the quiet state is not full rank (eta nbar_b = 0)."""
 
 
 class GainDecompositionError(ValueError):
@@ -94,8 +94,8 @@ class BoundsPoint:
 def c_cov(params: ChannelParams) -> float:
     """Covertness constant sqrt(2 eta nbar_b (1 + eta nbar_b)) / (1 - eta).
 
-    Infinite at eta = 1 (the warden receives nothing) and zero at
-    nbar_b = 0 (any transmission is perfectly distinguishable).
+    Infinite at eta = 1 (the warden receives nothing) and zero where
+    eta nbar_b = 0 (any transmission is perfectly distinguishable).
     """
     if params.eta == 1.0:
         return math.inf
@@ -239,8 +239,8 @@ def qre_bound(params: ChannelParams, q: float, n: float) -> float:
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
         raise ValueError(f"q must be finite and in [0, 1], got {q!r}")
     _check_n(n)
-    if params.nbar_b == 0.0:
-        raise DivergenceUndefinedError("criterion diverges at nbar_b = 0")
+    if params.eta * params.nbar_b == 0.0:
+        raise DivergenceUndefinedError("criterion diverges at eta nbar_b = 0")
     return q * math.sqrt(n) / (2.0 * c_cov(params))
 
 
@@ -289,10 +289,13 @@ def upper_bound_qubits(params: ChannelParams, delta: float, n: float) -> float:
 def upper_bound_srl_coefficient(params: ChannelParams, delta: float) -> float:
     """Large-n limit of upper_bound_qubits / sqrt(n):
     4 c_cov delta log2(1 + 2/Gbar), from first-order expansion of the
-    capacity around nbar_s = 0."""
-    _check_delta(delta)
-    gbar = converse_gain(params) - 1.0
-    return 4.0 * c_cov(params) * delta * math.log2(1.0 + 2.0 / gbar)
+    capacity around nbar_s = 0; 0 where no signal is sent, and refused
+    where the converse is."""
+    nbar_s = float(_nbar_s(params, delta, 1.0))  # 2 c_cov delta
+    _capacity(params, nbar_s)  # refuses where the converse refuses
+    if nbar_s == 0.0:
+        return 0.0
+    return 2.0 * nbar_s * math.log2(1.0 + 2.0 / (converse_gain(params) - 1.0))
 
 
 def _bounds_columns(
@@ -309,12 +312,14 @@ def _bounds_columns(
     nbar_s = _nbar_s(params, delta, n)
     if np.any(np.diff(n) <= 0):
         raise ValueError("n_values must be strictly ascending")
-    if modes_per_second is not None and not (
-        math.isfinite(modes_per_second) and modes_per_second > 0.0
-    ):
-        raise ValueError(
-            f"modes_per_second must be finite and > 0, got {modes_per_second!r}"
-        )
+    seconds = None
+    if modes_per_second is not None:
+        with np.errstate(all="ignore"):
+            seconds = 2.0 * n / modes_per_second
+        if not (math.isfinite(modes_per_second) and modes_per_second > 0.0
+                and np.all(np.isfinite(seconds))):
+            raise ValueError("modes_per_second must be finite and > 0, and 2 n / "
+                             f"modes_per_second finite, got {modes_per_second!r}")
     if len(n) == 0:
         return {}
     q = np.fmin(1.0, nbar_s)
@@ -323,7 +328,6 @@ def _bounds_columns(
     assisted = q * n * assisted_rate(params)
     cap = _capacity(params, nbar_s)
     upper = 2.0 * n * cap
-    seconds = None if modes_per_second is None else 2.0 * n / modes_per_second
     return {"n": n, "lower_qubits": lower, "upper_qubits": upper,
             "assisted_lower_qubits": assisted, "rate_R": rate, "capacity_C": cap,
             "q": q, "nbar_s": nbar_s, "seconds": seconds}

@@ -148,10 +148,11 @@ def plan_lemma2(params: ChannelParams, nbar_prime: float | None = None) -> EbPla
 
     ``nbar_prime`` must lie strictly between the breaking bound
     (1-eta)/eta - nbar_b and that cap; by default it sits 10% above the
-    bound, or at the midpoint of the window when 10% would overshoot.  The
-    warden then sees the original reflectance with occupancy
-    eta (nbar_b + nbar'); the receiver-side rate picks up the smaller
-    added noise nbar'' = (1 - 1/G) eta / (1-eta).
+    bound, or at the window's midpoint where 10% would overshoot or, on the
+    breaking boundary (bound = 0), not clear the bound.  The warden then
+    sees the original reflectance with occupancy eta (nbar_b + nbar'); the
+    receiver-side rate picks up the smaller added noise
+    nbar'' = (1 - 1/G) eta / (1-eta).
     """
     if nbar_prime is not None and not math.isfinite(nbar_prime):
         raise ValueError(f"nbar_prime must be finite, got {nbar_prime!r}")
@@ -165,8 +166,8 @@ def plan_lemma2(params: ChannelParams, nbar_prime: float | None = None) -> EbPla
         )
     if nbar_prime is None:
         nbar_prime = min(DEFAULT_NBAR_PRIME_FACTOR * bound, 0.5 * (bound + cap))
-        if nbar_prime <= 0.0:
-            return _identity_plan(params)
+        if nbar_prime <= bound:  # bound = 0: the channel sits on the boundary
+            nbar_prime = 0.5 * (bound + cap)
     if nbar_prime <= bound:
         raise EbInfeasibleError(
             f"nbar_prime = {nbar_prime!r} does not exceed the required bound "

@@ -36,31 +36,32 @@ numeric state is dense unless a caller reads its ``entries``.
 Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most
 its channels and qubits (by default the 12 + 12 of :func:`default_channel_grid`
-and :func:`default_qubit_set`); all else is fixed:
+and :func:`default_qubit_set`) and builds its states with ``*_state_numeric``
+(willie_state reads its rails' off-band weight itself); all else is fixed:
 
   check                   grid                                cutoff  tolerance
-  willie_state            pattern entries; images off band    30 (*)  1e-8 (*); 1e-10
+  willie_state            pattern entries; images off band    30      1e-8; 1e-10
   chi2                    chi2_closed; 10^4 samples, seed 11  20..30  1e-6 relative; 1e-9
   char_fn                 25 zeta points, |zeta| <= 2         30      1e-8
   pinsker_and_detector    q in {0.01, 0.1, 1}                 20      1e-10
   depolarizing_reduction  the logical 2x2 block, from images  30      1e-8
-  laguerre_diag/offdiag   m <= 5, r in {0.25, 0.5, 1, 2}      10      1e-8 (**)
+  laguerre_diag/offdiag   m <= 5, r in {0.25, 0.5, 1, 2}      10      1e-8 (*)
   eb_pipelines            3 plans x 25 zeta points            30      1e-8
 
-(*) a default the caller may override.  chi2 raises its cutoff with the
-thermal occupancy and compares each numeric chi2 with chi2_closed; its
-bound is checked against the supremum of the closed form over 10^4 seeded
-samples of the logical state space, drawn and evaluated as arrays (the
-formula behind chi2_closed, bit for bit) and held once to LogicalQubit's
-constraints, so a sampler that strays off the state space is refused.
-Each channel's quiet reference diagonalizes and inverts its blocks once
-for all its qubits.  char_fn and eb_pipelines evaluate each numeric state's char fn
-once over the whole zeta grid.  char_fn has 2 random qubits;
-pinsker_and_detector runs at (eta, nbar_b) = (0.9, 0.12) and |+> unless
-given others; eb_pipelines sends 0.8|01> + 0.6i|10> through the attenuate
-plans at (0.9, 0.12) and (0.5, 0.5) and the amplify plan with nbar' = 0.52
-at (0.5, 0.5).
-(**) each ring integral by the periodic trapezoid rule on 22 angles, exact
+chi2 skips eta = 1 (chi2 = 0) and eta nbar_b = 0 (divergent), raises its
+cutoff with the thermal occupancy and compares each numeric chi2 with
+chi2_closed; its bound is checked against the supremum of the closed form
+over 10^4 seeded samples of the logical state space, drawn and evaluated
+as arrays (the formula behind chi2_closed, bit for bit) and held once to
+LogicalQubit's constraints, so a sampler that strays off the state space
+is refused.  Each channel's quiet reference diagonalizes and inverts its
+blocks once for all its qubits.  char_fn and eb_pipelines evaluate each
+numeric state's char fn once over the whole zeta grid.  char_fn has 2
+random qubits; pinsker_and_detector runs at (eta, nbar_b) = (0.9, 0.12)
+and |+> unless given others; eb_pipelines sends 0.8|01> + 0.6i|10> through
+the attenuate plans at (0.9, 0.12) and (0.5, 0.5) and the amplify plan
+with nbar' = 0.52 at (0.5, 0.5).
+(*) each ring integral by the periodic trapezoid rule on 22 angles, exact
 for the truncated kernel, whose factors are finite Taylor sums
 (:func:`creation_exponential`); the closed forms are finite sums too.
 """
@@ -71,7 +72,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -329,17 +331,6 @@ def _tri_diagonal(qubit: cf.LogicalQubit, rail: _Rail) -> tuple[np.ndarray, np.n
     return diag.real, upper
 
 
-def _checked_leak(trace: float) -> float:
-    """The probability mass a state of this trace lost above the cutoff,
-    refused above the oracle's leak limit."""
-    leak = float(max(0.0, 1.0 - trace))
-    if leak > _LEAK_LIMIT:
-        raise TruncationError(
-            f"truncation leak {leak:.3e} exceeds {_LEAK_LIMIT:g}; raise the cutoff"
-        )
-    return leak
-
-
 def _assemble_two_mode(
     qubit: cf.LogicalQubit, stages: tuple, cutoff: FockCutoff
 ) -> TriDiagonalWillieState:
@@ -353,7 +344,9 @@ def _assemble_two_mode(
         raise ValueError(f"rail image has weight {off:.3e} off its band; "
                          "the two-mode output is not tri-diagonal")
     state = TriDiagonalWillieState(cutoff, *_tri_diagonal(qubit, rail))
-    _checked_leak(state.diag.sum())
+    if state.truncation_leak > _LEAK_LIMIT:
+        raise TruncationError(f"truncation leak {state.truncation_leak:.3e} exceeds "
+                              f"{_LEAK_LIMIT:g}; raise the cutoff")
     return state
 
 
@@ -405,11 +398,17 @@ def _engineered(plan: EbPlan, params: ChannelParams) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _grid(channel_grid: Optional[Sequence[ChannelParams]],
+          qubits: Optional[Sequence[cf.LogicalQubit]], n_random: int = 4) -> Iterator:
+    """A check's (channel, qubit) pairs, channel-major; the default grids,
+    with ``n_random`` random qubits, stand in for an empty or missing one."""
+    return product(channel_grid or default_channel_grid(),
+                   qubits or default_qubit_set(n_random))
+
+
 def verify_willie_state(
     channel_grid: Optional[Sequence[ChannelParams]] = None,
     qubits: Optional[Sequence[cf.LogicalQubit]] = None,
-    cutoff: FockCutoff = DEFAULT_ORACLE_CUTOFF,
-    tolerance: float = _TOLERANCE,
 ) -> VerificationReport:
     """Closed form vs numeric warden state in their shared tri-diagonal
     layout (the diagonal and the photon-exchange coherences), plus a check
@@ -417,23 +416,22 @@ def verify_willie_state(
     row - col = x - x'.  By linearity the band check implies, for every
     qubit, that the numeric state vanishes off the photon-number-conserving
     tri-diagonal pattern, so the layout holds all of it."""
-    channel_grid = list(channel_grid or default_channel_grid())
-    qubits = list(qubits or default_qubit_set())
+    cutoff = DEFAULT_ORACLE_CUTOFF
     off_band = [0.0]
 
     def errors():
-        for params in channel_grid:
+        for params, qubit in _grid(channel_grid, qubits):
+            # The one rail read: its off-band weight is reported, not refused.
             rail = _rail_images(_channel(params, _ANCILLA), cutoff.max_photons)
             off_band.append(rail.off_band)
-            for qubit in qubits:
-                closed = cf.willie_state_closed(qubit, params, cutoff)
-                diag, upper = _tri_diagonal(qubit, rail)
-                err = max(np.max(np.abs(diag - closed.diag)),
-                          np.max(np.abs(upper - closed.upper)))
-                yield float(err), _inputs(params, qubit)
+            closed = cf.willie_state_closed(qubit, params, cutoff)
+            diag, upper = _tri_diagonal(qubit, rail)
+            err = max(np.max(np.abs(diag - closed.diag)),
+                      np.max(np.abs(upper - closed.upper)))
+            yield float(err), _inputs(params, qubit)
 
     # The off-band maximum goes in the relative-error slot.
-    report = _report("willie_state", errors(), tolerance)
+    report = _report("willie_state", errors(), _TOLERANCE)
     off = max(off_band)
     return replace(report, max_rel_error=off,
                    passed=report.passed and off <= _PATTERN_TOLERANCE)
@@ -446,10 +444,9 @@ def verify_chi2(
     """Chi-squared closed form vs the numeric trace computation, the
     input-independent bound (sampled over the logical state space, with
     equality at full-coherence pure states), and the balanced-mixture
-    half-bound identity."""
-    channels = [p for p in (channel_grid or default_channel_grid())
-                if p.eta != 1.0 and p.nbar_b != 0.0]
-    qubits = list(qubits or default_qubit_set())
+    half-bound identity, except at eta = 1 and eta nbar_b = 0."""
+    pairs = [(params, qubit) for params, qubit in _grid(channel_grid, qubits)
+             if params.eta != 1.0 and params.eta * params.nbar_b != 0.0]
     rng = np.random.default_rng(_CHI2_SEED)
     a2 = rng.uniform(0.0, 1.0, _CHI2_BOUND_SAMPLES)
     coh = rng.uniform(0.0, 1.0, _CHI2_BOUND_SAMPLES) * np.sqrt(a2 * (1.0 - a2))
@@ -458,7 +455,7 @@ def verify_chi2(
     sampled = (a2, 1.0 - a2, coh)
     cf.LogicalQubit._check(*sampled)
     s = 1.0 / math.sqrt(2.0)
-    for params in channels:
+    for params in dict.fromkeys(params for params, _ in pairs):
         # Sampled supremum over the logical state space vs the bound, then
         # the equality and half-bound identities.
         bound = cf.chi2_bound(params)
@@ -474,19 +471,20 @@ def verify_chi2(
                 inputs = dict(eta=params.eta, nbar_b=params.nbar_b, violation=violation)
                 return _report("chi2", [(err, inputs)], _CHI2_REL_TOLERANCE, passed=False)
 
+    @lru_cache(maxsize=1)  # the walk is channel-major: one per channel
+    def reference(occ: float) -> TriDiagonalWillieState:
+        # The truncated chi-squared tail decays only like (occ/(1+occ))^N
+        # (the inverse thermal weights cancel one factor of the state
+        # tail), so escalate the cutoff with the occupancy.
+        return _quiet(occ, FockCutoff(max(20, min(30, math.ceil(
+            math.log(1e-11) / math.log(occ / (1.0 + occ)))))))
+
     def errors():
-        for params in channels:
-            occ = params.eta * params.nbar_b
-            # The truncated chi-squared tail decays only like (occ/(1+occ))^N
-            # (the inverse thermal weights cancel one factor of the state
-            # tail), so escalate the cutoff with the occupancy.
-            cut = FockCutoff(max(20, min(30, math.ceil(
-                math.log(1e-11) / math.log(occ / (1.0 + occ))))))
-            quiet, stages = _quiet(occ, cut), _channel(params, _ANCILLA)
-            for qubit in qubits:
-                num = chi2_numeric(_assemble_two_mode(qubit, stages, cut), quiet)
-                clo = cf.chi2_closed(qubit, params)
-                yield abs(num - clo) / max(abs(clo), 1e-30), _inputs(params, qubit)
+        for params, qubit in pairs:
+            quiet = reference(params.eta * params.nbar_b)
+            num = chi2_numeric(willie_state_numeric(qubit, params, quiet.cutoff), quiet)
+            clo = cf.chi2_closed(qubit, params)
+            yield abs(num - clo) / max(abs(clo), 1e-30), _inputs(params, qubit)
 
     return _report("chi2", errors(), _CHI2_REL_TOLERANCE)
 
@@ -503,17 +501,12 @@ def verify_char_fn(
 ) -> VerificationReport:
     """Closed-form characteristic function vs the truncated operator trace
     on the numeric warden state, read from its layout, for |zeta| <= 2."""
-    channel_grid = list(channel_grid or default_channel_grid())
-    qubits = list(qubits or default_qubit_set(n_random=2))
 
     def errors():
-        for params in channel_grid:
-            stages = _channel(params, _ANCILLA)
-            for qubit in qubits:
-                yield from _char_fn_errors(
-                    _assemble_two_mode(qubit, stages, DEFAULT_ORACLE_CUTOFF),
-                    partial(cf.willie_char_fn_closed, qubit, params),
-                    _inputs(params, qubit))
+        for params, qubit in _grid(channel_grid, qubits, n_random=2):
+            yield from _char_fn_errors(willie_state_numeric(qubit, params),
+                                       partial(cf.willie_char_fn_closed, qubit, params),
+                                       _inputs(params, qubit))
 
     return _report("char_fn", errors(), _TOLERANCE)
 
@@ -541,7 +534,7 @@ def verify_pinsker_and_detector(
     """
     cutoff = _PINSKER_CUTOFF
     quiet = _quiet(params.eta * params.nbar_b, cutoff)
-    rho_w = _assemble_two_mode(qubit, _channel(params, _ANCILLA), cutoff)
+    rho_w = willie_state_numeric(qubit, params, cutoff)
     chi2 = cf.chi2_closed(qubit, params)
 
     def errors():
@@ -568,26 +561,21 @@ def verify_depolarizing_reduction(
     acting on the input.  This also audits the p' closed form, since
     p = p' + (1-p') p_fail.  The 2x2 block is read from the receiver's
     checked tri-diagonal layout; no dense two-mode state is built."""
-    channel_grid = list(channel_grid or default_channel_grid())
-    qubits = list(qubits or default_qubit_set())
-    cutoff = DEFAULT_ORACLE_CUTOFF
 
     def errors():
-        for params in channel_grid:
+        for params, qubit in _grid(channel_grid, qubits):
+            state = bob_state_numeric(qubit, params)
+            # <01|rho|01>, <01|rho|10> and <10|rho|10>.
+            block = np.array([[state.diag[0, 1], state.upper[0, 1]],
+                              [np.conj(state.upper[0, 1]), state.diag[1, 0]]])
+            fail_weight = 1.0 - float(np.trace(block).real)
+            projected = block + fail_weight * np.eye(2) / 2.0
             p = cb.p_total(params)
-            stages = _channel(params, _SIGNAL)
-            for qubit in qubits:
-                state = _assemble_two_mode(qubit, stages, cutoff)
-                # <01|rho|01>, <01|rho|10> and <10|rho|10>.
-                block = np.array([[state.diag[0, 1], state.upper[0, 1]],
-                                  [np.conj(state.upper[0, 1]), state.diag[1, 0]]])
-                fail_weight = 1.0 - float(np.trace(block).real)
-                projected = block + fail_weight * np.eye(2) / 2.0
-                target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
-                err = float(np.max(np.abs(projected - target)))
-                # p_fail closed form vs the projected weight itself.
-                yield (max(err, abs(fail_weight - cb.p_fail(params))),
-                       _inputs(params, qubit))
+            target = (1.0 - p) * qubit.matrix() + p * np.eye(2) / 2.0
+            err = float(np.max(np.abs(projected - target)))
+            # p_fail closed form vs the projected weight itself.
+            yield (max(err, abs(fail_weight - cb.p_fail(params))),
+                   _inputs(params, qubit))
 
     return _report("depolarizing_reduction", errors(), _TOLERANCE)
 
@@ -686,8 +674,7 @@ def verify_eb_pipelines() -> VerificationReport:
     def errors():
         for params, plan in _EB_CASES:
             yield from _char_fn_errors(
-                _assemble_two_mode(_EB_QUBIT, _engineered(plan, params),
-                                   DEFAULT_ORACLE_CUTOFF),
+                engineered_willie_state_numeric(_EB_QUBIT, plan, params),
                 partial(cf.willie_char_fn_closed, _EB_QUBIT,
                         plan.effective_covert_params),
                 {"eta": params.eta, "nbar_b": params.nbar_b,

@@ -45,8 +45,9 @@ def test_criterion_1_warden_state_equivalence():
     qubits = oracle.default_qubit_set(n_random=8)
     assert len(grid) == 48 and len(qubits) == 16
     start = time.monotonic()
-    report = oracle.verify_willie_state(grid, qubits, FockCutoff(30), tolerance=1e-8)
+    report = oracle.verify_willie_state(grid, qubits)
     elapsed = time.monotonic() - start
+    assert report.tolerance == 1e-8 and oracle.DEFAULT_ORACLE_CUTOFF == FockCutoff(30)
     ok = report.passed and elapsed < 120.0
     _report(f"1 warden-state equivalence (max err {report.max_abs_error:.2e})", ok)
 

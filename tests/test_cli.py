@@ -710,3 +710,45 @@ def test_cli_sets_one_blas_thread_before_numpy_loads(preset):
     out = subprocess.run([sys.executable, "-c", spy], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == str([preset or "1"] * 3)
+
+
+# Each way the CLI can fail, run in a fresh interpreter: (argv, stdout,
+# exit code).  stdout "pipe" is a pipe whose reading end is closed at once.
+FAILURES = {
+    "closed_pipe": (["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+                     "--n", "1:1e10:10000"], "pipe", cli.EXIT_USAGE),
+    "full_device": (["verify", "--check", "laguerre_diag"], "/dev/full", cli.EXIT_USAGE),
+    "bad_flag": (["bounds", "--eta", "abc"], None, cli.EXIT_USAGE),
+    "bad_config": (["bounds", "--config", "no-such-config.json"], None, cli.EXIT_USAGE),
+    "unknown_check": (["verify", "--check", "no_such_check"], None, cli.EXIT_VALIDATION),
+    **{f"seconds_overflow_{fmt}": (
+        ["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05", "--n", "1e4",
+         "--modes-per-sec", "1e-310", "--format", fmt], None, cli.EXIT_VALIDATION)
+       for fmt in ("csv", "json")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failure_prints_one_json_line_and_no_traceback(case, tmp_path):
+    argv, stdout, code = FAILURES[case]
+    if stdout == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    main = "import sys; from covert_bosonic.cli import main; sys.exit(main())"
+    with contextlib.ExitStack() as stack:
+        target = (subprocess.PIPE if stdout == "pipe" else subprocess.DEVNULL
+                  if stdout is None else stack.enter_context(open(stdout, "w")))
+        proc = subprocess.Popen([sys.executable, "-c", main, *argv], env=env,
+                                cwd=tmp_path, stdout=target, stderr=subprocess.PIPE,
+                                text=True)
+        if stdout == "pipe":
+            proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert set(json.loads(lines[0])) == {"error", "message"}
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from covert_bosonic.closed_form import (
     willie_char_fn_closed,
     willie_state_closed,
 )
-from covert_bosonic.covert_bounds import p_fail, p_prime, p_total
+from covert_bosonic.covert_bounds import p_fail, p_prime, p_total, qre_bound
 from covert_bosonic.fock_core import (
     ChannelParams,
     FockCutoff,
@@ -256,6 +257,19 @@ class TestChi2:
             chi2_closed(LogicalQubit(1.0, 0.0), ChannelParams(0.5, 0.0))
         with pytest.raises(DivergenceUndefinedError):
             chi2_bound(ChannelParams(0.5, 0.0))
+
+    @pytest.mark.parametrize("params", [ChannelParams(0.0, 0.5),
+                                        ChannelParams(1e-200, 1e-200)])
+    def test_vacuum_warden_raises(self, params):
+        # The warden's occupancy eta nbar_b is 0 (at 1e-200 by underflow).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceUndefinedError):
+                chi2_closed(LogicalQubit(1.0, 0.0), params)
+            with pytest.raises(DivergenceUndefinedError):
+                chi2_bound(params)
+            with pytest.raises(DivergenceUndefinedError):
+                qre_bound(params, 0.5, 1e6)
 
     def test_bound_direct_values(self):
         assert chi2_bound(FIG2) == pytest.approx(0.01 / (0.108 * 1.108))

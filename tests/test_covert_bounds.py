@@ -164,6 +164,25 @@ class TestConverse:
         assert prev_err < 1e-5
 
 
+    @pytest.mark.parametrize("params, delta", [
+        (ChannelParams(0.9, 0.0), 0.05), (ChannelParams(0.0, 0.5), 0.05),
+        (ChannelParams(1.0, 0.12), 0.0), (FIG2, 0.0), (ChannelParams(1.0, 0.0), 0.0),
+        (ChannelParams(1.0, 0.12), 0.05), (ChannelParams(1.0, 0.0), 0.05),
+        (ChannelParams(0.1, 0.5), 0.05), (ChannelParams(0.0, 0.0), 0.0),
+    ])
+    def test_srl_coefficient_edges_follow_the_converse(self, params, delta):
+        # 0 where the converse is 0 at every n; the converse's own error
+        # where it refuses (eta = 1 with delta > 0, no gain decomposition).
+        try:
+            want = upper_bound_qubits(params, delta, 1e12) / 1e6
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                upper_bound_srl_coefficient(params, delta)
+        else:
+            assert want == 0.0
+            assert upper_bound_srl_coefficient(params, delta) == 0.0
+
+
 class TestBoundScaling:
     def test_lower_bound_follows_square_root_law(self):
         delta = 0.05
@@ -210,6 +229,20 @@ class TestBoundsCurve:
     def test_rejects_bad_modes_per_second(self, rate):
         with pytest.raises(ValueError, match="modes_per_second"):
             bounds_curve(FIG2, 0.05, [1e6], modes_per_second=rate)
+
+    def test_overflowing_seconds_are_refused(self):
+        with pytest.raises(ValueError, match="modes_per_second finite"):
+            bounds_curve(FIG2, 0.05, [1e4, 1e6], modes_per_second=1e-310)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_refuses_overflowing_seconds(self, fmt, capsys):
+        from covert_bosonic import cli
+
+        code = cli.main(["bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
+                         "--n", "1e4", "--modes-per-sec", "1e-310", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "modes_per_second" in json.loads(captured.err)["message"]
 
     def test_undefined_converse_refuses_the_sweep(self):
         with pytest.raises(GainDecompositionError):

@@ -107,6 +107,15 @@ class TestAmplificationPlan:
         assert 0.5 < plan.nbar_prime < 1.0
         assert is_entanglement_breaking(plan.effective_covert_params)
 
+    def test_default_amplifies_on_the_breaking_boundary(self):
+        # eta nbar_b = 1 - eta: the strict condition fails and the bound is 0.
+        params = ChannelParams(0.5, 1.0)
+        assert not is_entanglement_breaking(params)
+        plan = plan_lemma2(params)
+        assert plan.mechanism is EbMechanism.AMPLIFY
+        assert plan.nbar_prime == 0.5  # the window's midpoint
+        assert is_entanglement_breaking(plan.effective_covert_params)
+
     def test_insufficient_noise_rejected(self):
         with pytest.raises(EbInfeasibleError):
             plan_lemma2(NOT_BREAKING, nbar_prime=0.4)

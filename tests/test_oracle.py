@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from functools import cached_property, partial
 
 import numpy as np
@@ -387,17 +388,16 @@ class TestImageChecks:
         monkeypatch.setattr(oracle, "_rail_images", planted)
 
     def test_off_band_entry_fails_willie_state(self, monkeypatch):
-        assert verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT).passed
+        assert verify_willie_state([self.PARAMS], [self.QUBIT]).passed
         self.plant_off_band_entry(monkeypatch)
-        report = verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT)
+        report = verify_willie_state([self.PARAMS], [self.QUBIT])
         assert not report.passed
         assert report.max_rel_error == 1e-9
 
     def test_off_band_entry_is_refused_by_the_layout(self, monkeypatch):
         self.plant_off_band_entry(monkeypatch)
-        stages = oracle._channel(self.PARAMS, oracle._ANCILLA)
         with pytest.raises(ValueError, match="off its band"):
-            oracle._assemble_two_mode(self.QUBIT, stages, self.CUT)
+            oracle.willie_state_numeric(self.QUBIT, self.PARAMS, self.CUT)
 
     def test_off_band_entry_is_refused_by_depolarizing_reduction(self, monkeypatch):
         self.plant_off_band_entry(monkeypatch)
@@ -416,11 +416,14 @@ class TestImageChecks:
         prop.__set_name__(oracle._Rail, "off_band")
         monkeypatch.setattr(oracle._Rail, "off_band", prop)
         oracle._rail_images.cache_clear()
-        stages = oracle._channel(self.PARAMS, oracle._ANCILLA)
         for qubit in (self.QUBIT, LogicalQubit(1.0, 0.0), LogicalQubit(0.5, 0.5, 0.5j)):
-            oracle._assemble_two_mode(qubit, stages, self.CUT)
-        assert verify_willie_state([self.PARAMS], [self.QUBIT], self.CUT).passed
-        assert scans == [oracle._rail_images(stages, self.CUT.max_photons)]
+            oracle.willie_state_numeric(qubit, self.PARAMS, self.CUT)
+        # The check runs at the oracle's cutoff: one more rail, scanned once.
+        qubits = [self.QUBIT, LogicalQubit(1.0, 0.0)]
+        assert verify_willie_state([self.PARAMS], qubits).passed
+        stages = oracle._channel(self.PARAMS, oracle._ANCILLA)
+        cutoffs = (self.CUT, oracle.DEFAULT_ORACLE_CUTOFF)
+        assert scans == [oracle._rail_images(stages, c.max_photons) for c in cutoffs]
 
     def test_layout_is_shared_with_closed_form(self):
         from covert_bosonic import fock_core
@@ -660,6 +663,15 @@ def test_chi2_check_bounds_the_closed_form_itself(monkeypatch):
     report = verify_chi2([ChannelParams(0.9, 0.12)], [LogicalQubit(0.5, 0.5, 0.0)])
     assert not report.passed
     assert report.worst_case_inputs["violation"] == "sampled value exceeds bound"
+
+
+def test_chi2_skips_a_vacuum_warden():
+    # eta nbar_b = 0 (at 1e-200 by underflow): chi2 diverges, so the check
+    # leaves those channels out, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_chi2([ChannelParams(0.0, 0.5), ChannelParams(1e-200, 1e-200)])
+    assert report.passed and report.grid_size == 0
 
 
 def chi2_samples():
