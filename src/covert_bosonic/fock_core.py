@@ -18,7 +18,7 @@ difference), so each unitary is a stack of sector blocks, never an
 exponential of the whole space.  Each sector's generator is its strength
 times a fixed tri-diagonal matrix, whose eigensystem is computed once per
 cutoff and cached; a new transmittance or gain costs one phase per
-eigenvalue and one batched product over the blocks, forming only the
+eigenvalue and batched products over groups of blocks, forming only the
 leading columns a caller asks for (an input of few photons needs few;
 the dense unitaries ask for all).  One table, grouping
 the flat basis indices by a conserved number, describes every such
@@ -40,8 +40,9 @@ state, reads its two arrays directly.
 The characteristic function's displacement factors are exponentials of
 nilpotent ladder operators, finite sums (:func:`creation_exponential`), so
 no general matrix exponential is needed and numpy suffices.  It takes
-arrays of points as well as scalars, with its kernels built stacked and
-cached per tuple of points.
+arrays of points as well as scalars, its kernels cached per tuple of
+points: the three diagonals of each the trace reads, O(P (N+1)) for P
+points, in O(P (N+1)^2) time.
 
 All objects are immutable after construction and all operations are pure
 functions, so evaluations are safe to run in parallel over parameter
@@ -523,14 +524,19 @@ def _sector_blocks(strength: float, step: int, max_photons: int, columns: int) -
     hold every input with f < ``columns``.
 
     X takes |f, g> to sqrt((f+1) max(g, g+step)) |f+1, g+step> inside the
-    cutoff, so each chain is a sector.  Strength 0 is the identity exactly."""
+    cutoff, so each chain is a sector.  Strength 0 is the identity exactly.
+    The product runs over groups of chains, each temporary at most 2^14
+    cells, one gemm per chain as over the whole stack."""
     left, mu = _sector_eigensystems(step, max_photons)
     if strength == 0.0:
         return np.broadcast_to(np.eye(max_photons + 1, columns), left.shape[:2] + (columns,))
     # The exponential of a real generator is real: drop the roundoff the
     # complex similarity leaves in the imaginary part.
     phases = np.exp(-1j * strength * mu)[:, None, :]
-    return ((left * phases) @ left[:, :columns].conj().swapaxes(1, 2)).real
+    out, group = np.empty(left.shape[:2] + (columns,)), max(1, 2**14 // left[0].size)
+    for c in (slice(g, g + group) for g in range(0, len(left), group)):
+        out[c] = ((left[c] * phases[c]) @ left[c, :columns].conj().swapaxes(1, 2)).real
+    return out
 
 
 def _beamsplitter_blocks(eta: float, max_photons: int, columns: int) -> tuple:
@@ -606,15 +612,22 @@ def two_mode_amplifier_unitary(
 
 
 @lru_cache(maxsize=64)
-def _char_fn_kernels(zetas: tuple, max_photons: int) -> np.ndarray:
-    """Single-mode factors exp(-z* a) exp(z a^dag) of the anti-normally
-    ordered characteristic function kernel, stacked over the points z of
-    ``zetas``; exp(-z* a) is the adjoint of exp(-z a^dag)."""
-    cutoff = FockCutoff(max_photons)
-    z = np.array(zetas, dtype=complex)
-    out = (creation_exponential(-z, cutoff).conj().swapaxes(-1, -2)
-           @ creation_exponential(z, cutoff))
-    out.setflags(write=False)
+def _char_fn_kernels(zetas: tuple, max_photons: int) -> tuple:
+    """The diagonals K[m, m], K[m+1, m] and K[m, m+1] of the single-mode
+    kernel K = exp(-z* a) exp(z a^dag), the only entries the trace reads,
+    each stacked over the points z of ``zetas``: O(P (N+1)) kept for P points.
+
+    exp(-z* a) is the adjoint of E(-z) = exp(-z a^dag), and E(-z) is E(z)
+    with entry (j, m) negated where j - m is odd, bit for bit, so one
+    :func:`creation_exponential` serves both factors and each diagonal is a
+    column sum of an elementwise product of them, in O(P (N+1)^2) time."""
+    e = creation_exponential(np.array(zetas, dtype=complex), FockCutoff(max_photons))
+    j = np.arange(max_photons + 1)
+    f = e.conj() * (-1.0) ** (j[:, None] - j)  # conj(E(-z)): K[m, n] = sum_j f[j, m] e[j, n]
+    out = ((f * e).sum(axis=-2), (f[..., 1:] * e[..., :-1]).sum(axis=-2),
+           (f[..., :-1] * e[..., 1:]).sum(axis=-2))
+    for a in out:
+        a.setflags(write=False)
     return out
 
 
@@ -672,20 +685,16 @@ def anti_normal_char_fn(
 
 def _layout_trace(diag, upper, k1, k2) -> np.ndarray:
     # tr[rho (K1 x K2)] = sum of <f g|rho|fp gp> K1[fp, f] K2[gp, g] over a
-    # layout's entries inside the kernels' cutoff, one sum per point of the
-    # stacked kernels: its diagonal, then the pairs <f g|rho|f+1 g-1> and
-    # their conjugates, whose factors K1[f+1, f] K2[g-1, g] and K1[f, f+1]
-    # K2[g, g-1] lie on off-diagonals.  Avoids the Kronecker product.
-    d = k1.shape[-1]
+    # layout's entries inside the kernels' cutoff: three bilinear forms
+    # sum x[f, g] u[f] v[g] per point of the diagonal kernels k1, k2 (see
+    # _char_fn_kernels), the diagonal, then the pairs <f g|rho|f+1 g-1> with
+    # K1[f+1, f] K2[g-1, g] and their conjugates with K1[f, f+1] K2[g, g-1].
+    # Each form is one (1, d) @ (d, d) product and one row sum per point, so
+    # each point's value does not depend on the other points.
+    d = k1[0].shape[-1]
     pair = upper[:d - 1, 1:d]
-    terms = [x * np.diagonal(k1, k, -2, -1)[:, :, None]
-             * np.diagonal(k2, -k, -2, -1)[:, None, :]
-             for x, k in ((diag[:d, :d], 0), (pair, -1), (pair.conj(), 1))]
-    rows = [t.reshape(len(k1), t.shape[1] * t.shape[2]) for t in terms]
-    # Each row summed as a 1-D array, so each point's value does not depend
-    # on the other points: numpy may reduce long rows of a 2-D array along
-    # axis 1 in another order than it sums one row.
-    return np.array([row.sum() for row in np.concatenate(rows, axis=1)], dtype=complex)
+    forms = ((diag[:d, :d], k1[0], k2[0]), (pair, k1[1], k2[2]), (pair.conj(), k1[2], k2[1]))
+    return sum(((u[:, None] @ x)[:, 0] * v).sum(axis=-1) for x, u, v in forms)
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -113,20 +113,25 @@ def embed(core: np.ndarray, mode_a: int, mode_b: int, num_modes: int,
     return t.reshape(d**num_modes, d**num_modes)
 
 
+def char_fn_kernel(zeta: complex, max_photons: int) -> np.ndarray:
+    """The whole single-mode kernel K = exp(-z* a) exp(z a^dag) at cutoff
+    ``max_photons``, built from creation_exponential (exp(-z* a) is the
+    adjoint of exp(-z a^dag))."""
+    cut = FockCutoff(max_photons)
+    return creation_exponential(-zeta, cut).conj().T @ creation_exponential(zeta, cut)
+
+
 def char_fn_trace(entries: np.ndarray, zeta1: complex, zeta2: complex,
                   max_photons: int | None = None) -> complex:
     """Anti-normally ordered characteristic function of a two-mode matrix as
-    the plain trace tr[rho (K1 x K2)], K = exp(-z* a) exp(z a^dag) built from
-    creation_exponential (exp(-z* a) is the adjoint of exp(-z a^dag)).
+    the plain trace tr[rho (K1 x K2)] of the dense kernels of :func:`char_fn_kernel`.
 
     With ``max_photons`` the trace runs on the entries whose photon numbers
     are all at most it, with the kernels of that cutoff; by default on all."""
     d = math.isqrt(len(entries))
     n = d - 1 if max_photons is None else max_photons
-    cut = FockCutoff(n)
-    rho = entries.reshape((d,) * 4)[:n + 1, :n + 1, :n + 1, :n + 1].reshape(cut.dim**2, -1)
-    k1, k2 = (creation_exponential(-z, cut).conj().T @ creation_exponential(z, cut)
-              for z in (zeta1, zeta2))
+    rho = entries.reshape((d,) * 4)[:n + 1, :n + 1, :n + 1, :n + 1].reshape((n + 1)**2, -1)
+    k1, k2 = (char_fn_kernel(z, n) for z in (zeta1, zeta2))
     return complex(np.einsum("ij,ji->", rho, np.kron(k1, k2)))
 
 

@@ -31,6 +31,7 @@ from covert_bosonic.closed_form import LogicalQubit, willie_state_closed
 from dense_reference import (
     annihilation_op,
     apply_unitary,
+    char_fn_kernel,
     char_fn_trace,
     dual_rail_density,
     embed,
@@ -363,6 +364,18 @@ class TestSpectralBlocks:
         for a, b in zip(got, sector_eigensystems(step, max_photons)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("max_photons", [3, 10, 23, 31, 60])
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_grouped_product_is_the_whole_stack_product(self, step, max_photons):
+        """The blocks, formed over groups of chains, are byte for byte the
+        one product over the whole stack: one gemm of one shape per chain."""
+        left, mu = fock_core._sector_eigensystems(step, max_photons)
+        phases = np.exp(-1j * 0.4 * mu)[:, None, :]
+        for columns in (2, max_photons + 1):
+            want = ((left * phases) @ left[:, :columns].conj().swapaxes(1, 2)).real
+            got = fock_core._sector_blocks(0.4, step, max_photons, columns)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_zero_strength_is_exact(self):
         cut = FockCutoff(6)
         d = cut.dim
@@ -410,6 +423,23 @@ class TestCharFn:
         with pytest.raises(TypeError, match="TriDiagonalWillieState"):
             anti_normal_char_fn(rho, 0.1, 0.1)
 
+    def test_cached_kernels_hold_diagonals_only(self):
+        """After a 2000-point call at N = 30 the kernels kept for both
+        cutoffs hold no array of more than P (N+1) entries."""
+        fock_core._char_fn_kernels.cache_clear()
+        n, count = 30, 2000
+        rng = np.random.default_rng(count)
+        z1, z2 = (0.5 * rng.uniform(size=count) * np.exp(2j * np.pi * rng.uniform(size=count))
+                  for _ in range(2))
+        anti_normal_char_fn(oracle._quiet(0.1, FockCutoff(n)), z1, z2)
+        assert fock_core._char_fn_kernels.cache_info().currsize == 4
+        hits = fock_core._char_fn_kernels.cache_info().hits
+        for z in (z1, z2):
+            for m in (n, n - 2):
+                kept = fock_core._char_fn_kernels(tuple(z.tolist()), m)
+                assert max(a.size for a in kept) <= count * (n + 1)
+        assert fock_core._char_fn_kernels.cache_info().hits == hits + 4
+
 
 def creation_exponential_entries(w, cutoff):
     """exp(w a^dag) entry by entry: w^k sqrt(m!/n!) / k! for k = m - n >= 0."""
@@ -447,6 +477,15 @@ class TestCreationExponential:
         for idx in np.ndindex(w.shape):
             assert np.array_equal(stacked[idx], creation_exponential(w[idx], cut))
 
+    @pytest.mark.parametrize("n", [3, 30])
+    def test_negated_point_negates_odd_diagonals_exactly(self, n):
+        """E(-w) is E(w) with entry (m, k) negated where m - k is odd, bit
+        for bit: the char fn kernels build both factors from one E(w)."""
+        cut = FockCutoff(n)
+        w = np.array(self.WS)
+        sign = (-1.0) ** np.add.outer(np.arange(cut.dim), np.arange(cut.dim))
+        assert np.array_equal(creation_exponential(-w, cut), creation_exponential(w, cut) * sign)
+
     @pytest.mark.parametrize("w", [math.nan, math.inf, complex(0.0, -math.inf),
                                    np.array([0.1, math.nan])])
     def test_rejects_non_finite(self, w):
@@ -455,12 +494,16 @@ class TestCreationExponential:
 
     @pytest.mark.parametrize("z", [0.0, 0.3, 1.0 + 1.0j, -2.0, 2j, 1.4 - 1.4j, -0.5j])
     def test_char_fn_factor_matches_expm(self, z):
-        # Entries reach ~6e6 at |z| = 2, where one ulp is ~1e-9, so the bound
-        # is relative to the largest entry.
+        # The kernels keep the three diagonals the trace reads.  Entries reach
+        # ~6e6 at |z| = 2, where one ulp is ~1e-9, so the bound is relative to
+        # the largest entry.
         op = annihilation_op(FockCutoff(30))
         ref = expm(-np.conj(z) * op) @ expm(z * op.conj().T)
-        got = fock_core._char_fn_kernels((complex(z),), 30)[0]
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        got = fock_core._char_fn_kernels((complex(z),), 30)
+        for kept, k in zip(got, (0, -1, 1)):
+            want = np.diagonal(ref, k)
+            assert kept.shape == (1, len(want))
+            assert np.max(np.abs(kept[0] - want)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDivergences:
@@ -585,8 +628,8 @@ def dense_divergences(a, b, zetas):
 
 
 def kernels(z1, z2, max_photons):
-    """The char fn's single-mode kernels at the one point (z1, z2), each
-    stacked over that point, at cutoff max_photons."""
+    """The char fn's single-mode kernel diagonals at the one point (z1, z2),
+    each stacked over that point, at cutoff max_photons."""
     return tuple(fock_core._char_fn_kernels((complex(z),), max_photons) for z in (z1, z2))
 
 
@@ -869,8 +912,8 @@ class TestTriDiagonalLayout:
         for _ in range(6):
             z1, z2 = rng.uniform(0.0, 2.0, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
             for n in (max_photons, max_photons - 2):
-                k1, k2 = kernels(z1, z2, n)
-                got = fock_core._layout_trace(state.diag, state.upper, k1, k2)
+                got = fock_core._layout_trace(state.diag, state.upper, *kernels(z1, z2, n))
+                k1, k2 = (char_fn_kernel(z, n) for z in (z1, z2))
                 scale = np.abs(matrix).sum() * np.abs(k1).max() * np.abs(k2).max()
                 assert abs(got[0] - char_fn_trace(matrix, z1, z2, n)) <= 1e-14 * scale
         p = thermal_occupation(np.arange(d), 0.01)  # converged at N - 2

@@ -2,9 +2,12 @@
 
 Each file under ``tests/golden/`` is the exact output of one command line.
 Refactors of the bound pipeline and the closed-form state must leave these
-bytes unchanged.  After a deliberate output change, regenerate them with
+bytes unchanged.  After a deliberate output change, regenerate the files
+it changes, by name:
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 tests/test_golden.py verify_all.jsonl
+
+With no name every file is rewritten; an unknown name rewrites none.
 """
 
 import sys
@@ -65,9 +68,32 @@ def test_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
-if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in sorted(CASES.items()):
-        code = cli.main(argv + ["--out", str(GOLDEN_DIR / name)])
+def test_regenerates_only_the_named_case(tmp_path):
+    name = "willie_state_plus.csv"
+    regenerate([name], tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_unknown_name_writes_nothing_and_lists_the_known(tmp_path):
+    with pytest.raises(SystemExit, match="known: bounds_criterion8.csv, ") as exit_:
+        regenerate(["willie_state_plus.csv", "verify.jsonl"], tmp_path)
+    assert "unknown golden verify.jsonl" in str(exit_.value.code)
+    assert list(tmp_path.iterdir()) == []
+
+
+def regenerate(names, directory=GOLDEN_DIR):
+    """Write the goldens ``names`` (every one when empty) into ``directory``;
+    an unknown name exits non-zero, naming the known ones, and writes none."""
+    unknown = sorted(set(names) - CASES.keys())
+    if unknown:
+        sys.exit(f"unknown golden {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    directory.mkdir(exist_ok=True)
+    for name in sorted(names or CASES):
+        code = cli.main(CASES[name] + ["--out", str(directory / name)])
         if code != cli.EXIT_OK:
             sys.exit(f"{name}: exit code {code}")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])
