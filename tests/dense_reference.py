@@ -5,7 +5,8 @@ never materializes a state of more than two modes.  These helpers do the
 same optics the slow way, over whole multi-mode spaces: spectator modes
 and mode swaps by Kronecker products, conjugation by a dense unitary,
 partial traces, the two-mode state as one dense product of rail images,
-and the characteristic function as a plain trace over the whole matrix.
+a stage's shift map as one gather over all shifts, and the characteristic
+function as a plain trace over the whole matrix.
 Tests compare the package's two-mode, rail-by-rail and layout results
 against them.
 """
@@ -152,3 +153,31 @@ def sector_eigensystems(step: int, max_photons: int) -> tuple:
         mu[c, :n], v = np.linalg.eigh(np.diag(x, 1) + np.diag(x, -1))
         left[c, :n, :n] = np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(n) % 4, None] * v
     return left, mu
+
+
+def stage_transfer(stage: tuple, max_photons: int, inputs: int) -> tuple:
+    """(M, rows) of oracle._stage_transfer as one gather over all 2d - 1
+    shifts at once, (2d - 1) x inputs x (ancilla inputs) index arrays and a
+    single stacked product: the one-shot reference for the grouped build."""
+    from covert_bosonic.fock_core import _chains, thermal_occupation
+    from covert_bosonic.oracle import _SIGNAL
+
+    builder, param, nbar, keep = stage
+    blocks, step = builder(param, max_photons, inputs)
+    _, chain, position = _chains(step, max_photons)
+    tau = -step
+    signal = keep == _SIGNAL
+    sigma = 1 if signal else tau
+    d = max_photons + 1
+    w = thermal_occupation(np.arange(d), nbar)
+    k = np.flatnonzero(w)[None, None, :]
+    s = np.arange(2 * d - 1)[:, None, None]
+    i = np.arange(inputs)[None, :, None]
+    rows = s - (d - 1 if sigma == 1 else 0) + sigma * i
+    traced = k + tau * (i - rows) if signal else i + tau * (k - rows)
+    inside = (rows >= 0) & (rows < d) & (traced >= 0) & (traced < d)
+    out = np.where(inside, rows * d + traced if signal else traced * d + rows, 0)
+    col = i * d + k
+    e = np.where(inside, blocks[chain[col], position[out], position[col]], 0.0)
+    m = (e * w[k]) @ e.transpose(0, 2, 1)
+    return m, np.clip(rows[:, :, 0], 0, d - 1)

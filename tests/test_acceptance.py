@@ -54,9 +54,9 @@ def test_criterion_1_warden_state_equivalence():
 
 def test_criterion_2_chi2_divergence():
     """Chi-squared closed form matches the trace computation to 1e-6
-    relative; the input-independent bound holds over 10^4 sampled qubits
-    with equality at full-coherence pure states and exactly half the bound
-    for the balanced classical mixture."""
+    relative; the input-independent bound holds over a 10^4-point lattice
+    of qubits, with equality at full-coherence pure states and exactly half
+    the bound for the balanced classical mixture."""
     report = oracle.verify_chi2()
     _report(f"2 chi-squared divergence (max rel err {report.max_rel_error:.2e})",
             report.passed)

@@ -651,6 +651,13 @@ def test_bound_commands_load_no_fock_space_module():
     assert _modules_loaded_by("covert_bosonic.cli", fock_stack, run) == "[]"
 
 
+def test_oracle_checks_load_no_random_module():
+    # The default grids are literals and a lattice: no check draws from
+    # numpy's generators, so none imports numpy.random.
+    run = "covert_bosonic.oracle.run_all_checks()"
+    assert _modules_loaded_by("covert_bosonic.oracle", ("numpy.random",), run) == "[]"
+
+
 def test_package_import_loads_no_submodule():
     assert _modules_loaded_by("covert_bosonic", ("covert_bosonic.",)) == "[]"
 

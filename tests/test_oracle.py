@@ -50,7 +50,7 @@ from covert_bosonic.oracle import (
     willie_state_numeric,
 )
 from dense_reference import (apply_unitary, char_fn_trace, dual_rail_density, embed,
-                             partial_trace, two_mode)
+                             partial_trace, stage_transfer, two_mode)
 
 
 class TestPairwiseDecomposition:
@@ -228,6 +228,17 @@ class TestStageTransfer:
         (m, rows), (full_m, full_rows) = self.leading(n, stage)
         assert m.tobytes() == full_m.tobytes() and rows.tobytes() == full_rows.tobytes()
 
+    @pytest.mark.parametrize("n", [5, 10, 23, 30, 31, 45])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_grouped_map_is_the_one_shot_gather(self, stage, n):
+        """The map built over groups of shifts equals the one-shot gather
+        over all shifts byte for byte, on 2 and on all n + 1 inputs."""
+        for inputs in (2, n + 1):
+            m, rows = oracle._stage_transfer.__wrapped__(stage, n, inputs)
+            ref_m, ref_rows = stage_transfer(stage, n, inputs)
+            assert m.shape == ref_m.shape and rows.shape == ref_rows.shape
+            assert m.tobytes() == ref_m.tobytes() and rows.tobytes() == ref_rows.tobytes()
+
     @pytest.mark.parametrize("n", [31, 40])
     @pytest.mark.parametrize("stage", STAGES)
     def test_two_input_map_within_ulps_above_30(self, stage, n):
@@ -335,6 +346,14 @@ class TestMemory:
         # A dense d^4 complex unitary alone is 16 * 61^4 bytes = 221 MB.
         stage = (fock_core._beamsplitter_blocks, 0.9, 0.12, oracle._ANCILLA)
         assert traced_peak_mb(lambda: oracle._stage_transfer(stage, 60, 61)) < 48
+
+    def test_full_stage_build_at_n60_with_eigensystems(self):
+        """With the eigensystems built, the full map's gather runs over
+        groups of shifts: 7.9 MB measured, the blocks and M 3.6 MB each,
+        against 22.2 MB for the one-shot gather."""
+        stage = (fock_core._beamsplitter_blocks, 0.9, 0.12, oracle._ANCILLA)
+        fock_core._sector_eigensystems(-1, 60)
+        assert traced_peak_mb(lambda: oracle._stage_transfer(stage, 60, 61)) < 10
 
     def test_rail_stage_build_at_n60(self):
         """A rail's first stage forms 2 columns per chain: 8.0 MB measured,
@@ -688,11 +707,8 @@ def test_chi2_skips_a_vacuum_warden():
 
 
 def chi2_samples():
-    """The chi2 check's seeded samples, as arrays of qubit entries."""
-    rng = np.random.default_rng(oracle._CHI2_SEED)
-    a2 = rng.uniform(0.0, 1.0, oracle._CHI2_BOUND_SAMPLES)
-    coh = rng.uniform(0.0, 1.0, oracle._CHI2_BOUND_SAMPLES) * np.sqrt(a2 * (1.0 - a2))
-    return a2, 1.0 - a2, coh
+    """The chi2 check's lattice, as arrays of qubit entries."""
+    return oracle._chi2_samples()
 
 
 @pytest.mark.parametrize("params", [ChannelParams(0.9, 0.12), ChannelParams(0.1, 0.01)])
@@ -706,16 +722,25 @@ def test_chi2_array_formula_is_chi2_closed(params):
         assert got.tolist() == want
 
 
+def test_chi2_lattice_covers_the_state_space():
+    """Populations at the cell midpoints of [0, 1], coherences up to their
+    ceiling |alpha beta|, on the state space."""
+    a2, b2, coh = chi2_samples()
+    assert len(a2) == oracle._CHI2_BOUND_SAMPLES
+    assert a2.min() > 0.0 and a2.max() < 1.0 and np.all(np.diff(a2) > 0)
+    fraction = coh / np.sqrt(a2 * b2)
+    assert fraction.min() == 0.0 and fraction.max() > 0.999
+    LogicalQubit._check(a2, b2, coh)
+
+
 def test_chi2_samples_are_held_to_the_qubit_constraints(monkeypatch):
-    """A sampler whose coherences stray beyond |alpha beta| is refused."""
-    class Straying:
-        def __init__(self, seed):
-            self.draws = iter((0.5, 1.5))
+    """A builder whose coherences stray beyond |alpha beta| is refused."""
+    a2, b2, _ = chi2_samples()
 
-        def uniform(self, low, high, size):
-            return np.full(size, low + (high - low) * next(self.draws))
+    def straying():
+        return a2, b2, 1.5 * np.sqrt(a2 * b2)
 
-    monkeypatch.setattr(np.random, "default_rng", Straying)
+    monkeypatch.setattr(oracle, "_chi2_samples", straying)
     with pytest.raises(ValueError, match="exceeds alpha_sq"):
         verify_chi2([ChannelParams(0.9, 0.12)], [LogicalQubit(0.5, 0.5, 0.0)])
 
@@ -765,16 +790,26 @@ class TestDefaultGrids:
         )
 
     def test_seeded_qubits_are_pinned(self):
-        """The four seeded qubits come from numpy's Generator stream, which
-        has no cross-version guarantee; the default grid, and the verify
-        golden's worst-case inputs, rest on these exact values."""
-        seeded = [(q.alpha_sq, q.gamma) for q in default_qubit_set()[-4:]]
-        assert seeded == [
+        """The seeded qubits are the first draws of numpy's default_rng(7),
+        frozen: the default grid, the acceptance grid (8 seeded qubits) and
+        the verify golden's worst-case inputs rest on these exact values."""
+        seeded = [(q.alpha_sq, q.beta_sq, q.gamma) for q in default_qubit_set(8)[-8:]]
+        assert seeded == [(a2, 1.0 - a2, gamma) for a2, gamma in [
             (0.6125859199442003, 0.07023463714797158 - 0.4314064107139386j),
             (0.25268647099153263, 0.09139152908650933 - 0.09306812362053356j),
             (0.05473877410901726, 0.054444834737527995 - 0.17869442024961335j),
             (0.47114145755934866, -0.026872793876046918 + 0.1488574470874824j),
-        ]
+            (0.2793826288887121, -0.19962235502356887 - 0.005706272079430832j),
+            (0.5481476168670432, 0.13121858328671504 - 0.47774418830083565j),
+            (0.6099613064970464, 0.10431332008835237 + 0.47095996492788295j),
+            (0.1941908304720601, 0.23312941137068163 + 0.06605302078235407j),
+        ]]
+        assert default_qubit_set(8)[:12] == default_qubit_set()
+
+    @pytest.mark.parametrize("n_random", [-1, 9])
+    def test_seeded_qubit_count_is_bounded(self, n_random):
+        with pytest.raises(ValueError, match=r"n_random must lie in \[0, 8\]"):
+            default_qubit_set(n_random)
 
 
 class TestReports:
