@@ -26,9 +26,12 @@ structure: the chains of each unitary, and the sectors of equal total
 photon number of a state.  A state keeps only its blocks, as one padded
 stack on its table: the sectors when its matrix vanishes off them (every
 state the optics here produce), otherwise the whole space as one block.
-Validation, products and divergences read those blocks; a reference keeps
-each block's eigensystem, inverse and log once built.  The matrix is the
-``entries`` property, scattered anew on each read (one block is its own).
+Validation, products and divergences read those blocks.  A diagonal
+reference (the thermal product) is read from its diagonal; any other keeps
+each block's eigensystem, inverse and log once built.  The spectrum of a
+tri-diagonal stack (a layout, or a layout minus a diagonal reference) is
+one real eigensolve.  The matrix is the ``entries`` property, scattered
+anew on each read (one block is its own).
 A dual-rail input leaves such a channel's two-mode output tri-diagonal, a
 diagonal and one photon-exchange coherence per (f, g); the closed forms
 and the oracle's numeric states alike are that layout,
@@ -138,10 +141,16 @@ class _BlockState:
         return m
 
     @cached_property
+    def _diagonal(self) -> np.ndarray | None:
+        """The real diagonal of each block, padded with 1, if every block is
+        diagonal; else None."""
+        main = _diagonals(self._blocks)
+        return None if main is None else np.where(self._idx < 0, 1.0, main.real)
+
+    @cached_property
     def _eigensystems(self) -> tuple:
         """Read-only (eigenvalues, eigenvectors) of each block, trimmed of padding."""
-        sizes = np.count_nonzero(self._idx >= 0, axis=1)
-        out = tuple(np.linalg.eigh(y[:n, :n]) for y, n in zip(self._blocks, sizes))
+        out = tuple(np.linalg.eigh(y) for y in _trimmed(self._blocks, self._idx))
         for x in (x for pair in out for x in pair):
             x.setflags(write=False)
         return out
@@ -407,12 +416,25 @@ def _scatter(blocks: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return m
 
 
+def _diagonals(blocks: np.ndarray) -> np.ndarray | None:
+    """The diagonals of a block stack if they hold all its nonzero entries, else None."""
+    main = np.diagonal(blocks, axis1=1, axis2=2)
+    return main if np.count_nonzero(blocks) == np.count_nonzero(main) else None
+
+
 def _check_blocks(blocks: np.ndarray, idx: np.ndarray) -> None:
     """Refuse a block stack on table ``idx`` that is not Hermitian to 1e-12
     or has an eigenvalue below -1e-10, naming the lowest over all blocks.
     Such an eigenvalue means an upstream bug and is never clipped.  Each test
     reads slices of at most 2^14 cells (rows, then groups of blocks), and one
-    block goes straight to the eigensolver, so no temporary nears its size."""
+    block goes straight to the eigensolver, so no temporary nears its size.
+    Diagonal blocks are read from their diagonals, their eigenvalues."""
+    if (main := _diagonals(blocks)) is not None:
+        if 2.0 * np.max(np.abs(main.imag)) > _HERMITICITY_TOL:
+            raise StateValidationError("operator is not Hermitian to 1e-12")
+        if (low := main.real.min()) < -_PSD_TOL:
+            raise StateValidationError(f"operator has eigenvalue {low:.3e} < -1e-10")
+        return
     width = idx.shape[1]
     rows, group = (max(1, 2**14 // (n * width)) for n in (len(idx), width))
     for r in range(0, width, rows):
@@ -447,16 +469,36 @@ def _check_state(idx: np.ndarray, blocks: np.ndarray, leak: float) -> None:
             f"trace {tr!r} outside [1 - leak, 1 + 1e-12] with leak {leak!r}")
 
 
-def _paired_blocks(a: "DensityOperator", b: "DensityOperator") -> list:
-    """Matching blocks of two states on one space, trimmed of padding:
-    block by block on their shared table, or the whole matrices when one
+def _paired_stacks(a: "DensityOperator", b: "DensityOperator") -> tuple:
+    """(x, y, idx): the block stacks of two states on one space, on their
+    shared table ``idx``, or their whole matrices as one block each when one
     of them is a single block and the other is not."""
     if a.num_modes != b.num_modes or a.cutoff != b.cutoff:
         raise ValueError("operators live on different truncated spaces")
     if a._idx.shape != b._idx.shape:  # sectors against the whole space
-        return [(a.entries, b.entries)]
-    sizes = np.count_nonzero(a._idx >= 0, axis=1)
-    return [(x[:n, :n], y[:n, :n]) for x, y, n in zip(a._blocks, b._blocks, sizes)]
+        x = a.entries
+        return x[None], b.entries[None], np.arange(len(x))[None]
+    return a._blocks, b._blocks, a._idx
+
+
+def _trimmed(stack: np.ndarray, idx: np.ndarray) -> list:
+    """The blocks of a stack on table ``idx``, trimmed of padding."""
+    return [y[:n, :n] for y, n in zip(stack, np.count_nonzero(idx >= 0, axis=1))]
+
+
+def _spectrum(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The eigenvalues of every block of a Hermitian stack on table ``idx``;
+    padding adds zeros, which change neither sum |w| nor sum w log w.  A
+    tri-diagonal stack is one real eigensolve: the diagonal phase similarity
+    takes each coupling c to |c|.  Any other is solved block by block."""
+    i = np.arange(x.shape[1])
+    main, low = np.diagonal(x, axis1=1, axis2=2), x[:, i[1:], i[:-1]]
+    if np.count_nonzero(x) > (np.count_nonzero(main) + np.count_nonzero(low)
+                              + np.count_nonzero(x[:, i[:-1], i[1:]])):
+        return np.concatenate([np.linalg.eigvalsh(y) for y in _trimmed(x, idx)])
+    t = np.zeros(x.shape)  # eigvalsh reads the lower triangle, as for x
+    t[:, i, i], t[:, i[1:], i[:-1]] = main.real, np.abs(low)
+    return np.linalg.eigvalsh(t).ravel()
 
 
 def tensor(a: DensityOperator, b: DensityOperator) -> DensityOperator:
@@ -698,10 +740,10 @@ def _layout_trace(diag, upper, k1, k2) -> np.ndarray:
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
-    """(1/2) || a - b ||_1 via eigenvalues of the Hermitian difference,
-    block by block; a or b may be a :class:`TriDiagonalWillieState`."""
-    return 0.5 * sum(float(np.sum(np.abs(np.linalg.eigvalsh(x - y))))
-                     for x, y in _paired_blocks(a, b))
+    """(1/2) || a - b ||_1 from the eigenvalues of the Hermitian difference
+    (see :func:`_spectrum`); a or b may be a :class:`TriDiagonalWillieState`."""
+    x, y, idx = _paired_stacks(a, b)
+    return 0.5 * float(np.sum(np.abs(_spectrum(x - y, idx))))
 
 
 def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
@@ -710,34 +752,42 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
     ``b`` must be full rank on the truncated support; a singular reference
     raises :class:`RankDeficiencyError` rather than silently regularizing.
     ``base`` must be finite, positive and not 1; a or b may be a layout.
+    Against a diagonal b the cross term is sum a_ii log b_i, else each
+    block of a meets the kept log of b's block.
     """
     if not (math.isfinite(base) and base > 0.0 and base != 1.0):
         raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
-    ent_a = cross = 0.0
-    for x, log_b in _against_reference(a, b, "_logs"):
-        wa = np.clip(np.linalg.eigvalsh(x), 0.0, None)
-        ent_a += float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
-        cross += float(np.trace(x @ log_b).real)
+    x, ref = _against_reference(a, b)
+    wa = np.clip(_spectrum(x, ref._idx), 0.0, None)
+    ent_a = float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
+    if ref._diagonal is not None:
+        cross = float(np.sum(np.diagonal(x, axis1=1, axis2=2).real * np.log(ref._diagonal)))
+    else:
+        cross = sum(float(np.trace(y @ log_b).real)
+                    for y, log_b in zip(_trimmed(x, ref._idx), ref._logs))
     return (ent_a - cross) / np.log(base)
 
 
 def chi2_numeric(a: DensityOperator, b: DensityOperator) -> float:
-    """Quantum chi-squared divergence tr[a^2 b^-1] - 1; a or b may be a layout."""
-    total = 0.0
-    for x, inv_b in _against_reference(a, b, "_inverses"):
-        total += float(np.trace(x @ x @ inv_b).real)
-    return total - 1.0
+    """Quantum chi-squared divergence tr[a^2 b^-1] - 1; a or b may be a
+    layout.  Against a diagonal b it is sum |a_ij|^2 / b_j - 1, else each
+    block of a meets the kept inverse of b's block."""
+    x, ref = _against_reference(a, b)
+    if ref._diagonal is not None:
+        return float(np.sum((x.real**2 + x.imag**2) / ref._diagonal[:, None, :])) - 1.0
+    return sum(float(np.trace(y @ y @ inv_b).real)
+               for y, inv_b in zip(_trimmed(x, ref._idx), ref._inverses)) - 1.0
 
 
-def _against_reference(a: DensityOperator, b: DensityOperator, kept: str) -> list:
-    """(block of a, the matching block of b's ``_inverses`` or ``_logs``, as
-    ``kept`` names) for each shared block; b must be full rank.  A sweep
-    against one reference thus diagonalizes and inverts each block once."""
-    pairs = _paired_blocks(a, b)
-    if len(pairs) != len(b._idx):  # b's sectors against a whole-space a: b as one block
-        y, leak = pairs[0][1], b.truncation_leak
-        b = DensityOperator._checked(b.num_modes, b.cutoff, np.arange(len(y))[None], y[None], leak)
-    low = min(float(w[0]) for w, _ in b._eigensystems)
+def _against_reference(a: DensityOperator, b: DensityOperator) -> tuple:
+    """(x, ref): a's block stack and b on its table (b as one block when a
+    is one and b is not), ref refused unless full rank.  A sweep against
+    one non-diagonal reference diagonalizes each of its blocks once."""
+    x, y, idx = _paired_stacks(a, b)
+    if len(idx) != len(b._idx):  # b's sectors against a whole-space a
+        b = DensityOperator._checked(b.num_modes, b.cutoff, idx, y, b.truncation_leak)
+    low = (min(float(w[0]) for w, _ in b._eigensystems) if b._diagonal is None
+           else float(b._diagonal.min()))
     if low <= 0.0:
         raise RankDeficiencyError(f"reference state is rank deficient (min eigenvalue {low:.3e})")
-    return [(x, y) for (x, _), y in zip(pairs, getattr(b, kept))]
+    return x, b

@@ -5,8 +5,9 @@ never materializes a state of more than two modes.  These helpers do the
 same optics the slow way, over whole multi-mode spaces: spectator modes
 and mode swaps by Kronecker products, conjugation by a dense unitary,
 partial traces, the two-mode state as one dense product of rail images,
-a stage's shift map as one gather over all shifts, and the characteristic
-function as a plain trace over the whole matrix.
+a stage's shift map as one gather over all shifts, the characteristic
+function as a plain trace over the whole matrix, and the divergences and
+state checks block by block with general Hermitian eigensolvers.
 Tests compare the package's two-mode, rail-by-rail and layout results
 against them.
 """
@@ -19,7 +20,13 @@ from typing import Iterable
 import numpy as np
 
 from covert_bosonic.closed_form import LogicalQubit
-from covert_bosonic.fock_core import DensityOperator, FockCutoff, creation_exponential
+from covert_bosonic.fock_core import (
+    DensityOperator,
+    FockCutoff,
+    RankDeficiencyError,
+    StateValidationError,
+    creation_exponential,
+)
 
 
 def annihilation_op(cutoff: FockCutoff) -> np.ndarray:
@@ -181,3 +188,71 @@ def stage_transfer(stage: tuple, max_photons: int, inputs: int) -> tuple:
     e = np.where(inside, blocks[chain[col], position[out], position[col]], 0.0)
     m = (e * w[k]) @ e.transpose(0, 2, 1)
     return m, np.clip(rows[:, :, 0], 0, d - 1)
+
+
+def paired_blocks(a, b) -> list:
+    """Matching blocks of two states on one space, trimmed of padding: block
+    by block on their shared table, or the whole matrices when one of them
+    is a single block and the other is not."""
+    if a.num_modes != b.num_modes or a.cutoff != b.cutoff:
+        raise ValueError("operators live on different truncated spaces")
+    if a._idx.shape != b._idx.shape:
+        return [(a.entries, b.entries)]
+    sizes = np.count_nonzero(a._idx >= 0, axis=1)
+    return [(x[:n, :n], y[:n, :n]) for x, y, n in zip(a._blocks, b._blocks, sizes)]
+
+
+def reference_blocks(a, b) -> list:
+    """(block of a, eigenvalues and eigenvectors of b's matching block) per
+    shared block, b full rank, each block of b diagonalized by a dense
+    Hermitian eigensolver."""
+    out = [(x, *np.linalg.eigh(y)) for x, y in paired_blocks(a, b)]
+    low = min(float(w[0]) for _, w, _ in out)
+    if low <= 0.0:
+        raise RankDeficiencyError(f"reference state is rank deficient (min eigenvalue {low:.3e})")
+    return out
+
+
+def trace_distance(a, b) -> float:
+    """(1/2) || a - b ||_1, one Hermitian eigensolve per block."""
+    return 0.5 * sum(float(np.sum(np.abs(np.linalg.eigvalsh(x - y))))
+                     for x, y in paired_blocks(a, b))
+
+
+def qre(a, b, base: float = 2.0) -> float:
+    """tr[a log a - a log b], the entropy and the log of b block by block."""
+    ent_a = cross = 0.0
+    for x, w, v in reference_blocks(a, b):
+        wa = np.clip(np.linalg.eigvalsh(x), 0.0, None)
+        ent_a += float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
+        cross += float(np.trace(x @ ((v * np.log(w)) @ v.conj().T)).real)
+    return (ent_a - cross) / np.log(base)
+
+
+def chi2_numeric(a, b) -> float:
+    """tr[a^2 b^-1] - 1, the inverse of b block by block."""
+    return sum(float(np.trace(x @ x @ ((v / w) @ v.conj().T)).real)
+               for x, w, v in reference_blocks(a, b)) - 1.0
+
+
+def check_blocks(blocks: np.ndarray, idx: np.ndarray) -> None:
+    """The block checks on any stack: Hermitian to 1e-12 in row slices,
+    then positive semi-definite to 1e-10 by a shifted Cholesky of groups of
+    blocks, and on its failure the lowest eigenvalue over the whole stack."""
+    width = idx.shape[1]
+    rows, group = (max(1, 2**14 // (n * width)) for n in (len(idx), width))
+    for r in range(0, width, rows):
+        x, y = blocks[:, r:r + rows], blocks[:, :, r:r + rows].conj().swapaxes(1, 2)
+        if np.max(np.abs(x - y)) > 1e-12:
+            raise StateValidationError("operator is not Hermitian to 1e-12")
+    if len(idx) > 1:
+        try:
+            for g in range(0, len(idx), group):
+                shift = np.where(idx[g:g + group] < 0, 1.0, 1e-10)[:, :, None]
+                np.linalg.cholesky(blocks[g:g + group] + shift * np.eye(width))
+            return
+        except np.linalg.LinAlgError:
+            pass
+    low = np.linalg.eigvalsh(blocks).min()
+    if low < -1e-10:
+        raise StateValidationError(f"operator has eigenvalue {low:.3e} < -1e-10")

@@ -28,6 +28,7 @@ from covert_bosonic.fock_core import (
 )
 from covert_bosonic import fock_core, oracle
 from covert_bosonic.closed_form import LogicalQubit, willie_state_closed
+import dense_reference
 from dense_reference import (
     annihilation_op,
     apply_unitary,
@@ -552,22 +553,45 @@ class TestDivergences:
         s = random_state(rng)
         assert chi2_numeric(s, s) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("reference", ["quiet", "tensor"])
+    def test_diagonal_reference_needs_no_eigensolver(self, reference, monkeypatch):
+        """The thermal product, as the oracle's diagonal layout or as the
+        tensor of two thermal states, is read from its diagonal: no
+        divergence against it reaches np.linalg.eigh or builds the
+        reference's eigensystems, inverses or logs."""
+        cut = FockCutoff(5)
+        ref = (oracle._quiet(0.09, cut) if reference == "quiet"
+               else tensor(thermal_state(0.3, cut), thermal_state(0.3, cut)))
+        states = [TriDiagonalWillieState(cut, diag, 0.5 * upper)
+                  for diag, upper in (random_layout(seed, 5, False) for seed in range(3))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for s in states:
+            chi2_numeric(s, ref), qre(s, ref), trace_distance(s, ref)
+            chi2_numeric(s.to_density_operator(), ref)
+        assert ref._diagonal is not None
+        assert not {"_eigensystems", "_inverses", "_logs"} & set(vars(ref))
+
     @pytest.mark.parametrize("reference", ["layout", "dense"])
     def test_reference_eigensystem_is_computed_once(self, reference, monkeypatch):
-        """Repeated divergences against one reference diagonalize each of
-        its blocks once, give what a fresh reference gives, bit for bit,
-        keep the eigensystems read-only and the inverses and logs built
-        from them."""
+        """Repeated divergences against one full-rank reference that is not
+        diagonal diagonalize each of its blocks once, give what a fresh
+        reference gives, bit for bit, keep the eigensystems read-only and
+        the inverses and logs built from them."""
         cut = FockCutoff(5)
         p = thermal_occupation(np.arange(cut.dim), 0.3)
 
-        def quiet():
-            layout = TriDiagonalWillieState(cut, np.outer(p, p), np.zeros((cut.dim,) * 2))
+        def mixed():
+            diag, upper = random_layout(7, 5, False)
+            layout = TriDiagonalWillieState(cut, 0.5 * (diag + np.outer(p, p)), 0.5 * upper)
             return layout if reference == "layout" else layout.to_density_operator()
 
         states = [TriDiagonalWillieState(cut, diag, 0.5 * upper)
                   for diag, upper in (random_layout(seed, 5, False) for seed in range(3))]
-        fresh = [(chi2_numeric(s, quiet()), qre(s, quiet())) for s in states]
+        fresh = [(chi2_numeric(s, mixed()), qre(s, mixed())) for s in states]
         calls = []
         eigh = np.linalg.eigh
 
@@ -576,14 +600,14 @@ class TestDivergences:
             return eigh(m)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        ref = quiet()
+        ref = mixed()
+        assert ref._diagonal is None
         assert [(chi2_numeric(s, ref), qre(s, ref)) for s in states] == fresh
         assert len(calls) == len(ref._idx) == 2 * cut.max_photons + 1
         assert all(not a.flags.writeable for pair in ref._eigensystems for a in pair)
         kept = [ref._inverses, ref._logs]
         assert len(kept[0]) == len(kept[1]) == len(calls)
-        pairs = fock_core._against_reference(states[0], ref, "_inverses")
-        assert all(y is inv for (_, y), inv in zip(pairs, kept[0]))
+        assert fock_core._against_reference(states[0], ref)[1] is ref
 
     def test_space_mismatch_rejected(self):
         a = thermal_state(0.4, CUT)
@@ -609,6 +633,166 @@ class TestDivergences:
         assert td_ab <= math.sqrt(max(d_nats, 0.0) / 2.0) + 1e-8
         # relative entropy is bounded by chi-squared
         assert d_nats <= chi2_numeric(a, b) + 1e-8
+
+
+STRUCTURE_CUTOFFS = [3, 10, 20, 30]
+QUBITS = {"pure": LogicalQubit.pure(math.sqrt(0.3), math.sqrt(0.7) * np.exp(0.4j)),
+          "mixed": LogicalQubit(0.3, 0.7, 0.2 + 0.1j)}
+
+
+def assert_divergences_match_per_block(a, b):
+    """chi2, qre in bits and nats, and the trace distance both ways, each
+    within 1e-12 max(1, |value|) of dense_reference's per-block route."""
+    pairs = [(chi2_numeric(a, b), dense_reference.chi2_numeric(a, b)),
+             (trace_distance(a, b), dense_reference.trace_distance(a, b)),
+             (trace_distance(b, a), dense_reference.trace_distance(b, a))]
+    pairs += [(qre(a, b, base=base), dense_reference.qre(a, b, base))
+              for base in (2.0, math.e)]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestStructuredDivergences:
+    """A diagonal reference is read from its diagonal and a tri-diagonal
+    stack's spectrum comes from one real eigensolve; both agree with the
+    per-block divergences, which diagonalize every block of the reference
+    and of a (or of a - b) as a dense Hermitian matrix."""
+
+    PARAMS = ChannelParams(0.9, 0.12)
+
+    def operands(self, n, qubit):
+        cut = FockCutoff(n)
+        state = willie_state_closed(QUBITS[qubit], self.PARAMS, cut)
+        occ = self.PARAMS.eta * self.PARAMS.nbar_b
+        quiet = oracle._quiet(occ, cut)
+        mixed = TriDiagonalWillieState(cut, 0.5 * (state.diag + quiet.diag), 0.5 * state.upper)
+        references = {("thermal", "layout"): quiet,
+                      ("thermal", "dense"): tensor(thermal_state(occ, cut), thermal_state(occ, cut)),
+                      ("mixed", "layout"): mixed,
+                      ("mixed", "dense"): mixed.to_density_operator()}
+        return state, references
+
+    @pytest.mark.parametrize("b_form", ["layout", "dense"])
+    @pytest.mark.parametrize("b_kind", ["thermal", "mixed"])
+    @pytest.mark.parametrize("a_form", ["layout", "dense"])
+    @pytest.mark.parametrize("qubit", sorted(QUBITS))
+    @pytest.mark.parametrize("n", STRUCTURE_CUTOFFS)
+    def test_match_the_per_block_route(self, n, qubit, a_form, b_kind, b_form):
+        state, references = self.operands(n, qubit)
+        a = state if a_form == "layout" else state.to_density_operator()
+        b = references[b_kind, b_form]
+        assert (b._diagonal is None) == (b_kind == "mixed")
+        assert_divergences_match_per_block(a, b)
+
+    @pytest.mark.parametrize("b_form", ["layout", "dense"])
+    @pytest.mark.parametrize("n", STRUCTURE_CUTOFFS[:-1])
+    def test_one_block_state_against_sectors(self, n, b_form):
+        """A coherence off the sectors makes a one whole-space block; the
+        thermal reference is then read as one diagonal block.  (At N = 30
+        the dozen 961 x 961 eigensolves take seconds.)"""
+        state, references = self.operands(n, "mixed")
+        m = state.entries.copy()
+        d = n + 1
+        m[0, d + 1] = m[d + 1, 0] = 1e-14  # |00><11|
+        a = DensityOperator(2, state.cutoff, m, state.truncation_leak)
+        assert a._idx.shape == (1, d * d)
+        assert_divergences_match_per_block(a, references["thermal", b_form])
+
+    @pytest.mark.parametrize("b_kind", ["thermal", "mixed"])
+    def test_layout_spectra_are_one_real_eigensolve(self, b_kind, monkeypatch):
+        """qre's entropy and the trace distance of a layout against a
+        layout each call eigvalsh once, on a real stack."""
+        state, references = self.operands(10, "mixed")
+        b = references[b_kind, "dense"]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(m.dtype)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        qre(state, b), trace_distance(state, b)
+        assert calls == [np.dtype(float)] * 2
+
+    def test_sector_stack_that_is_not_tridiagonal(self):
+        """Three-mode sectors hold coherences off the three diagonals: their
+        spectra are solved block by block."""
+        cut = FockCutoff(3)
+        state, references = self.operands(3, "mixed")
+        a = tensor(state.to_density_operator(), thermal_state(0.2, cut))
+        b = tensor(references["thermal", "dense"], thermal_state(0.2, cut))
+        i = np.arange(a._idx.shape[1])
+        band = np.abs(i[:, None] - i) <= 1
+        assert np.any(a._blocks[:, ~band]) and b._diagonal is not None
+        assert_divergences_match_per_block(a, b)
+
+    @pytest.mark.parametrize("form", ["layout", "dense"])
+    @pytest.mark.parametrize("occ", [0.0, 1e-20])
+    def test_diagonal_reference_with_a_zero_weight(self, occ, form):
+        """A thermal reference with a zero weight (vacuum, or a tail that
+        underflows at N = 30) is refused, with the per-block route's text."""
+        cut = FockCutoff(30)
+        ref = (oracle._quiet(occ, cut) if form == "layout"
+               else tensor(thermal_state(occ, cut), thermal_state(occ, cut)))
+        assert ref._diagonal is not None and ref._diagonal.min() == 0.0
+        state = willie_state_closed(QUBITS["mixed"], self.PARAMS, cut)
+        for divergence in (chi2_numeric, qre, dense_reference.chi2_numeric,
+                           dense_reference.qre):
+            with pytest.raises(RankDeficiencyError,
+                               match=r"rank deficient \(min eigenvalue 0\.000e\+00\)"):
+                divergence(state, ref)
+
+
+class TestDiagonalChecks:
+    """A stack of diagonal blocks is checked from its diagonals, with the
+    outcomes and messages of the general route dense_reference keeps."""
+
+    CUT = FockCutoff(3)
+
+    def stack(self, value):
+        """The thermal product's blocks with one diagonal entry set to ``value``."""
+        quiet = tensor(thermal_state(0.2, self.CUT), thermal_state(0.2, self.CUT))
+        blocks = quiet._blocks.copy()
+        blocks[3, 1, 1] = value
+        return blocks, quiet._idx
+
+    @pytest.mark.parametrize("value, message", [
+        (-2e-10, "eigenvalue -2.000e-10 < -1e-10"),
+        (-1e-10, None),
+        (0.1 + 6e-13j, "not Hermitian to 1e-12"),
+        (0.1 + 4e-13j, None),
+    ])
+    def test_matches_the_general_route(self, value, message):
+        blocks, idx = self.stack(value)
+        assert fock_core._diagonals(blocks) is not None
+        for check in (fock_core._check_blocks, dense_reference.check_blocks):
+            if message is None:
+                check(blocks, idx)
+            else:
+                with pytest.raises(StateValidationError, match=message):
+                    check(blocks, idx)
+
+    def test_nan_fails_the_finite_check(self):
+        blocks, idx = self.stack(np.nan)
+        with pytest.raises(StateValidationError, match="non-finite"):
+            fock_core._check_state(idx, blocks, 0.0)
+        m = np.diag(np.full(self.CUT.dim**2, 1.0 / self.CUT.dim**2)).astype(complex)
+        m[5, 5] = np.nan
+        with pytest.raises(StateValidationError, match="non-finite"):
+            DensityOperator(2, self.CUT, m)
+
+    def test_thermal_product_needs_no_factorization(self, monkeypatch):
+        cut = FockCutoff(30)
+        thermal = thermal_state(0.1, cut)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorization called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        quiet = tensor(thermal, thermal)
+        assert quiet._diagonal is not None and len(quiet._idx) == 2 * cut.max_photons + 1
 
 
 def dense_divergences(a, b, zetas):
