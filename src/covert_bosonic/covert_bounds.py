@@ -290,12 +290,16 @@ def upper_bound_srl_coefficient(params: ChannelParams, delta: float) -> float:
     """Large-n limit of upper_bound_qubits / sqrt(n):
     4 c_cov delta log2(1 + 2/Gbar), from first-order expansion of the
     capacity around nbar_s = 0; 0 where no signal is sent, and refused
-    where the converse is."""
+    where the converse is.  Gbar = G - 1 is taken as
+    ((1-eta) nbar_b/2) / (eta - (1-eta) nbar_b/2), not from G, which rounds
+    to 1 when the noise term is below half an ulp of eta."""
     nbar_s = float(_nbar_s(params, delta, 1.0))  # 2 c_cov delta
     _capacity(params, nbar_s)  # refuses where the converse refuses
     if nbar_s == 0.0:
         return 0.0
-    return 2.0 * nbar_s * math.log2(1.0 + 2.0 / (converse_gain(params) - 1.0))
+    noise = (1.0 - params.eta) * params.nbar_b / 2.0
+    gbar = noise / (params.eta - noise)
+    return 2.0 * nbar_s * math.log2(1.0 + 2.0 / gbar)
 
 
 def _bounds_columns(

@@ -27,11 +27,12 @@ photon number of a state.  A state keeps only its blocks, as one padded
 stack on its table: the sectors when its matrix vanishes off them (every
 state the optics here produce), otherwise the whole space as one block.
 Validation, products and divergences read those blocks.  A diagonal
-reference (the thermal product) is read from its diagonal; any other keeps
-each block's eigensystem, inverse and log once built.  The spectrum of a
-tri-diagonal stack (a layout, or a layout minus a diagonal reference) is
-one real eigensolve.  The matrix is the ``entries`` property, scattered
-anew on each read (one block is its own).
+reference (the thermal product) is read from its diagonal; any other is
+diagonalized block by block in each call.  Spectra come from
+``_spectrum``, and the checks take a non-diagonal stack's lowest
+eigenvalue from it: a tri-diagonal stack (a layout, or a layout minus a
+diagonal reference) is one real eigensolve.  The matrix is the
+``entries`` property, scattered anew on each read (one block is its own).
 A dual-rail input leaves such a channel's two-mode output tri-diagonal, a
 diagonal and one photon-exchange coherence per (f, g); the closed forms
 and the oracle's numeric states alike are that layout,
@@ -130,8 +131,7 @@ class FockCutoff:
 
 
 class _BlockState:
-    """A state kept as a padded block stack ``_blocks`` on table ``_idx``; what
-    the divergences need of it as a reference is built on first use and kept."""
+    """A state kept as a padded block stack ``_blocks`` on table ``_idx``."""
 
     @property
     def entries(self) -> np.ndarray:
@@ -142,28 +142,8 @@ class _BlockState:
 
     @cached_property
     def _diagonal(self) -> np.ndarray | None:
-        """The real diagonal of each block, padded with 1, if every block is
-        diagonal; else None."""
-        main = _diagonals(self._blocks)
-        return None if main is None else np.where(self._idx < 0, 1.0, main.real)
-
-    @cached_property
-    def _eigensystems(self) -> tuple:
-        """Read-only (eigenvalues, eigenvectors) of each block, trimmed of padding."""
-        out = tuple(np.linalg.eigh(y) for y in _trimmed(self._blocks, self._idx))
-        for x in (x for pair in out for x in pair):
-            x.setflags(write=False)
-        return out
-
-    @cached_property
-    def _inverses(self) -> list:
-        """The inverse of each block; read once its eigenvalues are positive."""
-        return [(v / w) @ v.conj().T for w, v in self._eigensystems]
-
-    @cached_property
-    def _logs(self) -> list:
-        """The natural log of each block, under the same condition."""
-        return [(v * np.log(w)) @ v.conj().T for w, v in self._eigensystems]
+        """:func:`_padded_diagonal` of the state's own stack."""
+        return _padded_diagonal(self._blocks, self._idx)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -264,7 +244,7 @@ def thermal_state(nbar: float, cutoff: FockCutoff) -> DensityOperator:
     return DensityOperator(1, cutoff, np.diag(diag).astype(complex), leak)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriDiagonalWillieState(_BlockState):
     """Sparse tri-diagonal representation of the warden-side output state.
 
@@ -279,7 +259,8 @@ class TriDiagonalWillieState(_BlockState):
     the docstring above says so (``ValueError``), a real diagonal, the
     trace at most 1 + 1e-12, and every sector of equal f + g, a Hermitian
     tri-diagonal matrix over |f, K-f>, positive semi-definite to 1e-10
-    (:class:`StateValidationError`).  The arrays are stored read-only.
+    (:class:`StateValidationError`).  The arrays are stored read-only.  A
+    layout equals only itself, and hashes by identity.
     """
 
     cutoff: FockCutoff
@@ -342,8 +323,8 @@ def _pivots_positive(diag: np.ndarray, upper: np.ndarray, idx: np.ndarray) -> bo
     Sector K is tri-diagonal with a_i = diag and b_i = upper at its i-th
     state (f_0 + i, K - f_0 - i).  Its shift is positive definite iff every
     pivot p_0 = a_0 + 1e-10, p_i = a_i + 1e-10 - |b_(i-1)|^2 / p_(i-1) is
-    positive: the shifted Cholesky of :func:`_check_blocks` on all sectors
-    at once, in O(d^2)."""
+    positive, on all sectors at once in O(d^2).  A layout that fails goes
+    to :func:`_check_blocks`, which names its lowest eigenvalue."""
     pad = idx < 0
     # Padding continues each sector with a decoupled unit entry.
     a = np.where(pad, 1.0, diag.ravel()[idx]) + _PSD_TOL
@@ -422,37 +403,32 @@ def _diagonals(blocks: np.ndarray) -> np.ndarray | None:
     return main if np.count_nonzero(blocks) == np.count_nonzero(main) else None
 
 
+def _padded_diagonal(blocks: np.ndarray, idx: np.ndarray) -> np.ndarray | None:
+    """The real diagonal of each block of a stack on table ``idx``, padded
+    with 1, if every block is diagonal; else None."""
+    main = _diagonals(blocks)
+    return None if main is None else np.where(idx < 0, 1.0, main.real)
+
+
 def _check_blocks(blocks: np.ndarray, idx: np.ndarray) -> None:
     """Refuse a block stack on table ``idx`` that is not Hermitian to 1e-12
     or has an eigenvalue below -1e-10, naming the lowest over all blocks.
-    Such an eigenvalue means an upstream bug and is never clipped.  Each test
-    reads slices of at most 2^14 cells (rows, then groups of blocks), and one
-    block goes straight to the eigensolver, so no temporary nears its size.
-    Diagonal blocks are read from their diagonals, their eigenvalues."""
+    Such an eigenvalue means an upstream bug and is never clipped.  Diagonal
+    blocks are read from their diagonals, their eigenvalues.  Any other
+    stack is tested for Hermiticity in slices of rows of at most 2^14
+    cells, so no temporary nears its size, and takes its lowest eigenvalue
+    from :func:`_spectrum`."""
     if (main := _diagonals(blocks)) is not None:
         if 2.0 * np.max(np.abs(main.imag)) > _HERMITICITY_TOL:
             raise StateValidationError("operator is not Hermitian to 1e-12")
-        if (low := main.real.min()) < -_PSD_TOL:
-            raise StateValidationError(f"operator has eigenvalue {low:.3e} < -1e-10")
-        return
-    width = idx.shape[1]
-    rows, group = (max(1, 2**14 // (n * width)) for n in (len(idx), width))
-    for r in range(0, width, rows):
-        x, y = blocks[:, r:r + rows], blocks[:, :, r:r + rows].conj().swapaxes(1, 2)
-        if np.max(np.abs(x - y)) > _HERMITICITY_TOL:
-            raise StateValidationError("operator is not Hermitian to 1e-12")
-    if len(idx) > 1:
-        # Cholesky of the shifted blocks succeeds iff every eigenvalue exceeds
-        # -_PSD_TOL, several times cheaper than an eigensolver; the padding is
-        # shifted to the identity.
-        try:
-            for g in range(0, len(idx), group):
-                shift = np.where(idx[g:g + group] < 0, 1.0, _PSD_TOL)[:, :, None]
-                np.linalg.cholesky(blocks[g:g + group] + shift * np.eye(width))
-            return
-        except np.linalg.LinAlgError:
-            pass
-    low = np.linalg.eigvalsh(blocks).min()
+        low = main.real.min()
+    else:
+        rows = max(1, 2**14 // (len(idx) * idx.shape[1]))
+        for r in range(0, idx.shape[1], rows):
+            x, y = blocks[:, r:r + rows], blocks[:, :, r:r + rows].conj().swapaxes(1, 2)
+            if np.max(np.abs(x - y)) > _HERMITICITY_TOL:
+                raise StateValidationError("operator is not Hermitian to 1e-12")
+        low = _spectrum(blocks, idx).min()
     if low < -_PSD_TOL:
         raise StateValidationError(f"operator has eigenvalue {low:.3e} < -1e-10")
 
@@ -753,41 +729,45 @@ def qre(a: DensityOperator, b: DensityOperator, *, base: float = 2.0) -> float:
     raises :class:`RankDeficiencyError` rather than silently regularizing.
     ``base`` must be finite, positive and not 1; a or b may be a layout.
     Against a diagonal b the cross term is sum a_ii log b_i, else each
-    block of a meets the kept log of b's block.
+    block of a meets the log of b's block, built from its eigensystem.
     """
     if not (math.isfinite(base) and base > 0.0 and base != 1.0):
         raise ValueError(f"base must be finite, > 0 and != 1, got {base!r}")
-    x, ref = _against_reference(a, b)
-    wa = np.clip(_spectrum(x, ref._idx), 0.0, None)
+    x, idx, ref = _against_reference(a, b)
+    wa = np.clip(_spectrum(x, idx), 0.0, None)
     ent_a = float(np.sum(wa[wa > 0] * np.log(wa[wa > 0])))
-    if ref._diagonal is not None:
-        cross = float(np.sum(np.diagonal(x, axis1=1, axis2=2).real * np.log(ref._diagonal)))
+    if isinstance(ref, np.ndarray):
+        cross = float(np.sum(np.diagonal(x, axis1=1, axis2=2).real * np.log(ref)))
     else:
-        cross = sum(float(np.trace(y @ log_b).real)
-                    for y, log_b in zip(_trimmed(x, ref._idx), ref._logs))
+        cross = sum(float(np.trace(y @ ((v * np.log(w)) @ v.conj().T)).real)
+                    for y, (w, v) in zip(_trimmed(x, idx), ref))
     return (ent_a - cross) / np.log(base)
 
 
 def chi2_numeric(a: DensityOperator, b: DensityOperator) -> float:
     """Quantum chi-squared divergence tr[a^2 b^-1] - 1; a or b may be a
     layout.  Against a diagonal b it is sum |a_ij|^2 / b_j - 1, else each
-    block of a meets the kept inverse of b's block."""
-    x, ref = _against_reference(a, b)
-    if ref._diagonal is not None:
-        return float(np.sum((x.real**2 + x.imag**2) / ref._diagonal[:, None, :])) - 1.0
-    return sum(float(np.trace(y @ y @ inv_b).real)
-               for y, inv_b in zip(_trimmed(x, ref._idx), ref._inverses)) - 1.0
+    block of a meets the inverse of b's block, built from its eigensystem."""
+    x, idx, ref = _against_reference(a, b)
+    if isinstance(ref, np.ndarray):
+        return float(np.sum((x.real**2 + x.imag**2) / ref[:, None, :])) - 1.0
+    return sum(float(np.trace(y @ y @ ((v / w) @ v.conj().T)).real)
+               for y, (w, v) in zip(_trimmed(x, idx), ref)) - 1.0
 
 
 def _against_reference(a: DensityOperator, b: DensityOperator) -> tuple:
-    """(x, ref): a's block stack and b on its table (b as one block when a
-    is one and b is not), ref refused unless full rank.  A sweep against
-    one non-diagonal reference diagonalizes each of its blocks once."""
+    """(x, idx, ref): a's block stack on table ``idx`` (see
+    :func:`_paired_stacks`) and one reading of b on that table, refused
+    unless full rank.  ref is b's :func:`_padded_diagonal` if every block
+    of b is diagonal, else each block's (eigenvalues, eigenvectors), solved
+    in this call."""
     x, y, idx = _paired_stacks(a, b)
-    if len(idx) != len(b._idx):  # b's sectors against a whole-space a
-        b = DensityOperator._checked(b.num_modes, b.cutoff, idx, y, b.truncation_leak)
-    low = (min(float(w[0]) for w, _ in b._eigensystems) if b._diagonal is None
-           else float(b._diagonal.min()))
+    ref = b._diagonal if len(idx) == len(b._idx) else _padded_diagonal(y, idx)
+    if ref is None:
+        ref = [np.linalg.eigh(block) for block in _trimmed(y, idx)]
+        low = min(float(w[0]) for w, _ in ref)
+    else:
+        low = float(ref.min())
     if low <= 0.0:
         raise RankDeficiencyError(f"reference state is rank deficient (min eigenvalue {low:.3e})")
-    return x, b
+    return x, idx, ref

@@ -163,6 +163,15 @@ class TestConverse:
             prev_err = err
         assert prev_err < 1e-5
 
+    def test_srl_coefficient_below_half_an_ulp_of_noise(self):
+        # (1-eta) nbar_b/2 = 5e-22 rounds G to exactly 1; Gbar is ~5.6e-22.
+        params, delta = ChannelParams(0.9, 1e-20), 0.05
+        assert converse_gain(params) == 1.0
+        gbar = 0.05e-20 / (0.9 - 0.05e-20)
+        want = 4.0 * c_cov(params) * delta * math.log2(1.0 + 2.0 / gbar)
+        got = upper_bound_srl_coefficient(params, delta)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("params, delta", [
         (ChannelParams(0.9, 0.0), 0.05), (ChannelParams(0.0, 0.5), 0.05),

@@ -557,8 +557,7 @@ class TestDivergences:
     def test_diagonal_reference_needs_no_eigensolver(self, reference, monkeypatch):
         """The thermal product, as the oracle's diagonal layout or as the
         tensor of two thermal states, is read from its diagonal: no
-        divergence against it reaches np.linalg.eigh or builds the
-        reference's eigensystems, inverses or logs."""
+        divergence against it reaches np.linalg.eigh."""
         cut = FockCutoff(5)
         ref = (oracle._quiet(0.09, cut) if reference == "quiet"
                else tensor(thermal_state(0.3, cut), thermal_state(0.3, cut)))
@@ -573,14 +572,12 @@ class TestDivergences:
             chi2_numeric(s, ref), qre(s, ref), trace_distance(s, ref)
             chi2_numeric(s.to_density_operator(), ref)
         assert ref._diagonal is not None
-        assert not {"_eigensystems", "_inverses", "_logs"} & set(vars(ref))
 
     @pytest.mark.parametrize("reference", ["layout", "dense"])
-    def test_reference_eigensystem_is_computed_once(self, reference, monkeypatch):
+    def test_non_diagonal_reference_keeps_nothing(self, reference):
         """Repeated divergences against one full-rank reference that is not
-        diagonal diagonalize each of its blocks once, give what a fresh
-        reference gives, bit for bit, keep the eigensystems read-only and
-        the inverses and logs built from them."""
+        diagonal give what a fresh reference gives, bit for bit, and leave
+        nothing on it but its cached diagonal reading (None)."""
         cut = FockCutoff(5)
         p = thermal_occupation(np.arange(cut.dim), 0.3)
 
@@ -592,22 +589,30 @@ class TestDivergences:
         states = [TriDiagonalWillieState(cut, diag, 0.5 * upper)
                   for diag, upper in (random_layout(seed, 5, False) for seed in range(3))]
         fresh = [(chi2_numeric(s, mixed()), qre(s, mixed())) for s in states]
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(m):
-            calls.append(m.shape)
-            return eigh(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         ref = mixed()
+        before = set(vars(ref)) | {"_blocks"}  # a layout builds its stack on first read
+        for _ in range(2):
+            assert [(chi2_numeric(s, ref), qre(s, ref)) for s in states] == fresh
+        assert set(vars(ref)) - before == {"_diagonal"}
         assert ref._diagonal is None
-        assert [(chi2_numeric(s, ref), qre(s, ref)) for s in states] == fresh
-        assert len(calls) == len(ref._idx) == 2 * cut.max_photons + 1
-        assert all(not a.flags.writeable for pair in ref._eigensystems for a in pair)
-        kept = [ref._inverses, ref._logs]
-        assert len(kept[0]) == len(kept[1]) == len(calls)
-        assert fock_core._against_reference(states[0], ref)[1] is ref
+
+    def test_default_oracle_divergences_read_a_diagonal(self, monkeypatch):
+        """Every divergence the default chi2 and Pinsker checks take is
+        against a reference read from its diagonal: none diagonalizes it."""
+        readings = []
+        against = fock_core._against_reference
+
+        def recorded(a, b):
+            out = against(a, b)
+            readings.append(isinstance(out[2], np.ndarray))
+            return out
+
+        monkeypatch.setattr(fock_core, "_against_reference", recorded)
+        for check in (oracle.verify_chi2, oracle.verify_pinsker_and_detector):
+            count = len(readings)
+            assert check().passed
+            assert len(readings) > count, check.__name__
+        assert all(readings)
 
     def test_space_mismatch_rejected(self):
         a = thermal_state(0.4, CUT)
@@ -981,6 +986,14 @@ class TestTriDiagonalLayout:
         upper = np.zeros((4, 4), dtype=complex)
         upper[0, 1] = coherence
         return diag, upper
+
+    def test_layouts_compare_and_hash_by_identity(self):
+        a, b = (TriDiagonalWillieState(self.CUT, *self.pair(0.1)) for _ in range(2))
+        assert a != b and not a == b and a == a
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+        with pytest.raises(StateValidationError, match="eigenvalue"):
+            dataclasses.replace(a, upper=self.pair(0.5)[1])
+        assert dataclasses.replace(a, upper=self.pair(0.2)[1]) != a
 
     def test_short_diag_is_refused(self):
         with pytest.raises(ValueError, match="must be 4x4"):
