@@ -166,7 +166,7 @@ def _resolve_cutoff(args):
     from .fock_core import DEFAULT_MAX_PHOTONS, FockCutoff
 
     val = DEFAULT_MAX_PHOTONS if args.cutoff is None else args.cutoff
-    if not 1 <= val <= MAX_CUTOFF:  # the dense dump takes ~1 GB at 90
+    if not 1 <= val <= MAX_CUTOFF:  # the dump walks (N+1)^2 rows of 3 entries
         raise UsageError(f"cutoff must be from 1 to {MAX_CUTOFF}, got {val}")
     return FockCutoff(val)
 
@@ -246,12 +246,12 @@ _BOUNDS_COLUMNS = (
 _BOUNDS_HEADER = [header for header, _ in _BOUNDS_COLUMNS]
 
 
-def _bounds_rows(columns: list) -> Iterator[str]:
-    """The CSV rows of ``columns``, each an array or one value for every
-    row (None writes ""), formatted ``_CHUNK`` rows at a time.  A slice
-    bit-identical to the previous array column's (q and nbar_s below the
-    clamp) reuses its text."""
-    columns = [c if isinstance(c, np.ndarray) else "" if c is None else _fmt(c)
+def _bounds_rows(columns: list, absent: str = "", sep: str = ",") -> Iterator[str]:
+    """The rows of ``columns``, each an array or one value for every row
+    (None writes ``absent``), their cells joined by ``sep``, formatted
+    ``_CHUNK`` rows at a time.  A slice bit-identical to the previous array
+    column's (q and nbar_s below the clamp) reuses its text."""
+    columns = [c if isinstance(c, np.ndarray) else absent if c is None else _fmt(c)
                for c in columns]
     for start in range(0, len(columns[0]), _CHUNK):
         cells, prev = [], None
@@ -263,7 +263,28 @@ def _bounds_rows(columns: list) -> Iterator[str]:
             if (key := part.tobytes()) != prev:
                 prev, text = key, list(map(repr, part.tolist()))
             cells.append(text)
-        yield from map(",".join, zip(*cells))
+        yield from map(sep.join, zip(*cells))
+
+
+def _bounds_json(doc: dict, columns: list) -> Iterator[str]:
+    """The lines of ``doc`` with the rows of ``columns`` as strict JSON, the
+    text of ``json.dumps(..., sort_keys=True, indent=2)``, whose "rows" sort
+    last, with the rows formatted as :func:`_bounds_rows` streams them.  A
+    non-finite value is refused here, as that call refuses it."""
+    finite = np.ones(len(columns[0]), dtype=bool)
+    for c in columns:
+        if c is not None:
+            finite &= np.isfinite(c)
+    if not finite.all():  # dump the first such row for json's own message
+        i = int(np.argmin(finite))
+        json.dumps([c[i].item() if isinstance(c, np.ndarray) else c for c in columns],
+                   indent=2, allow_nan=False)
+    head, tail = json.dumps({**doc, "rows": []}, sort_keys=True, indent=2,
+                            allow_nan=False).rsplit("[]", 1)
+    last = len(finite) - 1
+    rows = ("    [\n      " + row + ("\n    ]," if i < last else "\n    ]")
+            for i, row in enumerate(_bounds_rows(columns, "null", ",\n      ")))
+    return chain([head + "["], rows, ["  ]" + tail])
 
 
 def cmd_bounds(args) -> int:
@@ -279,16 +300,16 @@ def cmd_bounds(args) -> int:
             f"upper={upper[i].item()!r} < lower={lower[i].item()!r}"
         )
     columns = [cols[field] for _, field in _BOUNDS_COLUMNS]
+    if args.format == "json":
+        doc = {"eta": params.eta, "nbar_b": params.nbar_b, "delta": args.delta,
+               "modes_per_sec": args.modes_per_sec, "columns": _BOUNDS_HEADER}
+        _write_lines(_bounds_json(doc, columns), args.out)
+        return EXIT_OK
     comment = ("# eta=" + _fmt(params.eta) + " nbar_b=" + _fmt(params.nbar_b)
                + " delta=" + _fmt(args.delta)
                + ("" if args.modes_per_sec is None
                   else " modes_per_sec=" + _fmt(args.modes_per_sec)))
-    doc = {"eta": params.eta, "nbar_b": params.nbar_b, "delta": args.delta,
-           "modes_per_sec": args.modes_per_sec, "columns": _BOUNDS_HEADER}
-    if args.format == "json":
-        doc["rows"] = list(cb._rows(columns))
-    _emit(args, "csv", doc, chain([comment, ",".join(_BOUNDS_HEADER)],
-                                  _bounds_rows(columns)))
+    _write_lines(chain([comment, ",".join(_BOUNDS_HEADER)], _bounds_rows(columns)), args.out)
     return EXIT_OK
 
 
@@ -310,6 +331,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _layout_records(state) -> list:
+    """(f, g, f', g', re, im) of each nonzero entry of a layout's matrix,
+    row-major, walked from ``diag`` and ``upper`` with no (N+1)^4 matrix.
+    Row |f g> holds at most its lower <f g|rho|f-1 g+1> (the conjugate of
+    the upper entry of row |f-1 g+1>), its diagonal and its upper
+    <f g|rho|f+1 g-1>, in that column order."""
+    d = state.cutoff.dim
+    vals = np.zeros((d, d, 3), dtype=complex)
+    vals[1:, :-1, 0] = np.conj(state.upper[:-1, 1:])
+    vals[:, :, 1], vals[:, :, 2] = state.diag, state.upper
+    f, g, k = np.nonzero(vals)
+    v = vals[f, g, k]
+    return list(zip(*(a.tolist() for a in (f, g, f + k - 1, g - k + 1, v.real, v.imag))))
+
+
 def cmd_willie_state(args) -> int:
     # The Fock-space modules load here only, so the bound commands never
     # load them.
@@ -325,12 +361,8 @@ def cmd_willie_state(args) -> int:
         from . import oracle
 
         state = oracle.willie_state_numeric(qubit, params, cutoff)
-    entries, leak = state.entries, state.truncation_leak
-    d = cutoff.dim
-    rows, cols = np.nonzero(entries)  # row-major order
-    vals = entries[rows, cols]
-    records = list(zip(*(a.tolist() for a in (
-        rows // d, rows % d, cols // d, cols % d, vals.real, vals.imag))))
+    leak = state.truncation_leak
+    records = _layout_records(state)
     doc = {
         "eta": params.eta,
         "nbar_b": params.nbar_b,

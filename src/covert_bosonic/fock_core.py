@@ -20,10 +20,10 @@ times a fixed tri-diagonal matrix, whose eigensystem is computed once per
 cutoff and cached; a new transmittance or gain costs one phase per
 eigenvalue and batched products over groups of blocks, forming only the
 leading columns a caller asks for (an input of few photons needs few;
-the dense unitaries ask for all).  One table, grouping
-the flat basis indices by a conserved number, describes every such
-structure: the chains of each unitary, and the sectors of equal total
-photon number of a state.  A state keeps only its blocks, as one padded
+the dense unitaries ask for all).  One table, grouping the flat basis
+indices by a conserved number, describes every such structure: the
+chains of each unitary, and the sectors of equal total photon number of
+a state.  A state keeps only its blocks, as one padded
 stack on its table: the sectors when its matrix vanishes off them (every
 state the optics here produce), otherwise the whole space as one block.
 Validation, products and divergences read those blocks.  A diagonal
@@ -184,9 +184,8 @@ class DensityOperator(_BlockState):
         # nonzero parts (real and imaginary counted apart) as the matrix.
         if np.count_nonzero(blocks.view(float)) != np.count_nonzero(m.view(float)):
             idx, blocks = np.arange(dim)[None], m[None]
-        # A NaN counts as nonzero, so a non-finite entry off the sectors has
-        # already made the whole space one block: checking the blocks checks
-        # every entry.
+        # A NaN counts as nonzero, so a non-finite entry off the sectors has already
+        # made the whole space one block: checking the blocks checks every entry.
         _check_state(idx, blocks, leak)
         vars(self).update(vars(self._checked(num_modes, cutoff, idx, blocks, leak)))
 
@@ -338,6 +337,12 @@ def _pivots_positive(diag: np.ndarray, upper: np.ndarray, idx: np.ndarray) -> bo
     return bool(ok.all())
 
 
+def _groups(count: int, cells: int) -> list:
+    """Slices of range(``count``) of at most 2^14 cells (or one item), ``cells`` per item."""
+    size = max(1, 2**14 // cells)
+    return [slice(g, g + size) for g in range(0, count, size)]
+
+
 def _table(key: np.ndarray) -> tuple:
     """(idx, group, position) grouping the flat indices i by equal
     ``key[i]``: the groups in increasing key, each in increasing index.  Row
@@ -415,17 +420,15 @@ def _check_blocks(blocks: np.ndarray, idx: np.ndarray) -> None:
     or has an eigenvalue below -1e-10, naming the lowest over all blocks.
     Such an eigenvalue means an upstream bug and is never clipped.  Diagonal
     blocks are read from their diagonals, their eigenvalues.  Any other
-    stack is tested for Hermiticity in slices of rows of at most 2^14
-    cells, so no temporary nears its size, and takes its lowest eigenvalue
-    from :func:`_spectrum`."""
+    stack is tested for Hermiticity over :func:`_groups` of rows and takes
+    its lowest eigenvalue from :func:`_spectrum`."""
     if (main := _diagonals(blocks)) is not None:
         if 2.0 * np.max(np.abs(main.imag)) > _HERMITICITY_TOL:
             raise StateValidationError("operator is not Hermitian to 1e-12")
         low = main.real.min()
     else:
-        rows = max(1, 2**14 // (len(idx) * idx.shape[1]))
-        for r in range(0, idx.shape[1], rows):
-            x, y = blocks[:, r:r + rows], blocks[:, :, r:r + rows].conj().swapaxes(1, 2)
+        for c in _groups(idx.shape[1], idx.size):
+            x, y = blocks[:, c], blocks[:, :, c].conj().swapaxes(1, 2)
             if np.max(np.abs(x - y)) > _HERMITICITY_TOL:
                 raise StateValidationError("operator is not Hermitian to 1e-12")
         low = _spectrum(blocks, idx).min()
@@ -543,16 +546,16 @@ def _sector_blocks(strength: float, step: int, max_photons: int, columns: int) -
 
     X takes |f, g> to sqrt((f+1) max(g, g+step)) |f+1, g+step> inside the
     cutoff, so each chain is a sector.  Strength 0 is the identity exactly.
-    The product runs over groups of chains, each temporary at most 2^14
-    cells, one gemm per chain as over the whole stack."""
+    The product runs over :func:`_groups` of chains, one gemm per chain as
+    over the whole stack."""
     left, mu = _sector_eigensystems(step, max_photons)
     if strength == 0.0:
         return np.broadcast_to(np.eye(max_photons + 1, columns), left.shape[:2] + (columns,))
     # The exponential of a real generator is real: drop the roundoff the
     # complex similarity leaves in the imaginary part.
     phases = np.exp(-1j * strength * mu)[:, None, :]
-    out, group = np.empty(left.shape[:2] + (columns,)), max(1, 2**14 // left[0].size)
-    for c in (slice(g, g + group) for g in range(0, len(left), group)):
+    out = np.empty(left.shape[:2] + (columns,))
+    for c in _groups(len(left), left[0].size):
         out[c] = ((left[c] * phases[c]) @ left[c, :columns].conj().swapaxes(1, 2)).real
     return out
 
@@ -679,8 +682,7 @@ def anti_normal_char_fn(
                         f"got {type(state).__name__}")
     z1, z2 = np.asarray(zeta1, dtype=complex), np.asarray(zeta2, dtype=complex)
     if z1.shape != z2.shape:
-        raise ValueError(f"zeta1 and zeta2 must have one shape, got {z1.shape} "
-                         f"and {z2.shape}")
+        raise ValueError(f"zeta1 and zeta2 must have one shape, got {z1.shape} and {z2.shape}")
     if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
         raise ValueError(f"zeta must be finite, got ({zeta1}, {zeta2})")
     n = state.cutoff.max_photons
@@ -693,11 +695,9 @@ def anti_normal_char_fn(
     delta = np.abs(value - ref)
     if not np.all(delta <= _CHAR_FN_TOL):  # a NaN counts as unconverged
         worst = int(np.argmax(np.where(np.isnan(delta), np.inf, delta)))
-        raise TruncationError(
-            f"characteristic function not converged at N={n}: "
-            f"|delta| = {delta[worst]:.3e} > {_CHAR_FN_TOL:g} at zeta = "
-            f"({points[0][worst]}, {points[1][worst]})"
-        )
+        raise TruncationError(f"characteristic function not converged at N={n}: |delta| = "
+                              f"{delta[worst]:.3e} > {_CHAR_FN_TOL:g} at zeta = "
+                              f"({points[0][worst]}, {points[1][worst]})")
     return complex(value[0]) if z1.ndim == 0 else value.reshape(z1.shape)
 
 

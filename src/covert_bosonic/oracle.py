@@ -19,11 +19,13 @@ operators |x><x'| go through one rail's chain and the two-mode output is
 reassembled by linearity, without materializing the four-mode matrix
 (the tests check this against the dense four-mode route in
 ``tests/dense_reference.py``).  Each stage conserves a photon number, so it
-runs as a cached shift map on the rail's bands, gathered from the stage
-unitary's sector blocks; no dense d^4 unitary is built.  A map covers only
-the signal photon numbers its input holds: |x><x'| holds at most one
-photon, so a rail's first stage forms 2 of each block's d columns.  The
-image of |x><x'| lies on the band row - col = x - x', so every numeric
+runs as a shift map on the rail's bands, gathered from the stage unitary's
+sector blocks; no dense d^4 unitary is built.  A map covers only the
+signal photon numbers its input holds: |x><x'| holds at most one photon,
+so a rail's first stage forms 2 of each block's d columns.  A rail's
+images, built once per chain and cutoff, are the oracle's one cache of
+optics; each map lives only while its rail is built.  The image of
+|x><x'| lies on the band row - col = x - x', so every numeric
 state is read from the images into the tri-diagonal (diag, upper) layout
 of :class:`TriDiagonalWillieState` that the closed forms fill; an image
 with weight off its band is refused, and the layout checks itself (sector
@@ -37,7 +39,7 @@ Every check is a pure function returning a :class:`VerificationReport`;
 checks are independent and may run concurrently.  A check takes at most
 its channels and qubits (by default the 12 + 12 of :func:`default_channel_grid`
 and :func:`default_qubit_set`) and builds its states with ``*_state_numeric``
-(willie_state reads its rails' off-band weight itself); all else is fixed:
+(willie_state reads the off-band weight its rails carry); all else is fixed:
 
   check                   grid                                cutoff  tolerance
   willie_state            pattern entries; images off band    30      1e-8; 1e-10
@@ -55,8 +57,8 @@ over a fixed 10^4-point lattice of the logical state space (alpha_sq at
 cell midpoints, coherence fractions by golden-ratio steps), built and
 evaluated as arrays (the formula behind chi2_closed, bit for bit) and held
 once to LogicalQubit's constraints, so a lattice that strays off the state
-space is refused.  Each channel's quiet reference diagonalizes and inverts
-its blocks once for all its qubits.  char_fn and eb_pipelines evaluate each
+space is refused.  Each channel's quiet reference, a diagonal layout, is
+built once for all its qubits.  char_fn and eb_pipelines evaluate each
 numeric state's char fn once over the whole zeta grid.  char_fn has 2
 seeded qubits; pinsker_and_detector runs at (eta, nbar_b) = (0.9, 0.12)
 and |+> unless given others; eb_pipelines sends 0.8|01> + 0.6i|10> through
@@ -72,8 +74,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, partial
-from itertools import product
+from functools import lru_cache, partial
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -89,6 +92,7 @@ from .fock_core import (
     _amplifier_blocks,
     _beamsplitter_blocks,
     _chains,
+    _groups,
     anti_normal_char_fn,
     chi2_numeric,
     creation_exponential,
@@ -226,13 +230,16 @@ _SIGNAL, _ANCILLA = 0, 1
 _RAIL_BASIS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@lru_cache(maxsize=32)
 def _stage_transfer(stage: tuple, max_photons: int, inputs: int) -> tuple:
-    """One stage (see :func:`_apply_stage`) as a shift map, (M, rows), on
-    operators supported on signal photon numbers below ``inputs``.
+    """One stage as a shift map, (M, rows), on operators supported on signal
+    photon numbers below ``inputs``.
 
-    The blocks conserve n_signal + tau n_ancilla, tau = -step (+1 for a
-    beamsplitter, -1 for an amplifier), so once the ancilla is traced out
+    A stage is (builder, param, nbar, keep): the sector-block builder of a
+    beamsplitter (param the transmittance) or an amplifier (param the gain)
+    on (signal, ancilla); the ancilla enters thermal with mean photon
+    number nbar (vacuum at 0) and port ``keep`` is kept, the other traced
+    out.  The blocks conserve n_signal + tau n_ancilla, tau = -step (+1 for
+    a beamsplitter, -1 for an amplifier), so once the ancilla is traced out
     the stage keeps every band row - col of a single-mode operator, up to
     the sign sigma (-1 only for an amplifier's idler port):
 
@@ -245,8 +252,8 @@ def _stage_transfer(stage: tuple, max_photons: int, inputs: int) -> tuple:
     input |i, k> lies in its chain's first i + 1 columns, so only ``inputs``
     columns are formed.  ``rows`` is clipped to the cutoff where M vanishes.
 
-    E and M are formed over groups of shifts, each temporary at most 2^14
-    cells, one gemm per shift as over all shifts at once."""
+    E and M are formed over :func:`_groups` of shifts, one gemm per shift as
+    over all shifts at once."""
     builder, param, nbar, keep = stage
     blocks, step = builder(param, max_photons, inputs)
     _, chain, position = _chains(step, max_photons)
@@ -259,8 +266,8 @@ def _stage_transfer(stage: tuple, max_photons: int, inputs: int) -> tuple:
     shifts = np.arange(2 * d - 1)[:, None, None] - (d - 1 if sigma == 1 else 0)
     col = i * d + k
     chain_col, position_col, weight = chain[col], position[col], w[k]
-    m, group = np.empty((2 * d - 1, inputs, inputs)), max(1, 2**14 // col.size)
-    for c in (slice(g, g + group) for g in range(0, 2 * d - 1, group)):
+    m = np.empty((2 * d - 1, inputs, inputs))
+    for c in _groups(2 * d - 1, col.size):
         rows = shifts[c] + sigma * i
         # The traced port's photon number, fixed by the conserved quantity.
         traced = k + tau * (i - rows) if keep == _SIGNAL else i + tau * (k - rows)
@@ -268,28 +275,14 @@ def _stage_transfer(stage: tuple, max_photons: int, inputs: int) -> tuple:
         out = np.where(inside, rows * d + traced if keep == _SIGNAL else traced * d + rows, 0)
         e = np.where(inside, blocks[chain_col, position[out], position_col], 0.0)
         np.matmul(e * weight, e.transpose(0, 2, 1), out=m[c])
-    rows = np.clip((shifts + sigma * i)[:, :, 0], 0, d - 1)
-    for a in (m, rows):
-        a.setflags(write=False)
-    return m, rows
+    return m, np.clip((shifts + sigma * i)[:, :, 0], 0, d - 1)
 
 
-def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
-    """Push a single-mode operator through one stage and trace out the port
-    not kept.
-
-    A stage is (builder, param, nbar, keep): the sector-block builder of a
-    beamsplitter (param the transmittance) or an amplifier (param the gain)
-    on (signal, ancilla); the ancilla enters thermal with mean photon
-    number nbar (vacuum at 0) and port ``keep`` is kept.  The
-    stage runs as its cached shift map (:func:`_stage_transfer`) on the
-    nonzero entries of ``x`` only, 2d - 1 entries of M each.  An ``x`` on
-    photon numbers <= 1 (a rail's input, or its image under a vacuum
-    pure-loss stage) takes the map on 2 inputs, any other the map on all d:
-    the map's shape fixes the BLAS products that build it, and so its last
-    bits."""
-    d = max_photons + 1
-    m, rows = _stage_transfer(stage, max_photons, d if x[2:].any() or x[:, 2:].any() else 2)
+def _apply_stage(x: np.ndarray, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Push a single-mode operator through the shift map (M, rows) of a
+    stage (:func:`_stage_transfer`), reading the nonzero entries of ``x``
+    only, 2d - 1 entries of M each."""
+    d = len(x)
     i, j = np.nonzero(x)
     vals = (m[:, i, j] * x[i, j]).ravel()
     flat = (rows[:, i] * d + rows[:, j]).ravel()
@@ -297,38 +290,37 @@ def _apply_stage(x: np.ndarray, stage: tuple, max_photons: int) -> np.ndarray:
     return out.reshape(d, d)
 
 
-class _Rail(dict):
-    """The images of one rail, keyed by (x, x'), as :func:`_rail_images`
-    builds and caches them; neither the mapping nor its arrays change
-    afterwards."""
-
-    @cached_property
-    def off_band(self) -> float:
-        """Largest entry of any image of |x><x'| off its band row - col =
-        x - x', scanned once per rail."""
-        d = len(self[(0, 0)])
-        band = np.subtract.outer(np.arange(d), np.arange(d))
-        return max(float(np.max(np.abs(op[band != x - xp]), initial=0.0))
-                   for (x, xp), op in self.items())
-
-
 @lru_cache(maxsize=256)
-def _rail_images(stages: tuple, max_photons: int) -> _Rail:
-    """Images of the four logical basis operators |x><x'| of one rail
-    under a chain of stages.
+def _rail_images(stages: tuple, max_photons: int) -> tuple[dict, float]:
+    """(images, off_band): the images of the four logical basis operators
+    |x><x'| of one rail under a chain of stages, keyed by (x, x'), and
+    their largest entry off the band row - col = x - x'.  Neither the
+    mapping nor its arrays change afterwards.
 
-    Qubit-independent, so sweeps over many inputs through the same optics
-    reuse these."""
+    Each stage's map is built here at most once per input count, for all
+    four operators.  An operator on photon numbers <= 1 (a rail's input, or
+    its image under a vacuum pure-loss stage) takes the map on 2 inputs,
+    any other the map on all d: the map's shape fixes the BLAS products
+    that build it, and so its last bits.  Qubit-independent, so sweeps over
+    many inputs through the same optics reuse the images and their scan."""
     d = max_photons + 1
-    out = _Rail()
+    images = {}
     for x, xp in _RAIL_BASIS:
-        op = np.zeros((d, d), dtype=complex)
-        op[x, xp] = 1.0
-        for stage in stages:
-            op = _apply_stage(op, stage, max_photons)
+        images[(x, xp)] = np.zeros((d, d), dtype=complex)
+        images[(x, xp)][x, xp] = 1.0
+    for stage in stages:
+        maps = {}
+        for key, op in images.items():
+            inputs = d if op[2:].any() or op[:, 2:].any() else 2
+            if inputs not in maps:
+                maps[inputs] = _stage_transfer(stage, max_photons, inputs)
+            images[key] = _apply_stage(op, *maps[inputs])
+    band = np.subtract.outer(np.arange(d), np.arange(d))
+    off_band = max(float(np.max(np.abs(op[band != x - xp]), initial=0.0))
+                   for (x, xp), op in images.items())
+    for op in images.values():
         op.setflags(write=False)
-        out[(x, xp)] = op
-    return out
+    return images, off_band
 
 
 def _channel(params: ChannelParams, keep: int) -> tuple:
@@ -336,12 +328,13 @@ def _channel(params: ChannelParams, keep: int) -> tuple:
     return ((_beamsplitter_blocks, params.eta, params.nbar_b, keep),)
 
 
-def _tri_diagonal(qubit: cf.LogicalQubit, rail: _Rail) -> tuple[np.ndarray, np.ndarray]:
+def _tri_diagonal(qubit: cf.LogicalQubit, rail: dict) -> tuple[np.ndarray, np.ndarray]:
     """(diag, upper) of :class:`TriDiagonalWillieState` for the two-mode
     output, from one rail's basis-operator images.  Logical |0> = |01> and
     |1> = |10>, so the logical matrix element (x, x') weights image (x, x')
     on the first mode times image (1-x, 1-x') on the second.  Weight off the
-    images' bands is not read; callers check it with :attr:`_Rail.off_band`."""
+    images' bands is not read; callers check the off-band weight that
+    :func:`_rail_images` returns with them."""
     d = len(rail[(0, 0)])
     diag = np.zeros((d, d), dtype=complex)
     upper = np.zeros((d, d), dtype=complex)
@@ -359,9 +352,8 @@ def _assemble_two_mode(
     """Two-mode output of both rails passed through ``stages``, as the
     checked layout.  The layout holds only the tri-diagonal pattern, so a
     rail image with weight off its band, which would put weight off the
-    pattern, is refused (each cached rail is scanned once)."""
-    rail = _rail_images(stages, cutoff.max_photons)
-    off = rail.off_band
+    pattern, is refused."""
+    rail, off = _rail_images(stages, cutoff.max_photons)
     if off > 0.0:
         raise ValueError(f"rail image has weight {off:.3e} off its band; "
                          "the two-mode output is not tri-diagonal")
@@ -444,8 +436,8 @@ def verify_willie_state(
     def errors():
         for params, qubit in _grid(channel_grid, qubits):
             # The one rail read: its off-band weight is reported, not refused.
-            rail = _rail_images(_channel(params, _ANCILLA), cutoff.max_photons)
-            off_band.append(rail.off_band)
+            rail, off = _rail_images(_channel(params, _ANCILLA), cutoff.max_photons)
+            off_band.append(off)
             closed = cf.willie_state_closed(qubit, params, cutoff)
             diag, upper = _tri_diagonal(qubit, rail)
             err = max(np.max(np.abs(diag - closed.diag)),
@@ -491,20 +483,19 @@ def verify_chi2(
                 inputs = dict(eta=params.eta, nbar_b=params.nbar_b, violation=violation)
                 return _report("chi2", [(err, inputs)], _CHI2_REL_TOLERANCE, passed=False)
 
-    @lru_cache(maxsize=1)  # the walk is channel-major: one per channel
-    def reference(occ: float) -> TriDiagonalWillieState:
-        # The truncated chi-squared tail decays only like (occ/(1+occ))^N
-        # (the inverse thermal weights cancel one factor of the state
-        # tail), so escalate the cutoff with the occupancy.
-        return _quiet(occ, FockCutoff(max(20, min(30, math.ceil(
-            math.log(1e-11) / math.log(occ / (1.0 + occ)))))))
-
     def errors():
-        for params, qubit in pairs:
-            quiet = reference(params.eta * params.nbar_b)
-            num = chi2_numeric(willie_state_numeric(qubit, params, quiet.cutoff), quiet)
-            clo = cf.chi2_closed(qubit, params)
-            yield abs(num - clo) / max(abs(clo), 1e-30), _inputs(params, qubit)
+        # The walk is channel-major: one quiet reference per channel.
+        for params, group in groupby(pairs, key=itemgetter(0)):
+            occ = params.eta * params.nbar_b
+            # The truncated chi-squared tail decays only like (occ/(1+occ))^N
+            # (the inverse thermal weights cancel one factor of the state
+            # tail), so escalate the cutoff with the occupancy.
+            quiet = _quiet(occ, FockCutoff(max(20, min(30, math.ceil(
+                math.log(1e-11) / math.log(occ / (1.0 + occ)))))))
+            for _, qubit in group:
+                num = chi2_numeric(willie_state_numeric(qubit, params, quiet.cutoff), quiet)
+                clo = cf.chi2_closed(qubit, params)
+                yield abs(num - clo) / max(abs(clo), 1e-30), _inputs(params, qubit)
 
     return _report("chi2", errors(), _CHI2_REL_TOLERANCE)
 

@@ -16,12 +16,15 @@ import pytest
 
 from covert_bosonic import cli
 from covert_bosonic.covert_bounds import bounds_curve
+from covert_bosonic.closed_form import LogicalQubit, willie_state_closed
 from covert_bosonic.fock_core import (
     DEFAULT_MAX_PHOTONS,
     ChannelParams,
     FockCutoff,
+    TruncationError,
     thermal_occupation,
 )
+from covert_bosonic.oracle import willie_state_numeric
 
 BOUNDS_ARGS = [
     "bounds", "--eta", "0.9", "--nbar-b", "0.12", "--delta", "0.05",
@@ -281,14 +284,15 @@ class TestBoundsStreaming:
         code, out, _ = run_cli(BOUNDS_ARGS + ["--format", fmt], capsys)
         assert code == 0 and out
 
-    def test_sweep_memory_is_bounded(self, tmp_path):
-        # Built as one object per point and one joined string, this output
-        # peaked at ~96 MB of Python heap; the columns and one formatting
-        # slice take ~15 MB.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_memory_is_bounded(self, fmt, tmp_path):
+        # Built as one object per point and one joined string, the CSV
+        # peaked at ~96 MB of Python heap, and the JSON, dumped whole, at
+        # ~147 MB; the columns and one formatting slice take ~15 MB.
         tracemalloc.start()
         try:
-            assert cli.main(SWEEP + ["--modes-per-sec", "1e8",
-                                     "--out", str(tmp_path / "sweep.csv")]) == 0
+            assert cli.main(SWEEP + ["--modes-per-sec", "1e8", "--format", fmt,
+                                     "--out", str(tmp_path / "sweep")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -350,6 +354,53 @@ class TestWillieState:
                                 "--format", "json", "--config", str(path)], capsys)
         assert code == 0
         assert json.loads(out)["cutoff"] == 3
+
+
+# Qubits and channels of the layout walk's cases, the transparent and the
+# vacuum channel among them.
+WALK_QUBITS = [LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0), LogicalQubit(0.5, 0.5, 0.5),
+               LogicalQubit(0.3, 0.7, 0.2 - 0.3j), LogicalQubit(0.5, 0.5, 0.0)]
+WALK_CHANNELS = [ChannelParams(0.9, 0.12), ChannelParams(0.5, 0.05), ChannelParams(1.0, 0.2),
+                 ChannelParams(0.0, 0.0)]
+
+
+class TestLayoutRecords:
+    """willie-state writes its entries from the layout's two arrays; the
+    records are those of its dense matrix."""
+
+    @pytest.mark.parametrize("source", ["closed", "numeric"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 20, 30])
+    def test_records_are_the_dense_matrix_walk(self, source, n):
+        """Row-major np.nonzero over the scattered matrix gives the same
+        records, bit for bit: repr tells a zero imaginary part's sign."""
+        build = willie_state_closed if source == "closed" else willie_state_numeric
+        cut, walked = FockCutoff(n), 0
+        for params in WALK_CHANNELS:
+            for qubit in WALK_QUBITS:
+                try:
+                    state = build(qubit, params, cut)
+                except TruncationError:  # the numeric state's leak at a low cutoff
+                    continue
+                entries, d = state.entries, cut.dim
+                rows, cols = np.nonzero(entries)
+                vals = entries[rows, cols]
+                dense = list(zip(*(a.tolist() for a in (
+                    rows // d, rows % d, cols // d, cols % d, vals.real, vals.imag))))
+                assert repr(cli._layout_records(state)) == repr(dense)
+                walked += 1
+        assert walked >= len(WALK_QUBITS)  # the vacuum channel leaks nothing
+
+    def test_dump_memory_is_bounded(self, tmp_path):
+        # The dense matrix alone is 16 * 61^4 bytes = 221 MB at cutoff 60;
+        # the walk and its 10,923 records peak at ~3 MB.
+        tracemalloc.start()
+        try:
+            assert cli.main(["willie-state", "--eta", "0.9", "--nbar-b", "0.12",
+                             "--cutoff", "60", "--out", str(tmp_path / "state.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestEbReport:

@@ -5,7 +5,7 @@ import re
 import sys
 import tracemalloc
 import warnings
-from functools import cached_property, partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -165,7 +165,7 @@ def dense_stage(x, stage, max_photons):
 
 
 class TestStageTransfer:
-    """Each stage's cached shift map against the dense contraction."""
+    """Each stage's shift map against the dense contraction."""
 
     N = 8
 
@@ -189,22 +189,30 @@ class TestStageTransfer:
     @pytest.mark.parametrize("nbar", [0.0, 0.2])
     @pytest.mark.parametrize("keep", [oracle._SIGNAL, oracle._ANCILLA])
     def test_matches_dense_contraction(self, unitary, param, nbar, keep):
+        """Through the map on all N + 1 inputs, and through the map on 2
+        inputs too for an operator on photon numbers <= 1."""
         stage = (BUILDERS[unitary], param, nbar, keep)
+        d = self.N + 1
         for op in self.operators():
-            got = oracle._apply_stage(op, stage, self.N)
             ref = dense_stage(op, stage, self.N)
-            assert got.shape == ref.shape and np.max(np.abs(got - ref)) < 1e-13
+            for inputs in (d,) if op[2:].any() or op[:, 2:].any() else (2, d):
+                got = oracle._apply_stage(op, *oracle._stage_transfer(stage, self.N, inputs))
+                assert got.shape == ref.shape and np.max(np.abs(got - ref)) < 1e-13
 
-    def test_cache_holds_no_dense_unitary(self):
-        """A rail's first stage caches its map on 2 inputs only: (2N+1) 2 2
-        entries of M, (2N+1) 2 of rows."""
+    def test_first_stage_builds_one_two_input_map(self, monkeypatch):
+        """A rail's first stage builds one map for all four basis operators,
+        on 2 inputs only: (2N+1) 2 2 entries of M, (2N+1) 2 of rows."""
         d = self.N + 1
         stage = (fock_core._beamsplitter_blocks, 0.41, 0.1, oracle._SIGNAL)
-        oracle._stage_transfer.cache_clear()
+        transfer, built = oracle._stage_transfer, []
+
+        def traced(*key):
+            built.append(transfer(*key))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "_stage_transfer", traced)
         oracle._rail_images.__wrapped__((stage,), self.N)
-        assert oracle._stage_transfer.cache_info().misses == 1
-        m, rows = oracle._stage_transfer(stage, self.N, 2)
-        assert oracle._stage_transfer.cache_info().misses == 1
+        [(m, rows)] = built
         assert m.shape == (2 * d - 1, 2, 2) and rows.shape == (2 * d - 1, 2)
 
     STAGES = [(builder, param, nbar, keep)
@@ -234,7 +242,7 @@ class TestStageTransfer:
         """The map built over groups of shifts equals the one-shot gather
         over all shifts byte for byte, on 2 and on all n + 1 inputs."""
         for inputs in (2, n + 1):
-            m, rows = oracle._stage_transfer.__wrapped__(stage, n, inputs)
+            m, rows = oracle._stage_transfer(stage, n, inputs)
             ref_m, ref_rows = stage_transfer(stage, n, inputs)
             assert m.shape == ref_m.shape and rows.shape == ref_rows.shape
             assert m.tobytes() == ref_m.tobytes() and rows.tobytes() == ref_rows.tobytes()
@@ -269,14 +277,39 @@ class TestStageTransfer:
                   for keep in (oracle._SIGNAL, oracle._ANCILLA)]
         chains += [oracle._engineered(plan, params) for params, plan in oracle._EB_CASES]
         build = oracle._rail_images.__wrapped__
-        rails = [build(stages, n) for stages in chains]
+        rails = [build(stages, n)[0] for stages in chains]
         transfer = oracle._stage_transfer
         monkeypatch.setattr(oracle, "_stage_transfer",
                             lambda stage, max_photons, inputs: transfer(
                                 stage, max_photons, max_photons + 1))
         for stages, rail in zip(chains, rails):
-            full = build(stages, n)
+            full = build(stages, n)[0]
             assert all(rail[key].tobytes() == full[key].tobytes() for key in oracle._RAIL_BASIS)
+
+    def test_default_checks_build_each_map_once_per_rail(self, monkeypatch):
+        """The traffic the rail build's local maps rest on: over a default
+        run_all_checks(), no rail build asks twice for one (stage, cutoff,
+        inputs) map, a first stage asks for 2 inputs, and the run builds
+        41 maps for 40 distinct keys, so a cache of maps across rails would
+        save one build."""
+        builds, build, transfer = [], oracle._rail_images.__wrapped__, oracle._stage_transfer
+
+        def traced_build(stages, max_photons):
+            builds.append((stages[0], []))
+            return build(stages, max_photons)
+
+        def traced_transfer(stage, max_photons, inputs):
+            builds[-1][1].append((stage, max_photons, inputs))
+            return transfer(stage, max_photons, inputs)
+
+        monkeypatch.setattr(oracle, "_rail_images", lru_cache(maxsize=256)(traced_build))
+        monkeypatch.setattr(oracle, "_stage_transfer", traced_transfer)
+        assert all(report.passed for report in run_all_checks())
+        for first, keys in builds:
+            assert len(set(keys)) == len(keys)
+            assert all(inputs == 2 for stage, _, inputs in keys if stage == first)
+        keys = [key for _, built in builds for key in built]
+        assert (len(keys), len(set(keys))) == (41, 40)
 
 
 def traced_peak_mb(run) -> float:
@@ -295,9 +328,8 @@ class TestMemory:
 
     @pytest.fixture(autouse=True)
     def cold_caches(self):
-        for cached in (oracle._stage_transfer, oracle._rail_images,
-                       fock_core._sector_eigensystems, fock_core._char_fn_kernels,
-                       fock_core._cell_positions):
+        for cached in (oracle._rail_images, fock_core._sector_eigensystems,
+                       fock_core._char_fn_kernels, fock_core._cell_positions):
             cached.cache_clear()
 
     @pytest.mark.parametrize("build", ["layout", "tensor", "beamsplitter", "amplifier"])
@@ -387,7 +419,7 @@ class TestImageChecks:
 
     def rail(self, keep):
         return oracle._rail_images(oracle._channel(self.PARAMS, keep),
-                                   self.CUT.max_photons)
+                                   self.CUT.max_photons)[0]
 
     def test_pattern_entries_match_dense_state(self):
         rail = self.rail(oracle._ANCILLA)
@@ -403,16 +435,18 @@ class TestImageChecks:
         assert np.max(np.abs(got - dense[np.ix_(logical, logical)])) < 1e-13
 
     def plant_off_band_entry(self, monkeypatch):
-        images = oracle._rail_images
+        """Every stage puts 1e-9 at (0, 2), band -2, off the band of every
+        image, and each rail is built anew, uncached, so the build's own
+        scan finds it."""
+        apply = oracle._apply_stage
 
-        def planted(stages, max_photons):
-            rail = oracle._Rail(images(stages, max_photons))
-            op = rail[(0, 0)].copy()
-            op[0, 2] = 1e-9  # band -2 of the image of |0><0|
-            rail[(0, 0)] = op
-            return rail
+        def planted(x, m, rows):
+            out = apply(x, m, rows)
+            out[0, 2] = 1e-9
+            return out
 
-        monkeypatch.setattr(oracle, "_rail_images", planted)
+        monkeypatch.setattr(oracle, "_apply_stage", planted)
+        monkeypatch.setattr(oracle, "_rail_images", oracle._rail_images.__wrapped__)
 
     def test_off_band_entry_fails_willie_state(self, monkeypatch):
         assert verify_willie_state([self.PARAMS], [self.QUBIT]).passed
@@ -431,26 +465,17 @@ class TestImageChecks:
         with pytest.raises(ValueError, match="off its band"):
             oracle.verify_depolarizing_reduction([self.PARAMS], [self.QUBIT])
 
-    def test_band_scan_runs_once_per_rail(self, monkeypatch):
-        scans = []
-        scan = oracle._Rail.off_band.func
-
-        def counted(rail):
-            scans.append(rail)
-            return scan(rail)
-
-        prop = cached_property(counted)
-        prop.__set_name__(oracle._Rail, "off_band")
-        monkeypatch.setattr(oracle._Rail, "off_band", prop)
+    def test_band_scan_runs_once_per_rail(self):
+        """The rail build scans its images, so each rail is scanned once,
+        when it is built: every later read is a hit of the cached build."""
         oracle._rail_images.cache_clear()
         for qubit in (self.QUBIT, LogicalQubit(1.0, 0.0), LogicalQubit(0.5, 0.5, 0.5j)):
             oracle.willie_state_numeric(qubit, self.PARAMS, self.CUT)
         # The check runs at the oracle's cutoff: one more rail, scanned once.
         qubits = [self.QUBIT, LogicalQubit(1.0, 0.0)]
         assert verify_willie_state([self.PARAMS], qubits).passed
-        stages = oracle._channel(self.PARAMS, oracle._ANCILLA)
-        cutoffs = (self.CUT, oracle.DEFAULT_ORACLE_CUTOFF)
-        assert scans == [oracle._rail_images(stages, c.max_photons) for c in cutoffs]
+        info = oracle._rail_images.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
 
     def test_layout_is_shared_with_closed_form(self):
         from covert_bosonic import fock_core
@@ -594,8 +619,7 @@ def test_checks_build_no_dense_unitary_or_state(monkeypatch):
     monkeypatch.setattr(TriDiagonalWillieState, "entries", property(refuse))
     monkeypatch.setattr(DensityOperator, "__init__", refuse)
     monkeypatch.setattr(DensityOperator, "_checked", refuse)
-    for cached in (oracle._stage_transfer, oracle._rail_images, fock_core._char_fn_kernels,
-                   fock_core._cell_positions):
+    for cached in (oracle._rail_images, fock_core._char_fn_kernels, fock_core._cell_positions):
         cached.cache_clear()
     with pytest.raises(AssertionError, match="dense"):
         fock_core.two_mode_amplifier_unitary(1.5, 0, 1, 2, FockCutoff(3))
